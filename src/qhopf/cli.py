@@ -28,18 +28,9 @@ import time
 from qhopf import __version__
 from qhopf.comodule import Coaction, QuotientError, default_quotient
 from qhopf.families import build
-from qhopf.invariants import invariant_vector, isomorphic, pi_degree_and_io
-from qhopf.params import (
-    AParams,
-    BParams,
-    CLiftParams,
-    CParams,
-    EnvNonabelianParams,
-    ParamError,
-    parse_params,
-    params_str,
-    params_to_json,
-)
+from qhopf.families.builder import family
+from qhopf.invariants import invariant_vector, isomorphic
+from qhopf.params import ParamError, parse_params, params_str, params_to_json
 from qhopf.verify import verify_axioms
 
 
@@ -80,25 +71,12 @@ def _check_window(args) -> None:
         raise InputError(f"--jobs must be >= 1, got {args.jobs}")
 
 
-def _pi_profile(params):
-    """PI data for the report: exact degrees where the carried-basis
-    formula applies, "infinite" where the instance provably satisfies
-    no polynomial identity, omitted (None) otherwise."""
-    if isinstance(params, BParams):
-        degree, io = pi_degree_and_io(params)
-        return {"pi_degree": degree, "integral_order": io}
-    if isinstance(params, CParams):
-        # n = 1 is commutative, hence trivially PI: omit like the
-        # other commutative families
-        return "infinite" if params.n > 1 else None
-    if isinstance(params, EnvNonabelianParams):
-        return "infinite"
-    if isinstance(params, (AParams, CLiftParams)):
-        if isinstance(params, CLiftParams) and params.q.is_one():
-            return "infinite"
-        if params.q.root_order() is None:
-            return "infinite"
-    return None
+def _print_invariants(vec) -> None:
+    for name, value in vec.fields():
+        if name == "abelianization_goldie_rank":
+            rank, quotient = value
+            value = f"rank={rank} quotient={quotient}"
+        print(f"  {name}: {value}")
 
 
 # -- subcommands --------------------------------------------------------
@@ -109,7 +87,7 @@ def cmd_verify(args) -> int:
     params = _load_instance(args.instance)
     alg = build(params)
     t0 = time.perf_counter()
-    report = verify_axioms(alg, window=args.window, jobs=args.jobs, params=params)
+    report = verify_axioms(alg, window=args.window, jobs=args.jobs)
     elapsed = time.perf_counter() - t0
     if args.format == "structured":
         _emit(
@@ -154,12 +132,7 @@ def cmd_invariants(args) -> int:
         )
     else:
         print(f"invariants {params_str(params)}  window={args.window}")
-        for name, value in vec.fields():
-            if name == "abelianization_goldie_rank":
-                rank, quotient = value
-                print(f"  {name}: rank={rank} quotient={quotient}")
-            else:
-                print(f"  {name}: {value}")
+        _print_invariants(vec)
         print(f"done in {elapsed:.2f}s")
     return 0
 
@@ -279,9 +252,9 @@ def cmd_report(args) -> int:
     params = _load_instance(args.instance)
     alg = build(params)
     t0 = time.perf_counter()
-    report = verify_axioms(alg, window=args.window, jobs=args.jobs, params=params)
+    report = verify_axioms(alg, window=args.window, jobs=args.jobs)
     vec = invariant_vector(alg, bound=args.window)
-    pi = _pi_profile(params)
+    pi = family(params).pi(params)
     elapsed = time.perf_counter() - t0
 
     if args.format == "structured":
@@ -300,12 +273,7 @@ def cmd_report(args) -> int:
               f" ({sum(report.checked.values())} checks)")
         for f in report.failures:
             print(f"    FAIL {f.axiom} at {f.where}: {f.residual}")
-        for name, value in vec.fields():
-            if name == "abelianization_goldie_rank":
-                rank, quotient = value
-                print(f"  {name}: rank={rank} quotient={quotient}")
-            else:
-                print(f"  {name}: {value}")
+        _print_invariants(vec)
         if isinstance(pi, dict):
             print(f"  pi_degree: {pi['pi_degree']}"
                   f"  integral_order: {pi['integral_order']}")

@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from qhopf.elements import Lin, acc
 from qhopf.families.base import HopfProvider
+from qhopf.families.builder import family
 from qhopf.linalg import Echelon, kernel_of_map
 from qhopf.scalars import Cyclo
 
@@ -47,13 +48,6 @@ def _pol_mul(a: dict, b: dict) -> dict:
     for i, c in a.items():
         for j, d in b.items():
             acc(out, i + j, c * d)
-    return out
-
-
-def _pol_scale(a: dict, c: Cyclo) -> dict:
-    out: dict = {}
-    for k, v in a.items():
-        acc(out, k, v * c)
     return out
 
 
@@ -86,31 +80,17 @@ class QuotientSpec:
 
 
 def default_quotient(alg: HopfProvider) -> QuotientSpec:
-    """The built-in quotient for the instance's family.
-
-    Skew-Laurent-like families kill the skew generators and send x to
-    t; group rings send y to 1; enveloping algebras kill y with x
-    primitive; the Ore family collapses y to 1 with x primitive.  The
-    twisted lift with a nontrivial scalar admits no monomial quotient
-    (its relation forces the whole algebra to collapse), so it is
-    rejected.
-    """
+    """The built-in quotient for the instance's family, from the family
+    table: every generator goes to 0 or to a power of t."""
+    found = family(alg.params).quotient(alg.params)
+    if found is None:
+        raise QuotientError(
+            "no built-in quotient: a nontrivial twist leaves no monomial collapse"
+        )
+    kind, images = found
     one = Cyclo.one(alg.level)
-    tag = alg.family_tag
-    if tag == "A":
-        return QuotientSpec("laurent", {"y": None, "x": (one, 1)})
-    if tag == "B":
-        images = {f"y{i + 1}": None for i in range(alg.s)}
-        images["x"] = (one, 1)
-        return QuotientSpec("laurent", images)
-    if tag in ("GroupZ2", "GroupZSemiZ"):
-        return QuotientSpec("laurent", {"y": (one, 0), "x": (one, 1)})
-    if tag in ("EnvAbelian", "EnvNonabelian"):
-        return QuotientSpec("poly", {"y": None, "x": (one, 1)})
-    if tag == "C" or (tag == "CLift" and alg.q.is_one()):
-        return QuotientSpec("poly", {"y": (one, 0), "x": (one, 1)})
-    raise QuotientError(
-        "no built-in quotient: a nontrivial twist leaves no monomial collapse"
+    return QuotientSpec(
+        kind, {name: None if k is None else (one, k) for name, k in images.items()}
     )
 
 
@@ -140,12 +120,6 @@ class Coaction:
             if not out:
                 break
         self._pi_cache[idx] = out
-        return out
-
-    def pi_el(self, h: Lin) -> dict:
-        out: dict = {}
-        for idx, c in h.terms.items():
-            out = _pol_add(out, _pol_scale(self.pi_index(idx), c))
         return out
 
     # -- construction-time validation --------------------------------
@@ -215,12 +189,6 @@ class Coaction:
         return {n: Lin(comp) for n, comp in out.items() if comp}
 
     # -- gradings (Laurent quotients) ---------------------------------
-
-    def proj_right(self, h: Lin, n: int) -> Lin:
-        return self.rho(h).get(n, Lin({}))
-
-    def proj_left(self, m: int, h: Lin) -> Lin:
-        return self.lam(h).get(m, Lin({}))
 
     def rho_degree(self, idx) -> int:
         comps = self.rho(self.alg.basis_el(idx))

@@ -55,7 +55,6 @@ class HopfProvider(ABC):
     """Base class for family providers."""
 
     level: int
-    family_tag: str
     params: object
 
     def __init__(self, level: int):
@@ -141,12 +140,6 @@ class HopfProvider(ABC):
     def basis_el(self, i: Index, coeff=1) -> Lin:
         return Lin.basis(i, self.scalar(coeff))
 
-    def generator_el(self, name: str) -> Lin:
-        for gname, idx in self.generators():
-            if gname == name:
-                return self.basis_el(idx)
-        raise KeyError(f"no generator named {name!r}")
-
     def mul(self, a: Lin, b: Lin) -> Lin:
         out: dict[Index, Cyclo] = {}
         for i, c in a.terms.items():
@@ -216,22 +209,6 @@ class HopfProvider(ABC):
         for _ in range(k):
             out = self.t2_mul(out, s)
         return out
-
-    def t3_mul(self, s: Lin, t: Lin) -> Lin:
-        out: dict = {}
-        for (i, j, k), c in s.terms.items():
-            for (l, m, n), d in t.terms.items():
-                cd = c * d
-                t1 = self.multiply_basis(i, l)
-                t2 = self.multiply_basis(j, m)
-                t3 = self.multiply_basis(k, n)
-                for a, ca in t1.terms.items():
-                    cda = ca * cd
-                    for b, cb in t2.terms.items():
-                        cdab = cb * cda
-                        for e, ce in t3.terms.items():
-                            acc(out, (a, b, e), ce * cdab)
-        return Lin(out)
 
     def cop_right(self, t: Lin) -> Lin:
         """(id (x) Delta) applied to a 2-tensor."""

@@ -61,8 +61,6 @@ class _Enveloping(HopfProvider):
 
 
 class EnvAbelian(_Enveloping):
-    family_tag = "EnvAbelian"
-
     def __init__(self, params: EnvAbelianParams):
         super().__init__(params)
 
@@ -88,8 +86,6 @@ class EnvAbelian(_Enveloping):
 
 
 class EnvNonabelian(_Enveloping):
-    family_tag = "EnvNonabelian"
-
     def __init__(self, params: EnvNonabelianParams):
         super().__init__(params)
 

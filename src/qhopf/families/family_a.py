@@ -18,8 +18,6 @@ from qhopf.qcombinat import skew_binomial_coeffs
 
 
 class FamilyA(HopfProvider):
-    family_tag = "A"
-
     def __init__(self, params: AParams):
         super().__init__(level=params.q.min_level())
         self.params = params

@@ -31,8 +31,6 @@ from qhopf.qcombinat import skew_binomial_coeffs
 
 
 class FamilyB(HopfProvider):
-    family_tag = "B"
-
     def __init__(self, params: BParams):
         ell = params.root_target()
         super().__init__(level=ell)

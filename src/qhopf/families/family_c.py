@@ -12,8 +12,8 @@ which the classification layer knows about).
 Hopf structure: y is grouplike, Delta(x) = x ox y^(n-1) + 1 ox x,
 eps(x) = 0, S(y) = y^-1, S(x) = -x y^(1-n).
 
-Products are computed by structural recursion on the x-exponent: the
-memoized `_move(b, a)` straightens x^b y^a using the sigma-derivation
+Products are computed by induction on the x-exponent: the memoized
+`_move(b, a)` straightens x^b y^a using the sigma-derivation
 rule x f(y) = sigma(f) x + delta(f), extended to negative powers via
 delta(y^-1) = -q^-1 (y^(n-2) - y^-1).
 """
@@ -22,22 +22,16 @@ from __future__ import annotations
 
 from qhopf.elements import Lin, acc, lin_from_pairs
 from qhopf.families.base import HopfProvider, PowCache, Presentation
-from qhopf.params import CLiftParams, CParams, ScalarSpec
+from qhopf.params import CLiftParams, CParams
 from qhopf.scalars import Cyclo
 
 
 class FamilyC(HopfProvider):
     def __init__(self, params: CParams | CLiftParams):
-        if isinstance(params, CParams):
-            q = ScalarSpec.from_rational(1)
-            self.family_tag = "C"
-        else:
-            q = params.q
-            self.family_tag = "CLift"
-        super().__init__(level=q.min_level())
+        super().__init__(level=params.q.min_level())
         self.params = params
         self.n = params.n
-        self.q = q.to_cyclo(self.level)
+        self.q = params.q.to_cyclo(self.level)
         self.qpow = PowCache(self.q)
         self._delta_cache: dict[int, dict[int, Cyclo]] = {0: {}}
         self._move_cache: dict[tuple[int, int], Lin] = {}
@@ -46,47 +40,51 @@ class FamilyC(HopfProvider):
     # -- Ore data ---------------------------------------------------------
 
     def _delta(self, c: int) -> dict[int, Cyclo]:
-        """delta(y^c) as a Laurent polynomial {exponent: coeff}."""
-        hit = self._delta_cache.get(c)
+        """delta(y^c) as a Laurent polynomial {exponent: coeff}, filled
+        outward from the nearest cached exponent (no recursion)."""
+        cache = self._delta_cache
+        hit = cache.get(c)
         if hit is not None:
             return hit
-        n = self.n
-        out: dict[int, Cyclo] = {}
-        if c > 0:
-            # delta(y^c) = sigma(y) delta(y^(c-1)) + delta(y) y^(c-1)
-            for k, v in self._delta(c - 1).items():
-                acc(out, k + 1, v * self.q)
-            acc(out, n + c - 1, self.one_scalar())
-            acc(out, c, -self.one_scalar())
-        else:
-            # delta(y^c) = sigma(y^-1) delta(y^(c+1)) + delta(y^-1) y^(c+1)
-            qinv = self.qpow(-1)
-            for k, v in self._delta(c + 1).items():
-                acc(out, k - 1, v * qinv)
-            acc(out, n - 2 + c + 1, -qinv)
-            acc(out, c, qinv)
-        self._delta_cache[c] = out
-        return out
+        step = 1 if c > 0 else -1
+        start = c
+        while start - step not in cache:
+            start -= step
+        s = self.qpow(step)
+        # delta(y^step) = d (y^(n-1+step) - y^step)
+        d = self.one_scalar() if step > 0 else -s
+        for k in range(start, c + step, step):
+            # delta(y^k) = sigma(y^step) delta(y^(k-step)) + delta(y^step) y^(k-step)
+            out: dict[int, Cyclo] = {}
+            for e, v in cache[k - step].items():
+                acc(out, e + step, v * s)
+            acc(out, self.n + k - 1, d)
+            acc(out, k, -d)
+            cache[k] = out
+        return cache[c]
 
     def _move(self, b: int, a: int) -> Lin:
-        """x^b y^a as a Lin over basis monomials."""
-        key = (b, a)
-        hit = self._move_cache.get(key)
+        """x^b y^a as a Lin over basis monomials, filled upward from the
+        nearest cached power of x (no recursion)."""
+        cache = self._move_cache
+        hit = cache.get((b, a))
         if hit is not None:
             return hit
-        if b == 0:
-            out = Lin.basis((a, 0), self.one_scalar())
-        else:
-            prev = self._move(b - 1, a)
+        start = b
+        while start > 0 and (start - 1, a) not in cache:
+            start -= 1
+        for k in range(start, b + 1):
+            if k == 0:
+                cache[(k, a)] = Lin.basis((a, 0), self.one_scalar())
+                continue
             terms: dict = {}
-            for (c, e), v in prev.terms.items():
+            for (c, e), v in cache[(k - 1, a)].terms.items():
                 # x (y^c x^e) = q^c y^c x^(e+1) + delta(y^c) x^e
                 acc(terms, (c, e + 1), v * self.qpow(c))
                 for t, w in self._delta(c).items():
                     acc(terms, (t, e), v * w)
-            out = Lin(terms)
-        self._move_cache[key] = out
-        return out
+            cache[(k, a)] = Lin(terms)
+        return cache[(b, a)]
 
     # -- structure constants ------------------------------------------------
 

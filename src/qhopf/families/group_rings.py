@@ -74,8 +74,6 @@ class _GroupRing(HopfProvider):
 
 
 class GroupZ2(_GroupRing):
-    family_tag = "GroupZ2"
-
     def __init__(self, params: GroupZ2Params):
         super().__init__(params)
 
@@ -113,8 +111,6 @@ class GroupZ2(_GroupRing):
 
 
 class GroupZSemiZ(_GroupRing):
-    family_tag = "GroupZSemiZ"
-
     def __init__(self, params: GroupZSemiZParams):
         super().__init__(params)
 

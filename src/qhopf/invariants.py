@@ -11,10 +11,11 @@ Two layers:
   canonical forms after folding the known family coincidences.  This
   layer is authoritative for the classified families.
 
-Two invariants are family metadata rather than computations: global
-dimension (the carried-basis family contains a subalgebra isomorphic to
-the coordinate ring of a singular monomial curve, every other family is
-an iterated smooth extension) and the GK dimension (always 2 here).
+Everything parameter-level is a lookup in the family table,
+`qhopf.families.builder.FAMILIES`: the fold behind `iso_key`,
+`canonicalize`, `family_tag` and the rules `isomorphic` cites, and the
+facts behind `gldim_class`, `abelianization_goldie_rank` and
+`ext1_dimension`.  Global dimension is metadata there, not computed.
 
 One convention deserves a warning.  The classifier folds the degree-one
 Ore instance (zero derivation) onto the trivial skew-Laurent pair
@@ -30,26 +31,15 @@ discrepancy stays visible.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import dataclasses
 from fractions import Fraction
 
 from qhopf.elements import flip2
-from qhopf.families import HopfProvider, build
+from qhopf.families import HopfProvider
+from qhopf.families.builder import facts, fold
+from qhopf.families.builder import pi_degree_and_io  # noqa: F401  (re-export)
 from qhopf.linalg import span_rank
-from qhopf.params import (
-    AParams,
-    BParams,
-    CLiftParams,
-    CParams,
-    EnvAbelianParams,
-    EnvNonabelianParams,
-    FamilyParams,
-    GroupZ2Params,
-    GroupZSemiZParams,
-    ParamError,
-    ScalarSpec,
-)
+from qhopf.params import FamilyParams, params_str
 from qhopf.scalars import Cyclo
 from qhopf.verify import find_grouplikes
 
@@ -136,222 +126,57 @@ def ext1_from_instance(alg: HopfProvider) -> int:
     return len(pres.gens) - span_rank(rows)
 
 
+# -- parameter-level lookups in the family table ------------------------
+
+
 def ext1_dimension(params: FamilyParams) -> int:
-    return ext1_from_instance(build(params))
-
-
-# -- parameter-level metadata ------------------------------------------
+    """Tangent-space dimension read off the table (2 iff commutative);
+    `ext1_from_instance` computes it from the presentation."""
+    return _param_invariants(params).ext1_dim
 
 
 def gldim_class(params: FamilyParams) -> str:
-    """'infinite' for the carried-basis family, 'finite_2' otherwise.
-
-    Metadata lookup, not a homological computation: the carried-basis
-    relations y_i^{p_i} = y_1^{p_1} cut out a singular monomial curve,
-    while every other family is a skew Laurent or Ore extension of a
-    smooth ring.
-    """
-    return "infinite" if isinstance(params, BParams) else "finite_2"
-
-
-def _sqfree_root_count(n: int) -> int:
-    """Number of distinct roots of t^n - 1: degree of the squarefree part."""
-
-    def trim(f):
-        while f and f[-1] == 0:
-            f.pop()
-        return f
-
-    def pmod(a, b):
-        a = a[:]
-        while len(a) >= len(b):
-            k = a[-1] / b[-1]
-            off = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[off + i] -= k * c
-            trim(a)
-        return a
-
-    f = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    fp = [Fraction(i) * c for i, c in enumerate(f)][1:]
-    a, b = f, trim(fp)
-    while b:
-        a, b = b, pmod(a, b)
-    return (len(f) - 1) - (len(a) - 1)
+    """'infinite' for the carried-basis family, 'finite_2' otherwise."""
+    return facts(params).gldim
 
 
 def abelianization_goldie_rank(params: FamilyParams) -> tuple:
-    """(rank, quotient label) for the commutator quotient.
-
-    rank None marks a commutative instance (the quotient is the whole
-    2-dimensional algebra, not a curve).  Labels use neutral variable
-    names so that coinciding instances from different presentations get
-    equal values.
-    """
-    if isinstance(params, GroupZ2Params):
-        return None, "k[t,t^-1,u,u^-1]"
-    if isinstance(params, EnvAbelianParams):
-        return None, "k[t,u]"
-    if isinstance(params, GroupZSemiZParams):
-        # x y x^-1 = y^-1 forces y^2 = 1 in the quotient
-        r = _sqfree_root_count(2)
-        return r, f"k[t,t^-1]^{r}"
-    if isinstance(params, EnvNonabelianParams):
-        return 1, "k[t]"
-    if isinstance(params, BParams):
-        # x y_i = q^{m_i} y_i x with q^{m_i} != 1 and x a unit kills every y_i
-        return 1, "k[t,t^-1]"
-    if isinstance(params, AParams):
-        if params.q.is_one():
-            return None, "k[t,t^-1,u]"
-        return 1, "k[t,t^-1]"
-    if isinstance(params, CLiftParams) and not params.q.is_one():
-        # (1-q) x = y^{n-1} - 1 with y a unit: x is eliminated
-        return 1, "k[t,t^-1]"
-    n = params.n
-    if n == 1:
-        # zero derivation: already commutative, nothing is collapsed
-        return None, "k[t,t^-1,u]"
-    # Ore relation collapses to y^{n-1} = 1; count its distinct roots
-    r = _sqfree_root_count(n - 1)
-    return r, ("k[t]" if r == 1 else f"k[t]^{r}")
+    """(rank, quotient label) for the commutator quotient; rank None
+    marks a commutative instance."""
+    return facts(params).abelianization
 
 
-def pi_degree_and_io(params: FamilyParams) -> tuple[int, int]:
-    """(PI degree, integral order) for a carried-basis instance."""
-    if not isinstance(params, BParams):
-        raise ParamError("PI degree formula applies to the B family only")
-    ell = params.root_target()
-    heads = params.p[1:]
-    s = len(heads)
-    m = math.prod(heads)
-    d = ell + m * (s - 1) - sum(m // pi for pi in heads)
-    return ell, ell // math.gcd(d, ell)
-
-
-# -- canonical forms and the isomorphism decision ----------------------
+def iso_key(params: FamilyParams) -> FamilyParams:
+    """Canonical parameters with the cross-family coincidences folded."""
+    return fold(params)[0]
 
 
 def canonicalize(params: FamilyParams) -> FamilyParams:
-    """Canonical representative of the parameter isomorphism class.
-
-    Only the skew-Laurent family needs work: (n,q) and (-n,q^-1) give
-    the same algebra, and at n=0 the two scalars are tied, broken by
-    the fixed total order on scalar coefficient sequences.  Idempotent.
-    """
-    if isinstance(params, AParams):
-        if params.n < 0:
-            return AParams(-params.n, params.q.inverse())
-        if params.n == 0:
-            qi = params.q.inverse()
-            if qi.sort_key() < params.q.sort_key():
-                return AParams(0, qi)
-    return params
+    """Canonical representative within the parameters' own family: the
+    iso key when the fold stays in the family, else the parameters."""
+    key = iso_key(params)
+    return key if type(key) is type(params) else params
 
 
 def family_tag(params: FamilyParams) -> str:
     """Family label with the lift coincidences folded in."""
-    if isinstance(params, CLiftParams):
-        return "C" if params.q.is_one() else "A"
-    if isinstance(params, CParams) and params.n == 1:
-        return "A"
-    return {
-        GroupZ2Params: "GroupZ2",
-        GroupZSemiZParams: "GroupZSemiZ",
-        EnvAbelianParams: "EnvAbelian",
-        EnvNonabelianParams: "EnvNonabelian",
-        AParams: "A",
-        BParams: "B",
-        CParams: "C",
-    }[type(params)]
+    return iso_key(params).family
 
 
-def iso_key(params: FamilyParams) -> FamilyParams:
-    """Canonical parameters with cross-family coincidences resolved.
-
-    The lift family folds away entirely: a trivial twist is the Ore
-    family itself, and a nontrivial twist collapses onto the
-    skew-Laurent family one degree down with the inverse scalar.  The
-    degree-one Ore instance (zero derivation) folds onto the trivial
-    skew-Laurent pair (1, 1); see the module notes on that convention.
-    """
-    p = canonicalize(params)
-    if isinstance(p, CLiftParams):
-        if p.q.is_one():
-            p = CParams(p.n)
-        else:
-            return canonicalize(AParams(p.n - 1, p.q.inverse()))
-    if isinstance(p, CParams) and p.n == 1:
-        return AParams(1, ScalarSpec.from_rational(1))
-    return p
-
-
-def _fold_rules(params: FamilyParams) -> list[str]:
-    rules = []
-    if isinstance(params, CLiftParams):
-        if params.q.is_one():
-            rules.append("trivial-twist lift equals the Ore-derivation family")
-        else:
-            rules.append(
-                "lift collapse onto the skew-Laurent family, one degree down"
-                " with inverse scalar"
-            )
-    if isinstance(params, CParams) and params.n == 1:
-        rules.append(
-            "degree-one Ore instance (zero derivation) folds onto the"
-            " trivial skew-Laurent pair (1, 1)"
-        )
-    if isinstance(params, AParams):
-        if params.n < 0:
-            rules.append("degree sign flip (n, q) ~ (-n, q^-1)")
-        elif params.n == 0 and canonicalize(params).q != params.q:
-            rules.append("degree-zero inverse-scalar symmetry q ~ q^-1")
-    return rules
-
-
-_PARAM_FIELD_ORDER = (
-    "is_commutative",
-    "is_cocommutative",
-    "grouplike_rank",
-    "grouplike_abelian",
-    "ext1_dim",
-    "gldim_finite",
-    "abelianization_goldie_rank",
-    "family_tag",
-)
-
-
-def _param_invariants(params: FamilyParams) -> dict:
+def _param_invariants(params: FamilyParams) -> InvariantVector:
     """Invariant vector derived from parameters alone (for explanations)."""
-    commutative = (
-        isinstance(params, (GroupZ2Params, EnvAbelianParams))
-        or (isinstance(params, AParams) and params.q.is_one())
-        or (isinstance(params, CParams) and params.n == 1)
+    f = facts(params)
+    commutative = f.abelianization[0] is None
+    return InvariantVector(
+        is_commutative=commutative,
+        is_cocommutative=f.cocommutative,
+        grouplike_rank=f.grouplike_rank,
+        grouplike_abelian=f.grouplike_abelian,
+        ext1_dim=2 if commutative else 1,
+        gldim_finite=f.gldim == "finite_2",
+        abelianization_goldie_rank=f.abelianization,
+        family_tag=family_tag(params),
     )
-    cocommutative = (
-        isinstance(
-            params,
-            (GroupZ2Params, GroupZSemiZParams, EnvAbelianParams, EnvNonabelianParams),
-        )
-        or (isinstance(params, AParams) and params.n == 0)
-        or (isinstance(params, CParams) and params.n == 1)
-    )
-    if isinstance(params, (GroupZ2Params, GroupZSemiZParams)):
-        rank = 2
-    elif isinstance(params, (EnvAbelianParams, EnvNonabelianParams)):
-        rank = 0
-    else:
-        rank = 1
-    return {
-        "is_commutative": commutative,
-        "is_cocommutative": cocommutative,
-        "grouplike_rank": rank,
-        "grouplike_abelian": not isinstance(params, GroupZSemiZParams),
-        "ext1_dim": 2 if commutative else 1,
-        "gldim_finite": gldim_class(params) == "finite_2",
-        "abelianization_goldie_rank": abelianization_goldie_rank(params),
-        "family_tag": family_tag(params),
-    }
 
 
 def isomorphic(p1: FamilyParams, p2: FamilyParams) -> tuple[bool, str]:
@@ -361,32 +186,24 @@ def isomorphic(p1: FamilyParams, p2: FamilyParams) -> tuple[bool, str]:
     fold rules that fired, or name the first differing parameter-level
     invariant for a false pair.
     """
-    k1, k2 = iso_key(p1), iso_key(p2)
+    (k1, rules1), (k2, rules2) = fold(p1), fold(p2)
     if k1 == k2:
-        rules = _fold_rules(p1) + _fold_rules(p2)
-        if not rules:
-            rules = ["identical canonical parameters"]
-        return True, "; ".join(dict.fromkeys(rules))
+        rules = list(dict.fromkeys(rules1 + rules2)) or ["identical canonical parameters"]
+        return True, "; ".join(rules)
     v1, v2 = _param_invariants(p1), _param_invariants(p2)
-    for name in _PARAM_FIELD_ORDER:
-        if v1[name] != v2[name]:
-            return False, f"distinguished by {name}: {v1[name]} != {v2[name]}"
+    for (name, a), (_, b) in zip(v1.fields(), v2.fields()):
+        if a != b:
+            return False, f"distinguished by {name}: {a} != {b}"
     return False, (
         "same family, different canonical parameters: "
-        f"{params_brief(k1)} vs {params_brief(k2)}"
+        f"{params_str(k1)} vs {params_str(k2)}"
     )
-
-
-def params_brief(params: FamilyParams) -> str:
-    from qhopf.params import params_str
-
-    return params_str(params)
 
 
 # -- instance-level invariant vector -----------------------------------
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class InvariantVector:
     is_commutative: bool
     is_cocommutative: bool
@@ -398,7 +215,7 @@ class InvariantVector:
     family_tag: str
 
     def fields(self):
-        return [(name, getattr(self, name)) for name in _PARAM_FIELD_ORDER]
+        return [(f.name, getattr(self, f.name)) for f in dataclasses.fields(self)]
 
     def to_json(self):
         rank, quotient = self.abelianization_goldie_rank
@@ -408,17 +225,16 @@ class InvariantVector:
 
 
 def invariant_vector(alg: HopfProvider, bound: int = 3) -> InvariantVector:
+    # gldim, abelianization and family tag come from the family table;
+    # every other entry is computed on the window
     rank, abelian = grouplike_profile(alg, bound)
-    commutative = is_commutative(alg, bound)
-    return InvariantVector(
-        is_commutative=commutative,
+    return dataclasses.replace(
+        _param_invariants(alg.params),
+        is_commutative=is_commutative(alg, bound),
         is_cocommutative=is_cocommutative(alg, bound),
         grouplike_rank=rank,
         grouplike_abelian=abelian,
         ext1_dim=ext1_from_instance(alg),
-        gldim_finite=gldim_class(alg.params) == "finite_2",
-        abelianization_goldie_rank=abelianization_goldie_rank(alg.params),
-        family_tag=family_tag(alg.params),
     )
 
 

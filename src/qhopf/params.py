@@ -84,10 +84,6 @@ class ScalarSpec:
             return {"rational": str(self.rational)}
         return {"order": self.order, "power": self.power}
 
-    @property
-    def is_root(self) -> bool:
-        return self.rational is None
-
     def is_one(self) -> bool:
         return self.rational == 1
 
@@ -212,6 +208,11 @@ class CParams:
         # skew-Laurent family, but the instance itself is valid.
         if not isinstance(self.n, int) or self.n < 1:
             raise ParamError(f"C needs an integer n >= 1, got {self.n!r}")
+
+    @property
+    def q(self) -> ScalarSpec:
+        """C(n) is the lift at the trivial twist q = 1."""
+        return ScalarSpec.from_rational(1)
 
 
 @dataclass(frozen=True)

@@ -99,12 +99,11 @@ def verify_axioms(
     axioms: tuple[str, ...] = ("coassociativity", "counit", "antipode", "bialgebra"),
     max_failures: int = 16,
     jobs: int = 1,
-    params=None,
 ) -> AxiomReport:
     """Run the selected axiom checks over the window box.
 
-    jobs > 1 fans the bialgebra pair grid out over processes; that path
-    needs `params` so each worker can rebuild the provider.  Failure
+    jobs > 1 fans the bialgebra pair grid out over processes, each of
+    which rebuilds the provider from its class and parameters.  Failure
     ordering is deterministic either way.
     """
     report = AxiomReport(window=window)
@@ -141,11 +140,11 @@ def verify_axioms(
         report.checked["antipode"] = len(box)
 
     if "bialgebra" in axioms:
-        pairs = [(i, j) for i in box for j in box]
-        if jobs > 1 and params is not None:
-            count, tagged = _scan_pairs_parallel(params, window, jobs, len(pairs))
+        if jobs > 1:
+            count, tagged = _scan_pairs_parallel(alg, window, jobs)
         else:
-            count, tagged = _bialgebra_scan(alg, list(enumerate(pairs)))
+            pairs = enumerate((i, j) for i in box for j in box)
+            count, tagged = _bialgebra_scan(alg, pairs)
         for _, axiom, where, residual in sorted(tagged, key=lambda t: t[0]):
             note(axiom, where, residual)
         report.checked["bialgebra"] = count
@@ -168,23 +167,19 @@ def _bialgebra_scan(alg: HopfProvider, tagged_pairs) -> tuple[int, list]:
 
 
 def _pair_worker(args) -> tuple[int, list]:
-    from qhopf.families import build
-    from qhopf.params import parse_params
-
-    params_json, window, slot, stride = args
-    alg = build(parse_params(params_json))
+    cls, params, window, slot, stride = args
+    alg = cls(params)
     box = alg.basis_box(window)
     pairs = list(enumerate((i, j) for i in box for j in box))
     return _bialgebra_scan(alg, pairs[slot::stride])
 
 
-def _scan_pairs_parallel(params, window: int, jobs: int, total: int) -> tuple[int, list]:
+def _scan_pairs_parallel(alg: HopfProvider, window: int, jobs: int) -> tuple[int, list]:
     import multiprocessing as mp
 
-    from qhopf.params import params_to_json
-
-    pj = params_to_json(params)
-    work = [(pj, window, slot, jobs) for slot in range(jobs)]
+    # the provider itself does not pickle (its Cyclo caches refuse to),
+    # so workers get its class and parameters and rebuild it
+    work = [(type(alg), alg.params, window, slot, jobs) for slot in range(jobs)]
     with mp.Pool(jobs) as pool:
         results = pool.map(_pair_worker, work)
     count = sum(c for c, _ in results)

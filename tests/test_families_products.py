@@ -7,7 +7,7 @@ import pytest
 
 from qhopf.elements import lin_from_pairs
 from qhopf.families import build
-from qhopf.params import parse_params
+from qhopf.params import CParams, parse_params
 from qhopf.scalars import Cyclo
 
 
@@ -85,6 +85,17 @@ def test_ore_derivation_products():
         [((-1, 1), 1), ((-1, 0), 1), ((1, 0), -1)]
     )
     assert alg.multiply_basis((-1, 0), (1, 0)) == lin_from_pairs([((0, 0), 1)])
+
+
+def test_ore_straightening_past_deep_powers_of_y():
+    """x y^c needs delta(y^c), built from delta(y^(c -+ 1)); powers far
+    beyond the interpreter's recursion limit must still straighten.
+    At q = 1, delta is a derivation: delta(y^c) = c (y^(c+1) - y^c)."""
+    alg = build(CParams(2))
+    for c in (2000, -2000):
+        assert alg.multiply_basis((0, 1), (c, 0)) == lin_from_pairs(
+            [((c, 1), 1), ((c + 1, 0), c), ((c, 0), -c)]
+        )
 
 
 def test_twisted_lift_product():

@@ -51,7 +51,7 @@ def test_parallel_scan_matches_serial():
     )
     alg = build(params)
     serial = verify_axioms(alg, window=2)
-    parallel = verify_axioms(alg, window=2, jobs=3, params=params)
+    parallel = verify_axioms(alg, window=2, jobs=3)
     assert serial.to_json() == parallel.to_json()
 
 
@@ -86,6 +86,16 @@ def test_corrupted_product_is_caught():
     report = verify_axioms(_BrokenProduct(params), window=2)
     assert not report.passed
     assert any(f.axiom == "bialgebra" for f in report.failures)
+
+
+def test_parallel_scan_rebuilds_a_subclassed_provider():
+    """Workers rebuild the provider from its own class, so a parallel
+    scan of a corrupted subclass reports the same failures."""
+    params = parse_params({"family": "A", "n": 2, "q": {"order": 3, "power": 1}})
+    serial = verify_axioms(_BrokenProduct(params), window=2, jobs=1)
+    parallel = verify_axioms(_BrokenProduct(params), window=2, jobs=2)
+    assert not serial.passed
+    assert parallel.to_json() == serial.to_json()
 
 
 def test_max_failures_caps_the_list():
