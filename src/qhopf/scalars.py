@@ -14,6 +14,20 @@ Multiplication runs on integer vectors: sparse convolution followed
 by reduction with precomputed rows for x^e mod Phi_n.  Division only
 happens in `inv`, which is off the hot path and uses a polynomial
 extended Euclid over Q.
+
+Roots of unity get a shortcut.  The roots of unity in Q(zeta_n) form
+a cyclic group of order N = lcm(2, n), generated by omega = zeta_n for
+even n and omega = -zeta_n^((n+1)/2) for odd n.  Every scalar whose
+reduced vector is some omega^e carries the exponent e mod N as its
+`unit` tag; `__init__` sets it by one lookup in a per-level table, so
+a root of unity is recognised however it was built.  A product of two
+tagged scalars is a shared table entry; a tagged scalar times anything
+else is a rotation of coordinates, folded back with the sparse vectors
+of omega^m, with no convolution.  Negation, powers and inverses of
+tagged scalars are table lookups as well.  The tag is a cache of the
+value, never part of it: equality, hashing, display and every caller
+read only the reduced (level, num, den) form.  Levels 1 and 2 (plain
+Q) carry no tag and multiply and add on two ints.
 """
 
 from __future__ import annotations
@@ -84,19 +98,76 @@ def _reduction_rows(level: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
+@lru_cache(maxsize=None)
+def _units(level: int) -> tuple[dict, tuple, tuple]:
+    # the roots of unity of Q(zeta_level) (phi(level) > 1), indexed by
+    # their exponent e of omega: (vector -> e, tagged values, sparse
+    # vectors as (coordinate, coefficient) pairs)
+    rows = _reduction_rows(level)
+    if level % 2 == 0:
+        vectors = [rows[e] for e in range(level)]
+    else:
+        half = (level + 1) // 2
+        vectors = []
+        for e in range(2 * level):
+            row = rows[e * half % level]
+            vectors.append(tuple(-c for c in row) if e % 2 else row)
+    exponents = {v: e for e, v in enumerate(vectors)}
+    values = tuple(_make(level, v, 1, e) for e, v in enumerate(vectors))
+    sparse = tuple(tuple((t, c) for t, c in enumerate(v) if c) for v in vectors)
+    return exponents, values, sparse
+
+
+def _root(level: int, e: int) -> Cyclo:
+    # omega^e, shared; zeta = omega^(N / level), N = lcm(2, level)
+    values = _units(level)[1]
+    return values[e % len(values)]
+
+
+def _rotate(level: int, e: int, num: tuple[int, ...], den: int) -> Cyclo:
+    # omega^e * (num / den): coordinate i, which is zeta^i = omega^(s*i)
+    # with s = N / level, moves to omega^(s*i + e).  Multiplying by a
+    # unit is an automorphism of Z[zeta], so the content and the
+    # denominator stay reduced, and the result is a root of unity only
+    # if the other factor is one.
+    sparse = _units(level)[2]
+    n = len(sparse)
+    step = n // level
+    out = [0] * len(num)
+    m = e
+    for c in num:
+        if c:
+            for t, r in sparse[m]:
+                out[t] += c * r
+        m += step
+        if m >= n:
+            m -= n
+    return _make(level, tuple(out), den, None)
+
+
+_setattr = object.__setattr__
+
+
+def _make(level: int, num: tuple[int, ...], den: int, unit: int | None) -> Cyclo:
+    # build an already reduced scalar without renormalising it
+    out = object.__new__(Cyclo)
+    _setattr(out, "level", level)
+    _setattr(out, "num", num)
+    _setattr(out, "den", den)
+    _setattr(out, "unit", unit)
+    _setattr(out, "_hash", None)
     return out
 
 
 class Cyclo:
     """An element of Q(zeta_level), immutable and hashable."""
 
-    __slots__ = ("level", "num", "den", "_hash")
+    __slots__ = ("level", "num", "den", "unit", "_hash")
 
     level: int
     num: tuple[int, ...]
     den: int
+    unit: int | None  # exponent of omega for a root of unity, see above
 
     def __init__(self, level: int, num, den: int = 1):
         deg = euler_phi(level)
@@ -121,13 +192,19 @@ class Cyclo:
             vec = [c // g for c in vec]
         if not any(vec):
             den = 1
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "num", tuple(vec))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
+        num = tuple(vec)
+        unit = _units(level)[0].get(num) if deg > 1 and den == 1 else None
+        _setattr(self, "level", level)
+        _setattr(self, "num", num)
+        _setattr(self, "den", den)
+        _setattr(self, "unit", unit)
+        _setattr(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclo is immutable")
+
+    def __reduce__(self):
+        return (Cyclo, (self.level, self.num, self.den))
 
     # -- constructors ------------------------------------------------
 
@@ -144,6 +221,8 @@ class Cyclo:
 
     @staticmethod
     def one(level: int = 1) -> Cyclo:
+        if euler_phi(level) > 1:
+            return _root(level, 0)
         return Cyclo.from_fraction(1, level)
 
     @staticmethod
@@ -151,8 +230,9 @@ class Cyclo:
         """zeta_level ** power, reduced."""
         if level < 1:
             raise ScalarError(f"level must be positive, got {level}")
-        e = power % level
-        return Cyclo(level, _reduction_rows(level)[e], 1)
+        if euler_phi(level) > 1:
+            return _root(level, power * (1 + level % 2))
+        return Cyclo(level, _reduction_rows(level)[power % level], 1)
 
     @staticmethod
     def from_coeffs(level: int, coeffs) -> Cyclo:
@@ -215,8 +295,16 @@ class Cyclo:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other) -> Cyclo:
-        other = self._coerce(other)
+        if other.__class__ is not Cyclo or other.level != self.level:
+            other = self._coerce(other)
         da, db = self.den, other.den
+        if len(self.num) == 1:
+            if da == db:
+                n, d = self.num[0] + other.num[0], da
+            else:
+                n, d = self.num[0] * db + other.num[0] * da, da * db
+            g = gcd(n, d)
+            return _make(self.level, (n // g,), d // g, None)
         if da == db:
             return Cyclo(self.level, [x + y for x, y in zip(self.num, other.num)], da)
         l = lcm(da, db)
@@ -230,7 +318,10 @@ class Cyclo:
     __radd__ = __add__
 
     def __neg__(self) -> Cyclo:
-        return Cyclo(self.level, [-c for c in self.num], self.den)
+        u = self.unit
+        if u is not None:
+            return _root(self.level, u + len(_units(self.level)[1]) // 2)
+        return _make(self.level, tuple(-c for c in self.num), self.den, None)
 
     def __sub__(self, other) -> Cyclo:
         return self + (-self._coerce(other))
@@ -239,11 +330,21 @@ class Cyclo:
         return (-self) + other
 
     def __mul__(self, other) -> Cyclo:
-        other = self._coerce(other)
+        if other.__class__ is not Cyclo or other.level != self.level:
+            other = self._coerce(other)
         a, b = self.num, other.num
         deg = len(a)
         if deg == 1:
-            return Cyclo(self.level, [a[0] * b[0]], self.den * other.den)
+            n, d = a[0] * b[0], self.den * other.den
+            g = gcd(n, d)
+            return _make(self.level, (n // g,), d // g, None)
+        ua, ub = self.unit, other.unit
+        if ua is not None:
+            if ub is not None:
+                return _root(self.level, ua + ub)
+            return _rotate(self.level, ua, b, other.den)
+        if ub is not None:
+            return _rotate(self.level, ub, a, self.den)
         sa = [i for i in range(deg) if a[i]]
         sb = [j for j in range(deg) if b[j]]
         if not sa or not sb:
@@ -268,6 +369,8 @@ class Cyclo:
     def inv(self) -> Cyclo:
         if self.is_zero():
             raise ScalarError("division by zero")
+        if self.unit is not None:
+            return _root(self.level, -self.unit)
         if self.is_rational():
             fr = 1 / self.as_fraction()
             return Cyclo.from_fraction(fr, self.level)
@@ -310,6 +413,8 @@ class Cyclo:
         return self.inv() * other
 
     def __pow__(self, k: int) -> Cyclo:
+        if self.unit is not None:
+            return _root(self.level, self.unit * k)
         if k < 0:
             return self.inv() ** (-k)
         out = Cyclo.one(self.level)
@@ -350,17 +455,16 @@ class Cyclo:
         """Multiplicative order if self is a root of unity, else None.
 
         The roots of unity inside Q(zeta_n) form a cyclic group of order
-        lcm(2, n), so testing the divisors of that bound is exhaustive.
+        N = lcm(2, n); omega^e has order N / gcd(e, N).  Below level 3
+        the field is Q, whose roots of unity are 1 and -1.
         """
-        if self.is_zero():
-            return None
-        bound = lcm(2, self.level)
-        if not (self**bound).is_one():
-            return None
-        for d in _divisors(bound):
-            if (self**d).is_one():
-                return d
-        return None  # unreachable
+        u = self.unit
+        if u is not None:
+            n = len(_units(self.level)[1])
+            return n // gcd(u, n)
+        if self.den == 1 and self.num in ((1,), (-1,)):
+            return 1 if self.num[0] == 1 else 2
+        return None
 
     # -- display ----------------------------------------------------------
 

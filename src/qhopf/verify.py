@@ -118,7 +118,7 @@ def verify_axioms(
         for idx in box:
             r = coassociativity_residual(alg, idx)
             if not r.is_zero():
-                note("coassociativity", alg.index_str(idx), f"{len(r)} residual tensor terms")
+                note("coassociativity", alg.index_str(idx), _tensor_residual(alg, r))
         report.checked["coassociativity"] = len(box)
 
     if "counit" in axioms:
@@ -160,10 +160,23 @@ def _bialgebra_scan(alg: HopfProvider, tagged_pairs) -> tuple[int, list]:
         count += 1
         where = f"({alg.index_str(i)}, {alg.index_str(j)})"
         if not t.is_zero():
-            out.append((pos, "bialgebra", where, f"{len(t)} residual tensor terms"))
+            out.append((pos, "bialgebra", where, _tensor_residual(alg, t)))
         if not eps.is_zero():
             out.append((pos, "bialgebra", where, f"counit residual {eps}"))
     return count, out
+
+
+def _tensor_residual(alg: HopfProvider, r: Lin, shown: int = 3) -> str:
+    """Term count plus the first terms in key order, as
+    "N residual tensor terms: [leg ox leg] coeff; ...".
+    """
+    keys = r.support()
+    terms = [
+        f"[{' ox '.join(alg.index_str(i) for i in key)}] {r.terms[key]}"
+        for key in keys[:shown]
+    ]
+    more = "; ..." if len(keys) > shown else ""
+    return f"{len(keys)} residual tensor terms: " + "; ".join(terms) + more
 
 
 def _pair_worker(args) -> tuple[int, list]:
@@ -177,8 +190,10 @@ def _pair_worker(args) -> tuple[int, list]:
 def _scan_pairs_parallel(alg: HopfProvider, window: int, jobs: int) -> tuple[int, list]:
     import multiprocessing as mp
 
-    # the provider itself does not pickle (its Cyclo caches refuse to),
-    # so workers get its class and parameters and rebuild it
+    # workers get the provider's class and parameters and rebuild it,
+    # so each refills its own structure-constant caches; a filled
+    # provider would pickle (Cyclo reduces to its constructor
+    # arguments), but its caches are not shipped
     work = [(type(alg), alg.params, window, slot, jobs) for slot in range(jobs)]
     with mp.Pool(jobs) as pool:
         results = pool.map(_pair_worker, work)

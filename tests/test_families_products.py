@@ -141,3 +141,24 @@ def test_unit_is_neutral(spec):
     for idx in alg.basis_box(2):
         assert alg.multiply_basis(e, idx) == alg.basis_el(idx)
         assert alg.multiply_basis(idx, e) == alg.basis_el(idx)
+
+
+TAGGED_PRODUCT_SPECS = [
+    {"family": "A", "n": 2, "q": {"order": 3, "power": 1}},
+    {"family": "B", "n": 1, "p": [1, 2, 3], "q": {"order": 6, "power": 1}},
+    {"family": "B", "n": 7, "p": [1, 3, 5], "q": {"order": 105, "power": 1}},
+]
+
+
+@pytest.mark.parametrize("spec", TAGGED_PRODUCT_SPECS, ids=lambda s: s["family"])
+def test_q_power_structure_constants_arrive_tagged(spec):
+    """Every product structure constant of A and B is a power of q, and
+    the scalar layer must recognise it as a root of unity: untagged, the
+    products stay right but take the slow convolution path."""
+    alg = alg_of(spec)
+    box = alg.basis_box(2)
+    coeffs = [
+        c for i in box for j in box for _, c in alg.multiply_basis(i, j).terms.items()
+    ]
+    assert coeffs and all(c.unit is not None for c in coeffs)
+    assert len({c.unit for c in coeffs}) > 2  # more than +-1 occurs

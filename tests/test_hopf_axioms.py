@@ -10,7 +10,12 @@ from qhopf.families.family_a import FamilyA
 from qhopf.invariants import is_cocommutative
 from qhopf.linalg import Echelon
 from qhopf.params import parse_params
-from qhopf.verify import find_grouplikes, find_skew_primitives, verify_axioms
+from qhopf.verify import (
+    _tensor_residual,
+    find_grouplikes,
+    find_skew_primitives,
+    verify_axioms,
+)
 
 WINDOW4_SPECS = [
     {"family": "GroupZ2"},
@@ -79,13 +84,33 @@ def test_corrupted_coproduct_is_caught():
     assert not report.passed
     axioms_hit = {f.axiom for f in report.failures}
     assert "coassociativity" in axioms_hit or "counit" in axioms_hit
+    # the stray x ox 1 leaves x ox x ox 1 - x^2 ox x ox 1, named term by term
+    first = next(f for f in report.failures if f.axiom == "coassociativity")
+    assert (first.where, first.residual) == (
+        "y",
+        "2 residual tensor terms: [x ox x ox 1] 1; [x^2 ox x ox 1] -1",
+    )
 
 
 def test_corrupted_product_is_caught():
     params = parse_params({"family": "A", "n": 2, "q": {"order": 3, "power": 1}})
     report = verify_axioms(_BrokenProduct(params), window=2)
     assert not report.passed
-    assert any(f.axiom == "bialgebra" for f in report.failures)
+    first = next(f for f in report.failures if f.axiom == "bialgebra")
+    assert (first.where, first.residual) == (
+        "(y*x^-2, y*x^-2)",
+        "1 residual tensor terms: [y*x^-2 ox y*x^-4] -2 - z3",
+    )
+
+
+def test_residual_report_names_three_terms_and_the_count():
+    alg = _BrokenProduct(
+        parse_params({"family": "A", "n": 2, "q": {"order": 3, "power": 1}})
+    )
+    r = Lin({((0, k), (1, 0)): alg.one_scalar() for k in range(5)})
+    assert _tensor_residual(alg, r) == (
+        "5 residual tensor terms: [1 ox y] 1; [x ox y] 1; [x^2 ox y] 1; ..."
+    )
 
 
 def test_parallel_scan_rebuilds_a_subclassed_provider():

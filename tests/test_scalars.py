@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic, cross-checked against sympy's polynomial
 reduction and the standard identities."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -124,3 +125,121 @@ def test_lift_is_a_ring_embedding(u, v):
     assert (a + b).lift(12) == a.lift(12) + b.lift(12)
     assert (a * b).lift(12) == a.lift(12) * b.lift(12)
     assert (a == b) == (a.lift(12) == b.lift(12))
+
+
+# -- roots of unity: the unit tag and its fast paths ----------------------
+
+UNIT_LEVELS = (4, 12, 15, 105)
+
+
+def _sympy_reduce(level, poly):
+    """Coefficients of poly mod Phi_level, computed by sympy."""
+    x = sympy.Symbol("x")
+    phi = sympy.Poly(sympy.cyclotomic_poly(level, x), x)
+    rem = sympy.Poly(poly, x) % phi
+    want = [Fraction(0)] * euler_phi(level)
+    for e, c in enumerate(reversed(rem.all_coeffs())):
+        want[e] = Fraction(int(c.p), int(c.q))
+    return tuple(want)
+
+
+def _sympy_unit(level, sign, k):
+    x = sympy.Symbol("x")
+    return _sympy_reduce(level, sign * x**k)
+
+
+def _sympy_product(level, u, v):
+    x = sympy.Symbol("x")
+    pu = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(u))
+    pv = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(v))
+    return _sympy_reduce(level, sympy.expand(pu * pv))
+
+
+def _signed_zeta(level, sign, k):
+    z = Cyclo.zeta(level, k)
+    return z if sign == 1 else -z
+
+
+@pytest.mark.parametrize("level", UNIT_LEVELS)
+def test_unit_products_match_sympy_reduction_oracle(level):
+    """unit * unit, unit * dense and dense * unit, reduced independently."""
+    rng = random.Random(level)
+    deg = euler_phi(level)
+    for _ in range(6):
+        s1, k1 = rng.choice((1, -1)), rng.randrange(-level, 2 * level)
+        s2, k2 = rng.choice((1, -1)), rng.randrange(-level, 2 * level)
+        a, b = _signed_zeta(level, s1, k1), _signed_zeta(level, s2, k2)
+        assert a.coeffs() == _sympy_unit(level, s1, k1 % level)
+        assert a.unit is not None and b.unit is not None
+        prod = a * b
+        assert prod.coeffs() == _sympy_unit(level, s1 * s2, (k1 + k2) % level)
+        assert prod.unit is not None
+
+        dense = Cyclo.from_coeffs(
+            level, [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(deg)]
+        )
+        assert dense.unit is None and not dense.is_zero()
+        want = _sympy_product(level, a.coeffs(), dense.coeffs())
+        assert (a * dense).coeffs() == want
+        assert (dense * a).coeffs() == want
+        assert (a * dense).unit is None
+
+
+@pytest.mark.parametrize("level", UNIT_LEVELS)
+def test_units_reached_any_way_carry_the_tag(level):
+    """Negation, sums, powers and inverses all land on tagged values that
+    equal the freshly built vector, tag included."""
+    rng = random.Random(100 + level)
+    for _ in range(8):
+        a, b = rng.randrange(level), rng.randrange(level)
+        za, zb = Cyclo.zeta(level, a), Cyclo.zeta(level, b)
+        via_sum = (za + zb) - zb
+        negated = -za
+        powered = Cyclo.zeta(level) ** a
+        inverse = za.inv()
+        assert via_sum == za and via_sum.unit == za.unit
+        assert negated.coeffs() == _sympy_unit(level, -1, a)
+        assert powered == za and powered.unit == za.unit
+        assert inverse.coeffs() == _sympy_unit(level, 1, (level - a) % level)
+        assert (inverse * za).is_one()
+        assert za ** -3 == Cyclo.zeta(level, -3 * a)
+        for v in (via_sum, negated, powered, inverse, -negated * zb):
+            fresh = Cyclo(level, v.num, v.den)
+            assert fresh == v and hash(fresh) == hash(v) and fresh.unit == v.unit
+
+
+def test_unit_tag_is_canonical():
+    built = -Cyclo.zeta(12, 5)
+    from_vector = Cyclo(12, built.num)
+    assert built == from_vector
+    assert built.unit == from_vector.unit == 11  # -zeta_12^5 = zeta_12^11
+    assert Cyclo.one(12).unit == 0 and (-Cyclo.one(12)).unit == 6
+    # odd level: omega = -zeta_15^8 generates the 30 roots of unity
+    assert Cyclo.zeta(15).unit == 2 and (-Cyclo.zeta(15, 8)).unit == 1
+    assert len({Cyclo.zeta(15, k).unit for k in range(15)}) == 15
+    # not roots of unity: a scaled root, a sum, a non-integral value
+    assert (Cyclo.zeta(12) * 3).unit is None
+    assert (Cyclo.zeta(12) + 1).unit is None
+    assert Cyclo.from_fraction(Fraction(1, 2), 12).unit is None
+    # plain Q carries no tag
+    assert Cyclo.one(1).unit is None and Cyclo.zeta(2).unit is None
+
+
+def test_level_one_fast_path_normalises():
+    a = Cyclo.from_fraction(Fraction(6, 4))
+    b = Cyclo.from_fraction(Fraction(-2, 3))
+    assert a * b == Cyclo.from_fraction(-1)
+    assert (a * b).den == 1
+    assert a + b == Cyclo.from_fraction(Fraction(5, 6))
+    assert a + (-a) == Cyclo.zero() and (a - a).den == 1
+    assert a * 0 == 0 and (a * 0).den == 1
+
+
+@pytest.mark.parametrize("level", (1, 12, 105))
+def test_pickle_round_trip(level):
+    deg = euler_phi(level)
+    dense = Cyclo(level, [(3 * i + 1) % 7 - 3 for i in range(deg)], 5)
+    values = [dense, Cyclo.zeta(level, 2), -Cyclo.zeta(level, 2), -Cyclo.one(level)]
+    for v in values:
+        back = pickle.loads(pickle.dumps(v))
+        assert back == v and hash(back) == hash(v) and back.unit == v.unit
