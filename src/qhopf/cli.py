@@ -48,6 +48,8 @@ def _load_instance(path: str):
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     try:
         return parse_params(obj)
     except ParamError as exc:

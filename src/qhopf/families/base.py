@@ -1,12 +1,22 @@
 """Provider interface: a Hopf algebra presented through its basis.
 
-A provider knows one distinguished monomial basis and returns exact
-structure constants on basis indices:
+A provider knows one distinguished monomial basis and states:
 
     multiply_basis(i, j)   e_i * e_j        as a Lin over indices
     coproduct_basis(i)     Delta(e_i)       as a Lin over index pairs
     counit_basis(i)        eps(e_i)         as a scalar
     antipode_basis(i)      S(e_i)           as a Lin over indices
+    generators()           (name, index) of each algebra generator
+    index_factors(i)       e_i as ordered generator powers
+    oracle_rules()         the defining relations, oriented for rewriting
+
+A letter g of a rule spells generator g and G spells g^-1.  Derived
+here from those statements, never restated per family:
+
+    presentation()         each rule read as a relation (tangent space,
+                           comodule quotient check)
+    index_to_word(i)       index_factors spelled in letters (rewriting
+                           oracle)
 
 Everything else (bilinear extension, tensor products, iterated
 coproducts) is generic and lives here.  Structure constants are
@@ -34,6 +44,11 @@ class Presentation:
     gens: tuple[str, ...]
     counit: dict[str, Cyclo]
     relations: list[list[tuple[Cyclo, tuple[str, ...]]]] = field(default_factory=list)
+
+
+def _spell(word: tuple[str, ...]) -> tuple[str, ...]:
+    """Rule letters as generator names: G is g^-1."""
+    return tuple(f"{a.lower()}^-1" if a[0].isupper() else a for a in word)
 
 
 class PowCache:
@@ -96,7 +111,33 @@ class HopfProvider(ABC):
         """Factor a basis monomial as ordered generator powers."""
 
     @abstractmethod
-    def presentation(self) -> Presentation: ...
+    def oracle_rules(self) -> list[tuple[tuple[str, ...], list]]:
+        """The defining relations oriented for rewriting, as
+        (pattern, [(coeff, replacement), ...]); the normal words are the
+        `index_to_word`s."""
+
+    # -- derived from the rules and the factorisation ---------------------
+
+    def presentation(self) -> Presentation:
+        """Each rule pattern -> sum c_t w_t read as pattern - sum c_t w_t = 0."""
+        one = self.one_scalar()
+        relations = [
+            [(one, _spell(pat))] + [(-c, _spell(rep)) for c, rep in rhs]
+            for pat, rhs in self.oracle_rules()
+        ]
+        gens = self.generators()
+        return Presentation(
+            gens=tuple(name for name, _ in gens),
+            counit={name: self.counit_basis(idx) for name, idx in gens},
+            relations=relations,
+        )
+
+    def index_to_word(self, i: Index) -> tuple[str, ...]:
+        """`index_factors` spelled in rule letters."""
+        word: tuple[str, ...] = ()
+        for g, e in self.index_factors(i):
+            word += (g,) * e if e >= 0 else (g.upper(),) * -e
+        return word
 
     # -- memoized views -------------------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import comb
 
 from qhopf.elements import Lin, lin_from_pairs
-from qhopf.families.base import HopfProvider, Presentation
+from qhopf.families.base import HopfProvider
 from qhopf.params import EnvAbelianParams, EnvNonabelianParams
 
 
@@ -49,16 +49,6 @@ class _Enveloping(HopfProvider):
         a, b = i
         return [("y", a), ("x", b)]
 
-    def oracle_letters(self):
-        return ("y", "x")
-
-    def index_to_word(self, i):
-        a, b = i
-        return ("y",) * a + ("x",) * b
-
-    def word_to_index(self, word):
-        return (word.count("y"), word.count("x"))
-
 
 class EnvAbelian(_Enveloping):
     def __init__(self, params: EnvAbelianParams):
@@ -71,15 +61,6 @@ class EnvAbelian(_Enveloping):
     def _antipode_raw(self, i):
         a, b = i
         return Lin.basis(i, self.scalar((-1) ** (a + b)))
-
-    def presentation(self):
-        one = self.one_scalar()
-        zero = self.scalar(0)
-        return Presentation(
-            gens=("x", "y"),
-            counit={"x": zero, "y": zero},
-            relations=[[(one, ("x", "y")), (-one, ("y", "x"))]],
-        )
 
     def oracle_rules(self):
         return [(("x", "y"), [(self.one_scalar(), ("y", "x"))])]
@@ -103,17 +84,6 @@ class EnvNonabelian(_Enveloping):
         sign = (-1) ** (a + b)
         pairs = [((a, k), sign * comb(b, k) * a ** (b - k)) for k in range(b + 1)]
         return lin_from_pairs(pairs)
-
-    def presentation(self):
-        one = self.one_scalar()
-        zero = self.scalar(0)
-        return Presentation(
-            gens=("x", "y"),
-            counit={"x": zero, "y": zero},
-            relations=[
-                [(one, ("x", "y")), (-one, ("y", "x")), (-one, ("y",))]
-            ],
-        )
 
     def oracle_rules(self):
         one = self.one_scalar()

@@ -12,7 +12,7 @@ ratio q^n, since (x^n ox y)(y ox 1) = q^n (y ox 1)(x^n ox y).
 from __future__ import annotations
 
 from qhopf.elements import Lin, lin_from_pairs
-from qhopf.families.base import HopfProvider, PowCache, Presentation
+from qhopf.families.base import HopfProvider, PowCache
 from qhopf.params import AParams
 from qhopf.qcombinat import skew_binomial_coeffs
 
@@ -74,21 +74,6 @@ class FamilyA(HopfProvider):
         a, b = i
         return [("y", a), ("x", b)]
 
-    def presentation(self):
-        one = self.one_scalar()
-        return Presentation(
-            gens=("x", "x^-1", "y"),
-            counit={"x": one, "x^-1": one, "y": self.scalar(0)},
-            relations=[
-                [(one, ("x", "x^-1")), (-one, ())],
-                [(one, ("x^-1", "x")), (-one, ())],
-                [(one, ("x", "y")), (-self.q, ("y", "x"))],
-            ],
-        )
-
-    def oracle_letters(self):
-        return ("y", "x", "X")
-
     def oracle_rules(self):
         one = self.one_scalar()
         return [
@@ -97,11 +82,3 @@ class FamilyA(HopfProvider):
             (("x", "y"), [(self.q, ("y", "x"))]),
             (("X", "y"), [(self.qpow(-1), ("y", "X"))]),
         ]
-
-    def index_to_word(self, i):
-        a, b = i
-        xs = ("x",) * b if b >= 0 else ("X",) * (-b)
-        return ("y",) * a + xs
-
-    def word_to_index(self, word):
-        return (word.count("y"), word.count("x") - word.count("X"))

@@ -25,7 +25,7 @@ binomial expansion with ratio q^(m_i^2 n), because
 from __future__ import annotations
 
 from qhopf.elements import Lin, lin_from_pairs
-from qhopf.families.base import HopfProvider, PowCache, Presentation
+from qhopf.families.base import HopfProvider, PowCache
 from qhopf.params import BParams
 from qhopf.qcombinat import skew_binomial_coeffs
 
@@ -48,7 +48,6 @@ class FamilyB(HopfProvider):
         self.qpow = PowCache(self.q)
         # skew ratio for Delta(y_i) powers
         self._ratios = tuple(self.qpow(self.mm[i] ** 2 * self.n) for i in range(self.s))
-        self._skew_cache: dict[tuple[int, int], list] = {}
         self._ypow_cop_cache: dict[tuple[int, int], Lin] = {}
 
     # -- index bookkeeping ----------------------------------------------
@@ -84,20 +83,12 @@ class FamilyB(HopfProvider):
         dsum = self.canon(x + y for x, y in zip(d1, d2))
         return Lin.basis((dsum, b1 + b2), coeff)
 
-    def _skew(self, i: int, k: int) -> list:
-        key = (i, k)
-        hit = self._skew_cache.get(key)
-        if hit is None:
-            hit = skew_binomial_coeffs(k, self._ratios[i])
-            self._skew_cache[key] = hit
-        return hit
-
     def _cop_ypow(self, i: int, k: int) -> Lin:
         """Delta(y_i)^k = sum_r (k choose r)_(ratio_i) y_i^(k-r) x^(m_i n r) ox y_i^r."""
         key = (i, k)
         hit = self._ypow_cop_cache.get(key)
         if hit is None:
-            coeffs = self._skew(i, k)
+            coeffs = skew_binomial_coeffs(k, self._ratios[i])
             step = self.mm[i] * self.n
             pairs = []
             for r in range(k + 1):
@@ -171,37 +162,7 @@ class FamilyB(HopfProvider):
         out.append(("x", b))
         return out
 
-    def presentation(self):
-        one = self.one_scalar()
-        ynames = tuple(f"y{i + 1}" for i in range(self.s))
-        gens = ("x", "x^-1") + ynames
-        counit = {"x": one, "x^-1": one}
-        for yn in ynames:
-            counit[yn] = self.scalar(0)
-        rels = [
-            [(one, ("x", "x^-1")), (-one, ())],
-            [(one, ("x^-1", "x")), (-one, ())],
-        ]
-        for i, yn in enumerate(ynames):
-            rels.append([(one, ("x", yn)), (-self.qpow(self.mm[i]), (yn, "x"))])
-        for i in range(self.s):
-            for j in range(i + 1, self.s):
-                rels.append(
-                    [(one, (ynames[i], ynames[j])), (-one, (ynames[j], ynames[i]))]
-                )
-        for i in range(1, self.s):
-            rels.append(
-                [
-                    (one, (ynames[i],) * self.pp[i]),
-                    (-one, (ynames[0],) * self.pp[0]),
-                ]
-            )
-        return Presentation(gens=gens, counit=counit, relations=rels)
-
     # -- rewriting oracle -----------------------------------------------------
-
-    def oracle_letters(self):
-        return tuple(f"y{i + 1}" for i in range(self.s)) + ("x", "X")
 
     def oracle_rules(self):
         one = self.one_scalar()
@@ -226,23 +187,3 @@ class FamilyB(HopfProvider):
                 )
             )
         return rules
-
-    def index_to_word(self, i):
-        d, b = i
-        word: tuple[str, ...] = ()
-        for pos in range(self.s):
-            word += (f"y{pos + 1}",) * d[pos]
-        word += ("x",) * b if b >= 0 else ("X",) * (-b)
-        return word
-
-    def word_to_index(self, word):
-        d = [0] * self.s
-        b = 0
-        for letter in word:
-            if letter == "x":
-                b += 1
-            elif letter == "X":
-                b -= 1
-            else:
-                d[int(letter[1:]) - 1] += 1
-        return (self.canon(d), b)

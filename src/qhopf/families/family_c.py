@@ -21,7 +21,7 @@ delta(y^-1) = -q^-1 (y^(n-2) - y^-1).
 from __future__ import annotations
 
 from qhopf.elements import Lin, acc, lin_from_pairs
-from qhopf.families.base import HopfProvider, PowCache, Presentation
+from qhopf.families.base import HopfProvider, PowCache
 from qhopf.params import CLiftParams, CParams
 from qhopf.scalars import Cyclo
 
@@ -141,27 +141,7 @@ class FamilyC(HopfProvider):
         a, b = i
         return [("y", a), ("x", b)]
 
-    def presentation(self):
-        one = self.one_scalar()
-        return Presentation(
-            gens=("y", "y^-1", "x"),
-            counit={"y": one, "y^-1": one, "x": self.scalar(0)},
-            relations=[
-                [(one, ("y", "y^-1")), (-one, ())],
-                [(one, ("y^-1", "y")), (-one, ())],
-                [
-                    (one, ("x", "y")),
-                    (-self.q, ("y", "x")),
-                    (-one, ("y",) * self.n),
-                    (one, ("y",)),
-                ],
-            ],
-        )
-
     # -- rewriting oracle --------------------------------------------------------
-
-    def oracle_letters(self):
-        return ("y", "Y", "x")
 
     def oracle_rules(self):
         one = self.one_scalar()
@@ -185,11 +165,3 @@ class FamilyC(HopfProvider):
                 ],
             ),
         ]
-
-    def index_to_word(self, i):
-        a, b = i
-        ys = ("y",) * a if a >= 0 else ("Y",) * (-a)
-        return ys + ("x",) * b
-
-    def word_to_index(self, word):
-        return (word.count("y") - word.count("Y"), word.count("x"))

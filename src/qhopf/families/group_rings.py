@@ -11,7 +11,7 @@ Indices are pairs (a, b) for y^a x^b with a, b in Z.
 from __future__ import annotations
 
 from qhopf.elements import Lin
-from qhopf.families.base import HopfProvider, Presentation
+from qhopf.families.base import HopfProvider
 from qhopf.params import GroupZ2Params, GroupZSemiZParams
 
 
@@ -50,28 +50,6 @@ class _GroupRing(HopfProvider):
         a, b = i
         return [("y", a), ("x", b)]
 
-    def _unit_relations(self):
-        one = self.one_scalar()
-        rels = []
-        for g, gi in (("x", "x^-1"), ("y", "y^-1")):
-            rels.append([(one, (g, gi)), (-one, ())])
-            rels.append([(one, (gi, g)), (-one, ())])
-        return rels
-
-    def oracle_letters(self):
-        return ("y", "Y", "x", "X")
-
-    def index_to_word(self, i):
-        a, b = i
-        ys = ("y",) * a if a >= 0 else ("Y",) * (-a)
-        xs = ("x",) * b if b >= 0 else ("X",) * (-b)
-        return ys + xs
-
-    def word_to_index(self, word):
-        a = word.count("y") - word.count("Y")
-        b = word.count("x") - word.count("X")
-        return (a, b)
-
 
 class GroupZ2(_GroupRing):
     def __init__(self, params: GroupZ2Params):
@@ -84,16 +62,6 @@ class GroupZ2(_GroupRing):
     def _antipode_raw(self, i):
         a, b = i
         return Lin.basis((-a, -b), self.one_scalar())
-
-    def presentation(self):
-        one = self.one_scalar()
-        rels = self._unit_relations()
-        rels.append([(one, ("x", "y")), (-one, ("y", "x"))])
-        return Presentation(
-            gens=("x", "x^-1", "y", "y^-1"),
-            counit={g: one for g in ("x", "x^-1", "y", "y^-1")},
-            relations=rels,
-        )
 
     def oracle_rules(self):
         one = self.one_scalar()
@@ -124,16 +92,6 @@ class GroupZSemiZ(_GroupRing):
         a, b = i
         a = a if b % 2 == 1 else -a
         return Lin.basis((a, -b), self.one_scalar())
-
-    def presentation(self):
-        one = self.one_scalar()
-        rels = self._unit_relations()
-        rels.append([(one, ("x", "y")), (-one, ("y^-1", "x"))])
-        return Presentation(
-            gens=("x", "x^-1", "y", "y^-1"),
-            counit={g: one for g in ("x", "x^-1", "y", "y^-1")},
-            relations=rels,
-        )
 
     def oracle_rules(self):
         one = self.one_scalar()

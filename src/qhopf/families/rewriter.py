@@ -2,6 +2,9 @@
 
 Words are tuples of letters; a rule set orients each defining relation
 of a family (inverse cancellation, commutation moves, power carries).
+The rules are also the family's presentation: `HopfProvider.presentation`
+reads each rule as a relation, so the rewriting oracle and the tangent
+space and comodule quotient checks share one statement of the relations.
 `normal_form` rewrites the leftmost reducible factor until nothing
 matches, accumulating scalar coefficients along the way.
 

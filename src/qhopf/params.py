@@ -68,7 +68,7 @@ class ScalarSpec:
             if "order" in obj:
                 order = obj["order"]
                 power = obj.get("power", 1)
-                if not isinstance(order, int) or not isinstance(power, int):
+                if not all(_is_int(v) for v in (order, power)):
                     raise ParamError("root spec needs integer order/power")
                 return ScalarSpec.from_root(order, power)
             raise ParamError(f"scalar spec needs 'rational' or 'order': {obj}")
@@ -172,7 +172,7 @@ class BParams:
             raise ParamError(f"B needs a positive integer n, got {self.n!r}")
         if len(p) < 3:
             raise ParamError("B needs p = (p0, p1, ..., ps) with s >= 2")
-        if any(not isinstance(x, int) or x < 1 for x in p):
+        if any(not _is_int(x) or x < 1 for x in p):
             raise ParamError(f"B divisor data must be positive integers: {p}")
         tail = p[1:]
         if any(tail[i] >= tail[i + 1] for i in range(len(tail) - 1)) or tail[0] <= 1:
@@ -249,7 +249,7 @@ def parse_params(obj) -> FamilyParams:
     if not isinstance(obj, dict):
         raise ParamError(f"instance spec must be a JSON object, got {type(obj).__name__}")
     family = obj.get("family")
-    if family in _BARE:
+    if isinstance(family, str) and family in _BARE:
         return _BARE[family]()
     if family == "A":
         return AParams(n=_want_int(obj, "n"), q=ScalarSpec.from_json(_want(obj, "q")))
@@ -301,8 +301,13 @@ def _want(obj: dict, key: str):
     return obj[key]
 
 
+def _is_int(val) -> bool:
+    """A JSON integer; booleans are not (bool subclasses int)."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def _want_int(obj: dict, key: str) -> int:
     val = _want(obj, key)
-    if not isinstance(val, int) or isinstance(val, bool):
+    if not _is_int(val):
         raise ParamError(f"/{key}: must be an integer, got {val!r}")
     return val

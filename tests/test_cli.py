@@ -82,6 +82,46 @@ def test_exit_2_on_missing_file(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize(
+    "spec,fragment",
+    [
+        ({"family": ["A"]}, "/family: unknown family tag ['A']"),
+        ({"family": {}}, "/family: unknown family tag {}"),
+        (
+            {"family": "A", "n": 2, "q": {"order": 3, "power": True}},
+            "root spec needs integer order/power",
+        ),
+        (
+            {"family": "A", "n": 2, "q": {"order": True}},
+            "root spec needs integer order/power",
+        ),
+        (
+            {"family": "B", "n": 1, "p": [True, 2, 3], "q": {"order": 6, "power": 1}},
+            "B divisor data must be positive integers",
+        ),
+    ],
+)
+def test_exit_2_on_ill_typed_fields(capsys, tmp_path, spec, fragment):
+    """Lists, objects and booleans where a tag or an integer belongs."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+    assert fragment in err
+
+
+def test_exit_2_on_non_utf8_file(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+    assert "not UTF-8 text at byte 0" in err
+
+
 def test_exit_2_on_bad_window(capsys):
     code, _, err = run_cli(capsys, "verify", fixture("c_2"), "--window", "0")
     assert code == 2

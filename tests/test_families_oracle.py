@@ -3,12 +3,16 @@ oracle.
 
 The rewriter never sees the closed-form coefficients (it only knows the
 oriented defining relations), so agreement on random products is a
-genuine two-route check of every family's multiplication."""
+genuine two-route check of every family's multiplication.  The same
+rules are the presentation, so they must also vanish in the algebra."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from qhopf.elements import Lin
 from qhopf.families import build
 from qhopf.families.rewriter import agree_on_product, normal_form, oracle_multiply
 from qhopf.params import parse_params
@@ -68,3 +72,31 @@ def test_rewriting_is_confluent_on_a_hard_case():
         [(("x",) + w, c) for w, c in inner.items()], rules, alg.level
     )
     assert direct == staged
+
+
+CORPUS = sorted(
+    path
+    for path in (Path(__file__).resolve().parents[1] / "instances").glob("*.json")
+    if not path.name.startswith("bad_")
+)
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda path: path.stem)
+def test_presentation_relations_hold_in_the_algebra(path):
+    alg = build(parse_params(json.loads(path.read_text(encoding="utf-8"))))
+    pres = alg.presentation()
+    index_of = dict(alg.generators())
+    assert pres.gens == tuple(index_of)
+    assert pres.relations
+    for rel in pres.relations:
+        total, at_counit = Lin(), alg.scalar(0)
+        for coeff, word in rel:
+            assert set(word) <= set(index_of), word
+            term, eps = alg.one_el(), coeff
+            for name in word:
+                term = alg.mul(term, alg.basis_el(index_of[name]))
+                eps = eps * pres.counit[name]
+            total = total + term.scale(coeff)
+            at_counit = at_counit + eps
+        assert total.is_zero(), rel
+        assert at_counit.is_zero(), rel
