@@ -50,6 +50,8 @@ def _load_instance(path: str):
         ) from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
     try:
         return parse_params(obj)
     except ParamError as exc:

@@ -213,13 +213,6 @@ class HopfProvider(ABC):
                 out = out + c * e
         return out
 
-    def antipode(self, el: Lin) -> Lin:
-        out: dict[Index, Cyclo] = {}
-        for i, c in el.terms.items():
-            for k, s in self.antipode_basis(i).terms.items():
-                acc(out, k, s * c)
-        return Lin(out)
-
     # -- tensors ------------------------------------------------------------
 
     def tensor2(self, a: Lin, b: Lin) -> Lin:

@@ -3,7 +3,8 @@
 Vectors are sparse dicts keyed by arbitrary comparable coordinates.
 The pivot of a row is its smallest coordinate in the ambient total
 order, and inputs are always processed in sorted key order, so ranks,
-spans, and kernel bases come out deterministic.
+spans, and kernel bases come out deterministic.  `Echelon.residue` is
+the one elimination loop; `kernel_of_map` reduces with it too.
 """
 
 from __future__ import annotations
@@ -69,33 +70,18 @@ def kernel_of_map(inputs, image_of, level: int) -> list[dict]:
     per linear dependency, each normalized so its smallest input key
     has coefficient 1.
     """
-    rows: dict = {}  # pivot -> (row vector, combination)
+    # (0, image key) sorts before (1, input key): a residue led by an
+    # input key has a zero image part and is a dependency
+    ech = Echelon()
     kernel: list[dict] = []
     for key in sorted(inputs):
-        vec = _as_dict(image_of(key))
-        combo = {key: Cyclo.one(level)}
-        while vec:
-            piv = min(vec.keys())
-            hit = rows.get(piv)
-            if hit is None:
-                break
-            row, row_combo = hit
-            c = vec[piv]
-            for k, v in row.items():
-                acc(vec, k, -(v * c))
-            for k, v in row_combo.items():
-                acc(combo, k, -(v * c))
-        if not vec:
-            lead = combo[min(combo.keys())]
-            if not lead.is_one():
-                inv = lead.inv()
-                combo = {k: v * inv for k, v in combo.items()}
-            kernel.append(combo)
+        vec = {(0, k): v for k, v in _as_dict(image_of(key)).items()}
+        vec[(1, key)] = Cyclo.one(level)
+        res = ech.residue(vec)
+        piv = min(res.keys())
+        inv = res[piv].inv()
+        if piv[0] == 0:
+            ech.rows[piv] = {k: v * inv for k, v in res.items()}
         else:
-            piv = min(vec.keys())
-            inv = vec[piv].inv()
-            rows[piv] = (
-                {k: v * inv for k, v in vec.items()},
-                {k: v * inv for k, v in combo.items()},
-            )
+            kernel.append({k: v * inv for (_, k), v in res.items()})
     return kernel

@@ -2,9 +2,9 @@
 
 Polynomials in q live in Z[q] here (dense integer tuples, constant
 term first); evaluation lands in a cyclotomic field.  The Gaussian
-binomial (a choose r)_q is built by the product formula with exact
-polynomial division at every step; the q-Pascal recurrence serves as
-an independent cross-check in the test suite, not here.
+binomial (a choose r)_q is built by the product formula, dividing
+exactly by the monic [i]_q at every step (`scalars.divexact`); the
+q-Pascal recurrence is an independent cross-check in the tests only.
 
 The skew binomial theorem fixes the variable order once and for all:
 with vu = q uv,
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from qhopf.scalars import Cyclo, ScalarError
+from qhopf.scalars import Cyclo, divexact
 
 QPoly = tuple[int, ...]
 
@@ -45,30 +45,6 @@ def qp_mul(a: QPoly, b: QPoly) -> QPoly:
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return qp_trim(out)
-
-
-def qp_divexact(a: QPoly, b: QPoly) -> QPoly:
-    """Exact division in Z[q]; raises if the division leaves a remainder."""
-    b = qp_trim(b)
-    rem = list(a)
-    if len(rem) < len(b):
-        if not any(rem):
-            return (0,)
-        raise ScalarError("inexact q-polynomial division")
-    out = [0] * (len(rem) - len(b) + 1)
-    lead = b[-1]
-    for i in range(len(out) - 1, -1, -1):
-        c = rem[i + len(b) - 1]
-        if c % lead:
-            raise ScalarError("inexact q-polynomial division")
-        c //= lead
-        out[i] = c
-        if c:
-            for j, bj in enumerate(b):
-                rem[i + j] -= c * bj
-    if any(rem):
-        raise ScalarError("inexact q-polynomial division")
     return qp_trim(out)
 
 
@@ -110,7 +86,7 @@ def gauss_binomial(a: int, r: int) -> QPoly:
         return (1,)
     out: QPoly = (1,)
     for i in range(1, r + 1):
-        out = qp_divexact(qp_mul(out, q_integer(a - r + i)), q_integer(i))
+        out = divexact(qp_mul(out, q_integer(a - r + i)), q_integer(i))
     return out
 
 

@@ -12,8 +12,10 @@ in every cyclotomic field.
 
 Multiplication runs on integer vectors: sparse convolution followed
 by reduction with precomputed rows for x^e mod Phi_n.  Division only
-happens in `inv`, which is off the hot path and uses a polynomial
-extended Euclid over Q.
+happens in `inv`, off the hot path: with b the product of the Galois
+conjugates zeta -> zeta^k of a (1 < k < n, k prime to n), a*b is a
+nonzero rational N, checked, and a^-1 = b / N.  `lift` is the same
+substitution, zeta_n -> zeta_m^(m/n).
 
 Roots of unity get a shortcut.  The roots of unity in Q(zeta_n) form
 a cyclic group of order N = lcm(2, n), generated by omega = zeta_n for
@@ -41,8 +43,8 @@ class ScalarError(ValueError):
     """Raised for invalid levels, level mismatches, or division by zero."""
 
 
-def _divexact(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # exact division of integer polynomials, b monic, constant term first
+def divexact(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Exact quotient in Z[x] (constant term first) by a monic b."""
     rem = list(a)
     out = [0] * (len(a) - len(b) + 1)
     for i in range(len(out) - 1, -1, -1):
@@ -66,7 +68,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly: tuple[int, ...] = tuple([-1] + [0] * (n - 1) + [1])
     for d in range(1, n):
         if n % d == 0:
-            poly = _divexact(poly, cyclotomic_polynomial(d))
+            poly = divexact(poly, cyclotomic_polynomial(d))
     return poly
 
 
@@ -143,6 +145,17 @@ def _rotate(level: int, e: int, num: tuple[int, ...], den: int) -> Cyclo:
         if m >= n:
             m -= n
     return _make(level, tuple(out), den, None)
+
+
+def _substitute(level: int, num: tuple[int, ...], den: int, step: int) -> Cyclo:
+    # (sum_i num[i] * zeta_level^(step * i)) / den, reduced
+    rows = _reduction_rows(level)
+    vec = [0] * euler_phi(level)
+    for i, c in enumerate(num):
+        if c:
+            for t, r in enumerate(rows[step * i % level]):
+                vec[t] += c * r
+    return Cyclo(level, vec, den)
 
 
 _setattr = object.__setattr__
@@ -270,16 +283,7 @@ class Cyclo:
             return self
         if level % self.level != 0:
             raise ScalarError(f"cannot lift level {self.level} to {level}")
-        step = level // self.level
-        rows = _reduction_rows(level)
-        deg = euler_phi(level)
-        vec = [0] * deg
-        for i, c in enumerate(self.num):
-            if c:
-                row = rows[step * i]
-                for t in range(deg):
-                    vec[t] += c * row[t]
-        return Cyclo(level, vec, self.den)
+        return _substitute(level, self.num, self.den, level // self.level)
 
     def _coerce(self, other) -> Cyclo:
         if isinstance(other, Cyclo):
@@ -374,36 +378,15 @@ class Cyclo:
         if self.is_rational():
             fr = 1 / self.as_fraction()
             return Cyclo.from_fraction(fr, self.level)
-        support = [i for i, c in enumerate(self.num) if c]
-        if len(support) == 1:
-            # c * zeta^k inverts to (1/c) * zeta^{-k}
-            k = support[0]
-            z = Cyclo.zeta(self.level, self.level - k)
-            return z * Cyclo.from_fraction(Fraction(self.den, self.num[k]), self.level)
-        # extended Euclid in Q[x] against Phi_level
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.level)]
-        a = [Fraction(c, self.den) for c in self.num]
-        r0, r1 = mod, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            r1 = _ptrim(r1)
-            if len(r1) == 1 and r1[0] != 0:
-                c = r1[0]
-                coeffs = [x / c for x in s1]
-                break
-            if not any(r1):
-                raise ScalarError("not invertible")  # impossible modulo Phi
-            q, r = _pdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1))
-        deg = euler_phi(self.level)
-        coeffs = coeffs + [Fraction(0)] * max(0, deg - len(coeffs))
-        out = Cyclo.from_coeffs(self.level, coeffs[:deg])
-        # anything of degree >= deg in s1 would have been reduced already;
-        # check the defining property rather than trust the tail trim
-        if not (out * self).is_one():
+        # self times the other conjugates of its numerator is rational
+        out = Cyclo.one(self.level)
+        for k in range(2, self.level):
+            if gcd(k, self.level) == 1:
+                out = out * _substitute(self.level, self.num, 1, k)
+        norm = self * out
+        if norm.is_zero() or not norm.is_rational():
             raise ScalarError("internal inversion failure")
-        return out
+        return out * Cyclo.from_fraction(1 / norm.as_fraction(), self.level)
 
     def __truediv__(self, other) -> Cyclo:
         other = self._coerce(other)
@@ -493,38 +476,3 @@ def common_level(a: Cyclo, b: Cyclo) -> tuple[Cyclo, Cyclo]:
     """Lift both scalars to the lcm of their levels."""
     l = lcm(a.level, b.level)
     return a.lift(l), b.lift(l)
-
-
-def _ptrim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _psub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _pdivmod(a, b):
-    a = list(a)
-    b = _ptrim(list(b))
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] / b[-1]
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    return q, _ptrim(a[: len(b) - 1] or [Fraction(0)])

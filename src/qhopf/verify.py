@@ -15,6 +15,7 @@ The axioms, per basis index e (and index pairs for the bialgebra law):
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 from qhopf.elements import Lin, acc
@@ -140,6 +141,8 @@ def verify_axioms(
         report.checked["antipode"] = len(box)
 
     if "bialgebra" in axioms:
+        # no more workers than cores; the output does not depend on it
+        jobs = min(jobs, os.cpu_count() or 1)
         if jobs > 1:
             count, tagged = _scan_pairs_parallel(alg, window, jobs)
         else:

@@ -122,6 +122,17 @@ def test_exit_2_on_non_utf8_file(capsys, tmp_path):
     assert "not UTF-8 text at byte 0" in err
 
 
+def test_exit_2_on_deeply_nested_json(capsys, tmp_path):
+    """json.load recurses once per bracket and gives up with RecursionError."""
+    path = tmp_path / "spec.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+    assert "JSON nested too deeply" in err
+
+
 def test_exit_2_on_bad_window(capsys):
     code, _, err = run_cli(capsys, "verify", fixture("c_2"), "--window", "0")
     assert code == 2

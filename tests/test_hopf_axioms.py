@@ -60,6 +60,35 @@ def test_parallel_scan_matches_serial():
     assert serial.to_json() == parallel.to_json()
 
 
+def test_parallel_scan_caps_workers_at_the_core_count(monkeypatch):
+    """A huge --jobs asks the pool for one worker per core, not for
+    --jobs processes; the pool here is a stand-in that starts none."""
+    import multiprocessing
+
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            assert {w[-1] for w in work} == {len(work)}  # stride = workers
+            return [fn(w) for w in work]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    alg = build(parse_params({"family": "A", "n": 2, "q": {"order": 3, "power": 1}}))
+    capped = verify_axioms(alg, window=2, jobs=10**6)
+    assert requested == [3]
+    assert capped.to_json() == verify_axioms(alg, window=2).to_json()
+
+
 class _BrokenCoproduct(FamilyA):
     """Drops nothing but injects a stray tensor term on the generator y."""
 

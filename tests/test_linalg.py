@@ -77,3 +77,41 @@ def test_kernel_vectors_map_to_zero():
                 cur = total.get(out_key, Cyclo.zero(1)) + v * c
                 total[out_key] = cur
         assert all(v.is_zero() for v in total.values())
+
+
+def c12(*coeffs):
+    return Cyclo.from_coeffs(12, coeffs)
+
+
+def test_kernel_of_map_level_12():
+    """Dense non-unit pivots and kernel leads: every row and every
+    kernel vector is normalised through a real inverse."""
+    a, b, c, d = c12(1, 2, 0, -1), c12(0, 1, 1, 3), c12(2, -1, 1, 0), c12(-1, 0, 3, 1)
+    images = {
+        0: {"x": c12(2, 1, 0, 1), "y": c12(1, -1, 2, 0), "z": c12(0, 3, 1, -2)},
+        1: {"x": c12(1, 0, -1, 2), "y": c12(3, 1, 1, 1), "z": c12(1, 1, 0, 0)},
+        2: {"y": c12(2, 0, 1, -1), "z": c12(1, 2, 3, 1)},
+    }
+    zero = Cyclo.zero(12)
+
+    def combine(p, u, q, w):
+        out = {}
+        for key in ("x", "y", "z"):
+            v = images[u].get(key, zero) * p + images[w].get(key, zero) * q
+            if v:
+                out[key] = v
+        return out
+
+    images[3] = combine(a, 0, b, 1)
+    images[4] = combine(c, 1, d, 2)
+    kern = kernel_of_map(range(5), images.__getitem__, level=12)
+    assert kern == [
+        {0: Cyclo.one(12), 1: Cyclo(12, (-1, 0, 3, -1)), 3: Cyclo(12, (1, -2, 0, 1), 2)},
+        {1: Cyclo.one(12), 2: Cyclo(12, (-6, 10, 51, 26), 37), 4: Cyclo(12, (-18, -7, 5, 4), 37)},
+    ]
+    for combo in kern:
+        total: dict = {}
+        for k, coeff in combo.items():
+            for out_key, v in images[k].items():
+                total[out_key] = total.get(out_key, zero) + v * coeff
+        assert all(v.is_zero() for v in total.values())

@@ -243,3 +243,75 @@ def test_pickle_round_trip(level):
     for v in values:
         back = pickle.loads(pickle.dumps(v))
         assert back == v and hash(back) == hash(v) and back.unit == v.unit
+
+
+# -- inverses of dense non-units, and lifts, against sympy ----------------
+
+def _from_terms(level, terms):
+    """sum of c * zeta_level^e over (c, e) pairs, exponents unreduced."""
+    out = Cyclo.zero(level)
+    for c, e in terms:
+        out = out + Cyclo.zeta(level, e) * Fraction(c)
+    return out
+
+
+def _sympy_poly(terms):
+    x = sympy.Symbol("x")
+    return sum(sympy.Rational(str(Fraction(c))) * x**e for c, e in terms)
+
+
+def _inverse_cases(level):
+    rng = random.Random(level)
+    dense = [(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 5))), e) for e in range(8)]
+    return [
+        [(3, 2)],  # c * zeta^k with c not a sign
+        [(Fraction(-2, 7), level - 1)],
+        [(1, 0), (-1, 2)],  # 1 - zeta^k, as the corpus inverts
+        [(1, 0), (-1, 4)],
+        [(2, 0), (1, 1), (1, 2), (1, 3)],
+        [(Fraction(1, 3), 0), (Fraction(2, 3), 1)],  # a denominator
+        dense,
+    ]
+
+
+@pytest.mark.parametrize("level", (5, 6, 15, 105))
+def test_dense_inverses_match_sympy(level):
+    x = sympy.Symbol("x")
+    phi = sympy.cyclotomic_poly(level, x)
+    for terms in _inverse_cases(level):
+        a = _from_terms(level, terms)
+        assert a.unit is None and not a.is_rational()
+        inv = a.inv()
+        want = _sympy_reduce(level, sympy.invert(_sympy_poly(terms), phi, x))
+        assert inv.coeffs() == want, terms
+        assert (a * inv).is_one()
+        assert inv.inv() == a
+
+
+def test_zeta_minus_one_at_level_105():
+    # 1 - zeta_105^k is a unit of Z[zeta_105] for k prime to 105, but no
+    # root of unity; for zeta^k of prime order p, p / (1 - zeta^k) is
+    # integral and 1 / (1 - zeta^k) is not, so the denominator is p
+    for k, den in ((1, 1), (2, 1), (15, 7), (21, 5), (35, 3)):
+        a = Cyclo.one(105) - Cyclo.zeta(105, k)
+        assert a.unit is None
+        inv = a.inv()
+        assert (a * inv).is_one()
+        assert inv.den == den
+
+
+@pytest.mark.parametrize("low, high", [(3, 105), (5, 15)])
+def test_lift_matches_sympy(low, high):
+    rng = random.Random(low * high)
+    step = high // low
+    for _ in range(4):
+        coeffs = [
+            Fraction(rng.randint(-6, 6), rng.choice((1, 3, 4))) for _ in range(euler_phi(low))
+        ]
+        a = Cyclo.from_coeffs(low, coeffs)
+        terms = [(c, step * i) for i, c in enumerate(coeffs)]
+        assert a.lift(high).coeffs() == _sympy_reduce(high, _sympy_poly(terms))
+        assert a.lift(high) == _from_terms(high, terms)
+    z = Cyclo.zeta(low)
+    assert z.lift(high) == Cyclo.zeta(high, step)
+    assert z.lift(high).unit is not None
