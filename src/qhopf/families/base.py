@@ -1,17 +1,30 @@
 """Provider interface: a Hopf algebra presented through its basis.
 
-A provider knows one distinguished monomial basis and states:
+Every basis monomial is a product of powers of the algebra generators
+in a fixed order, so a basis index is the tuple of those exponents.  A
+provider states:
 
-    multiply_basis(i, j)   e_i * e_j        as a Lin over indices
-    coproduct_basis(i)     Delta(e_i)       as a Lin over index pairs
-    counit_basis(i)        eps(e_i)         as a scalar
-    antipode_basis(i)      S(e_i)           as a Lin over indices
-    generators()           (name, index) of each algebra generator
-    index_factors(i)       e_i as ordered generator powers
+    letters                (name, unit, cap) per index slot: a unit
+                           letter is grouplike, with exponents in Z and
+                           counit 1; any other letter has counit 0 and
+                           exponents 0..cap (cap None: unbounded)
+    _multiply_raw(i, j)    e_i * e_j        as a Lin over indices
+    _coproduct_raw(i)      Delta(e_i)       as a Lin over index pairs
+    _antipode_raw(i)       S(e_i)           as a Lin over indices
     oracle_rules()         the defining relations, oriented for rewriting
 
+Derived here from `letters`, never restated per family:
+
+    unit_index()           the all-zero index
+    counit_basis(i)        1 iff every non-unit exponent is 0, else 0
+    basis_box(w)           exponents in [-w, w] for units, else [0, min(w, cap)]
+    unit_monomials(w)      the same, with every non-unit exponent 0
+    generators()           (name, index) per letter, then name^-1 after
+                           each unit letter
+    index_factors(i)       the letter names zipped with the exponents
+
 A letter g of a rule spells generator g and G spells g^-1.  Derived
-here from those statements, never restated per family:
+from the rules and the factorisation:
 
     presentation()         each rule read as a relation (tangent space,
                            comodule quotient check)
@@ -28,6 +41,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from qhopf.elements import Index, Lin, acc
 from qhopf.scalars import Cyclo
@@ -71,17 +85,17 @@ class HopfProvider(ABC):
 
     level: int
     params: object
+    letters: tuple[tuple[str, bool, int | None], ...]
 
     def __init__(self, level: int):
         self.level = level
+        self._one = Cyclo.one(level)
+        self._zero = Cyclo.zero(level)
         self._mul_cache: dict[tuple[Index, Index], Lin] = {}
         self._cop_cache: dict[Index, Lin] = {}
         self._anti_cache: dict[Index, Lin] = {}
 
     # -- family-specific structure constants ---------------------------
-
-    @abstractmethod
-    def unit_index(self) -> Index: ...
 
     @abstractmethod
     def _multiply_raw(self, i: Index, j: Index) -> Lin: ...
@@ -90,31 +104,56 @@ class HopfProvider(ABC):
     def _coproduct_raw(self, i: Index) -> Lin: ...
 
     @abstractmethod
-    def counit_basis(self, i: Index) -> Cyclo: ...
-
-    @abstractmethod
     def _antipode_raw(self, i: Index) -> Lin: ...
-
-    @abstractmethod
-    def basis_box(self, window: int) -> list[Index]:
-        """All basis indices with exponents bounded by the window."""
-
-    @abstractmethod
-    def unit_monomials(self, bound: int) -> list[Index]:
-        """Monomials in the invertible generators, exponents in [-bound, bound]."""
-
-    @abstractmethod
-    def generators(self) -> list[tuple[str, Index]]: ...
-
-    @abstractmethod
-    def index_factors(self, i: Index) -> list[tuple[str, int]]:
-        """Factor a basis monomial as ordered generator powers."""
 
     @abstractmethod
     def oracle_rules(self) -> list[tuple[tuple[str, ...], list]]:
         """The defining relations oriented for rewriting, as
         (pattern, [(coeff, replacement), ...]); the normal words are the
         `index_to_word`s."""
+
+    # -- derived from the letters -------------------------------------------
+
+    def unit_index(self) -> Index:
+        return (0,) * len(self.letters)
+
+    def counit_basis(self, i: Index) -> Cyclo:
+        for (_, unit, _), e in zip(self.letters, i):
+            if e and not unit:
+                return self._zero
+        return self._one
+
+    def _box(self, w: int, units_only: bool) -> list[Index]:
+        ranges = []
+        for _, unit, cap in self.letters:
+            if unit:
+                ranges.append(range(-w, w + 1))
+            elif units_only:
+                ranges.append((0,))
+            else:
+                ranges.append(range((w if cap is None else min(w, cap)) + 1))
+        return list(product(*ranges))
+
+    def basis_box(self, window: int) -> list[Index]:
+        """All basis indices with exponents bounded by the window, sorted."""
+        return self._box(window, units_only=False)
+
+    def unit_monomials(self, bound: int) -> list[Index]:
+        """Monomials in the invertible generators, exponents in [-bound, bound]."""
+        return self._box(bound, units_only=True)
+
+    def generators(self) -> list[tuple[str, Index]]:
+        out = []
+        for pos, (name, unit, _) in enumerate(self.letters):
+            for e in ((1, -1) if unit else (1,)):
+                idx = [0] * len(self.letters)
+                idx[pos] = e
+                out.append((name if e == 1 else f"{name}^-1", tuple(idx)))
+        return out
+
+    def index_factors(self, i: Index) -> list[tuple[str, int]]:
+        """Factor a basis monomial as ordered generator powers."""
+        return [(name, e) for (name, _, _), e in zip(self.letters, i)]
 
     # -- derived from the rules and the factorisation ---------------------
 
@@ -171,7 +210,7 @@ class HopfProvider(ABC):
         return Cyclo.from_fraction(Fraction(value), self.level)
 
     def one_scalar(self) -> Cyclo:
-        return Cyclo.one(self.level)
+        return self._one
 
     # -- generic element operations ----------------------------------------
 
@@ -206,7 +245,7 @@ class HopfProvider(ABC):
         return Lin(out)
 
     def counit(self, el: Lin) -> Cyclo:
-        out = Cyclo.zero(self.level)
+        out = self._zero
         for i, c in el.terms.items():
             e = self.counit_basis(i)
             if not e.is_zero():

@@ -1,9 +1,9 @@
 """Enveloping algebras of the two 2-dimensional Lie algebras.
 
-Both have PBW basis y^a x^b (a, b >= 0) with x and y primitive.  The
-abelian case is the polynomial Hopf algebra; the nonabelian one has
-[x, y] = y, so x y^a = y^a (x + a) and monomials straighten through
-ordinary binomials.
+Both have PBW basis y^a x^b (a, b >= 0), keyed by the index (a, b),
+with x and y primitive.  The abelian case is the polynomial Hopf
+algebra; the nonabelian one has [x, y] = y, so x y^a = y^a (x + a) and
+monomials straighten through ordinary binomials.
 """
 
 from __future__ import annotations
@@ -12,16 +12,14 @@ from math import comb
 
 from qhopf.elements import Lin, lin_from_pairs
 from qhopf.families.base import HopfProvider
-from qhopf.params import EnvAbelianParams, EnvNonabelianParams
 
 
 class _Enveloping(HopfProvider):
+    letters = (("y", False, None), ("x", False, None))
+
     def __init__(self, params):
         super().__init__(level=1)
         self.params = params
-
-    def unit_index(self):
-        return (0, 0)
 
     def _coproduct_raw(self, i):
         a, b = i
@@ -32,28 +30,8 @@ class _Enveloping(HopfProvider):
                 pairs.append((((a - r, b - k), (r, k)), ca * comb(b, k)))
         return lin_from_pairs(pairs)
 
-    def counit_basis(self, i):
-        return self.scalar(1 if i == (0, 0) else 0)
-
-    def basis_box(self, window):
-        w = window
-        return [(a, b) for a in range(w + 1) for b in range(w + 1)]
-
-    def unit_monomials(self, bound):
-        return [(0, 0)]
-
-    def generators(self):
-        return [("y", (1, 0)), ("x", (0, 1))]
-
-    def index_factors(self, i):
-        a, b = i
-        return [("y", a), ("x", b)]
-
 
 class EnvAbelian(_Enveloping):
-    def __init__(self, params: EnvAbelianParams):
-        super().__init__(params)
-
     def _multiply_raw(self, i, j):
         (a, b), (c, d) = i, j
         return Lin.basis((a + c, b + d), self.one_scalar())
@@ -67,9 +45,6 @@ class EnvAbelian(_Enveloping):
 
 
 class EnvNonabelian(_Enveloping):
-    def __init__(self, params: EnvNonabelianParams):
-        super().__init__(params)
-
     def _multiply_raw(self, i, j):
         # x^b y^c = y^c (x + c)^b
         (a, b), (c, d) = i, j

@@ -1,7 +1,8 @@
 """The A family: k<x^(pm 1), y> with x y = q y x.
 
 x is grouplike, y is skew primitive with Delta(y) = y ox 1 + x^n ox y.
-Basis monomials are y^a x^b (a >= 0, b in Z) and multiply by
+Basis monomials are y^a x^b (a >= 0, b in Z), keyed by the index
+(a, b), and multiply by
 
     (y^a x^b)(y^c x^d) = q^(b c) y^(a+c) x^(b+d).
 
@@ -18,6 +19,8 @@ from qhopf.qcombinat import skew_binomial_coeffs
 
 
 class FamilyA(HopfProvider):
+    letters = (("y", False, None), ("x", True, None))
+
     def __init__(self, params: AParams):
         super().__init__(level=params.q.min_level())
         self.params = params
@@ -33,9 +36,6 @@ class FamilyA(HopfProvider):
             self._skew_cache[a] = hit
         return hit
 
-    def unit_index(self):
-        return (0, 0)
-
     def _multiply_raw(self, i, j):
         (a, b), (c, d) = i, j
         return Lin.basis((a + c, b + d), self.qpow(b * c))
@@ -48,9 +48,6 @@ class FamilyA(HopfProvider):
         ]
         return lin_from_pairs(pairs, self.level)
 
-    def counit_basis(self, i):
-        return self.scalar(1 if i[0] == 0 else 0)
-
     def _antipode_raw(self, i):
         # S(y^a x^b) = x^(-b) (-x^(-n) y)^a
         a, b = i
@@ -59,20 +56,6 @@ class FamilyA(HopfProvider):
         )
         out = self.el_pow(s_y, a)
         return self.mul(self.basis_el((0, -b)), out)
-
-    def basis_box(self, window):
-        w = window
-        return [(a, b) for a in range(w + 1) for b in range(-w, w + 1)]
-
-    def unit_monomials(self, bound):
-        return [(0, b) for b in range(-bound, bound + 1)]
-
-    def generators(self):
-        return [("y", (1, 0)), ("x", (0, 1)), ("x^-1", (0, -1))]
-
-    def index_factors(self, i):
-        a, b = i
-        return [("y", a), ("x", b)]
 
     def oracle_rules(self):
         one = self.one_scalar()

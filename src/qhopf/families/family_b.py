@@ -9,11 +9,11 @@ and m_i = m / p_i.  The defining relations are
 x is grouplike and each y_i is skew primitive with
 Delta(y_i) = y_i ox 1 + x^(m_i n) ox y_i.
 
-Basis monomials are y^d x^b, keyed by the canonical exponent tuple
-d = (d_1, ..., d_s) with d_i < p_i for i >= 2 (d_1 unbounded).  The
-total y-degree mu(d) = sum m_i d_i is injective on canonical tuples;
-a raw tuple renormalizes by the carry d_i -= p_i, d_1 += p_1, which
-preserves mu because m_i p_i = m = m_1 p_1.
+Basis monomials are y^d x^b = y_1^(d_1) ... y_s^(d_s) x^b, keyed by the
+flat exponent tuple (d_1, ..., d_s, b), canonical when d_i < p_i for
+i >= 2 (d_1 unbounded).  The total y-degree mu(d) = sum m_i d_i is
+injective on canonical tuples; a raw tuple renormalizes by the carry
+d_i -= p_i, d_1 += p_1, which preserves mu because m_i p_i = m = m_1 p_1.
 
 The coproduct of a monomial is assembled by tensor multiplication of
 the closed forms for Delta(y_i)^(d_i); each of those is a skew
@@ -49,10 +49,16 @@ class FamilyB(HopfProvider):
         # skew ratio for Delta(y_i) powers
         self._ratios = tuple(self.qpow(self.mm[i] ** 2 * self.n) for i in range(self.s))
         self._ypow_cop_cache: dict[tuple[int, int], Lin] = {}
+        self.letters = tuple(
+            (f"y{i + 1}", False, None if i == 0 else cap - 1)
+            for i, cap in enumerate(self.pp)
+        ) + (("x", True, None),)
 
     # -- index bookkeeping ----------------------------------------------
 
     def canon(self, d) -> tuple[int, ...]:
+        """Carry the y-exponents of d into canonical range; entries past
+        the s-th (the x-exponent of an index) pass through."""
         d = list(d)
         for i in range(1, self.s):
             cap = self.pp[i]
@@ -62,26 +68,22 @@ class FamilyB(HopfProvider):
         return tuple(d)
 
     def mu(self, d) -> int:
+        """Total y-degree; an index's x-exponent is ignored."""
         return sum(m * e for m, e in zip(self.mm, d))
 
     def _yi_index(self, i: int, k: int):
-        d = [0] * self.s
+        d = [0] * (self.s + 1)
         d[i] = k
-        return (self.canon(d), 0)
+        return self.canon(d)
 
     def _x_index(self, e: int):
-        return ((0,) * self.s, e)
-
-    def unit_index(self):
-        return ((0,) * self.s, 0)
+        return (0,) * self.s + (e,)
 
     # -- structure constants ---------------------------------------------
 
     def _multiply_raw(self, i, j):
-        (d1, b1), (d2, b2) = i, j
-        coeff = self.qpow(b1 * self.mu(d2))
-        dsum = self.canon(x + y for x, y in zip(d1, d2))
-        return Lin.basis((dsum, b1 + b2), coeff)
+        coeff = self.qpow(i[-1] * self.mu(j))
+        return Lin.basis(self.canon(x + y for x, y in zip(i, j)), coeff)
 
     def _cop_ypow(self, i: int, k: int) -> Lin:
         """Delta(y_i)^k = sum_r (k choose r)_(ratio_i) y_i^(k-r) x^(m_i n r) ox y_i^r."""
@@ -102,21 +104,17 @@ class FamilyB(HopfProvider):
         return hit
 
     def _coproduct_raw(self, i):
-        d, b = i
+        d, b = i[:-1], i[-1]
         out = Lin.basis((self._x_index(b), self._x_index(b)), self.one_scalar())
         for pos in range(self.s - 1, -1, -1):
             if d[pos]:
                 out = self.t2_mul(self._cop_ypow(pos, d[pos]), out)
         return out
 
-    def counit_basis(self, i):
-        d, b = i
-        return self.scalar(1 if not any(d) else 0)
-
     def _antipode_raw(self, i):
         # S(y^d x^b) = x^(-b) S(y_s)^(d_s) ... S(y_1)^(d_1),
         # with S(y_i) = -x^(-m_i n) y_i
-        d, b = i
+        d, b = i[:-1], i[-1]
         out = self.basis_el(self._x_index(-b))
         for pos in range(self.s - 1, -1, -1):
             if d[pos]:
@@ -127,46 +125,11 @@ class FamilyB(HopfProvider):
                 out = self.mul(out, self.el_pow(s_y, d[pos]))
         return out
 
-    # -- enumeration -------------------------------------------------------
-
-    def basis_box(self, window):
-        w = window
-        ranges = [range(w + 1)]
-        for i in range(1, self.s):
-            ranges.append(range(min(w, self.pp[i] - 1) + 1))
-        out = []
-
-        def rec(pos, acc):
-            if pos == self.s:
-                for b in range(-w, w + 1):
-                    out.append((tuple(acc), b))
-                return
-            for v in ranges[pos]:
-                rec(pos + 1, acc + [v])
-
-        rec(0, [])
-        return sorted(out)
-
-    def unit_monomials(self, bound):
-        return [self._x_index(b) for b in range(-bound, bound + 1)]
-
-    def generators(self):
-        gens = [(f"y{i + 1}", self._yi_index(i, 1)) for i in range(self.s)]
-        gens.append(("x", self._x_index(1)))
-        gens.append(("x^-1", self._x_index(-1)))
-        return gens
-
-    def index_factors(self, i):
-        d, b = i
-        out = [(f"y{pos + 1}", d[pos]) for pos in range(self.s)]
-        out.append(("x", b))
-        return out
-
     # -- rewriting oracle -----------------------------------------------------
 
     def oracle_rules(self):
         one = self.one_scalar()
-        ynames = [f"y{i + 1}" for i in range(self.s)]
+        ynames = [name for name, _, _ in self.letters[: self.s]]
         rules = [
             (("x", "X"), [(one, ())]),
             (("X", "x"), [(one, ())]),

@@ -1,7 +1,7 @@
 """The C family and its one-parameter lift.
 
-Basis monomials are y^a x^b with a in Z, b >= 0, inside the Ore
-extension k[y^(pm 1)][x; sigma, delta] with
+Basis monomials are y^a x^b with a in Z, b >= 0, keyed by the index
+(a, b), inside the Ore extension k[y^(pm 1)][x; sigma, delta] with
 
     x y = q y x + y^n - y,
 
@@ -27,6 +27,8 @@ from qhopf.scalars import Cyclo
 
 
 class FamilyC(HopfProvider):
+    letters = (("y", True, None), ("x", False, None))
+
     def __init__(self, params: CParams | CLiftParams):
         super().__init__(level=params.q.min_level())
         self.params = params
@@ -88,9 +90,6 @@ class FamilyC(HopfProvider):
 
     # -- structure constants ------------------------------------------------
 
-    def unit_index(self):
-        return (0, 0)
-
     def _multiply_raw(self, i, j):
         (a, b), (c, d) = i, j
         moved = self._move(b, c)
@@ -116,30 +115,11 @@ class FamilyC(HopfProvider):
             lambda key: ((a + key[0][0], key[0][1]), (a + key[1][0], key[1][1]))
         )
 
-    def counit_basis(self, i):
-        return self.scalar(1 if i[1] == 0 else 0)
-
     def _antipode_raw(self, i):
         # S(y^a x^b) = S(x)^b y^(-a) with S(x) = -x y^(1-n)
         a, b = i
         s_x = self._move(1, 1 - self.n).scale(self.scalar(-1))
         return self.mul(self.el_pow(s_x, b), self.basis_el((-a, 0)))
-
-    # -- enumeration -----------------------------------------------------------
-
-    def basis_box(self, window):
-        w = window
-        return [(a, b) for a in range(-w, w + 1) for b in range(w + 1)]
-
-    def unit_monomials(self, bound):
-        return [(a, 0) for a in range(-bound, bound + 1)]
-
-    def generators(self):
-        return [("y", (1, 0)), ("y^-1", (-1, 0)), ("x", (0, 1))]
-
-    def index_factors(self, i):
-        a, b = i
-        return [("y", a), ("x", b)]
 
     # -- rewriting oracle --------------------------------------------------------
 

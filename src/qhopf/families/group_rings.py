@@ -5,56 +5,30 @@ GroupZSemiZ is the group algebra of <x, y | x y x^-1 = y^-1>; its
 monomials y^a x^b multiply by (y^a x^b)(y^c x^d) = y^(a + (-1)^b c)
 x^(b+d), and every monomial is grouplike.
 
-Indices are pairs (a, b) for y^a x^b with a, b in Z.
+Indices are pairs (a, b) for y^a x^b with a, b in Z: both letters are
+units.
 """
 
 from __future__ import annotations
 
 from qhopf.elements import Lin
 from qhopf.families.base import HopfProvider
-from qhopf.params import GroupZ2Params, GroupZSemiZParams
 
 
 class _GroupRing(HopfProvider):
     """Shared shape: all basis monomials are grouplike units."""
 
+    letters = (("y", True, None), ("x", True, None))
+
     def __init__(self, params):
         super().__init__(level=1)
         self.params = params
 
-    def unit_index(self):
-        return (0, 0)
-
     def _coproduct_raw(self, i):
         return Lin.basis((i, i), self.one_scalar())
 
-    def counit_basis(self, i):
-        return self.one_scalar()
-
-    def basis_box(self, window):
-        w = window
-        return [(a, b) for a in range(-w, w + 1) for b in range(-w, w + 1)]
-
-    def unit_monomials(self, bound):
-        return self.basis_box(bound)
-
-    def generators(self):
-        return [
-            ("y", (1, 0)),
-            ("y^-1", (-1, 0)),
-            ("x", (0, 1)),
-            ("x^-1", (0, -1)),
-        ]
-
-    def index_factors(self, i):
-        a, b = i
-        return [("y", a), ("x", b)]
-
 
 class GroupZ2(_GroupRing):
-    def __init__(self, params: GroupZ2Params):
-        super().__init__(params)
-
     def _multiply_raw(self, i, j):
         (a, b), (c, d) = i, j
         return Lin.basis((a + c, b + d), self.one_scalar())
@@ -79,9 +53,6 @@ class GroupZ2(_GroupRing):
 
 
 class GroupZSemiZ(_GroupRing):
-    def __init__(self, params: GroupZSemiZParams):
-        super().__init__(params)
-
     def _multiply_raw(self, i, j):
         (a, b), (c, d) = i, j
         c = c if b % 2 == 0 else -c

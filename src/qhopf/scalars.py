@@ -309,6 +309,10 @@ class Cyclo:
                 n, d = self.num[0] * db + other.num[0] * da, da * db
             g = gcd(n, d)
             return _make(self.level, (n // g,), d // g, None)
+        if da == db == 1:
+            # integral vectors are already reduced; only the tag is new
+            num = tuple([x + y for x, y in zip(self.num, other.num)])
+            return _make(self.level, num, 1, _units(self.level)[0].get(num))
         if da == db:
             return Cyclo(self.level, [x + y for x, y in zip(self.num, other.num)], da)
         l = lcm(da, db)

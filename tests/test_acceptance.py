@@ -69,13 +69,13 @@ def test_criterion_02_carried_coproduct_powers():
         heads = params.p[1:]
         s = len(heads)
         m = math.prod(heads)
-        carried = ((heads[0],) + (0,) * (s - 1), 0)
-        xmn = ((0,) * s, m * params.n)
+        carried = (heads[0],) + (0,) * s
+        xmn = (0,) * s + (m * params.n,)
         want = alg.tensor2(alg.basis_el(carried), alg.basis_el(alg.unit_index()))
         want = want + alg.tensor2(alg.basis_el(xmn), alg.basis_el(carried))
         powers = []
         for i in range(s):
-            yi = (tuple(1 if j == i else 0 for j in range(s)), 0)
+            yi = tuple(1 if j == i else 0 for j in range(s + 1))
             powers.append(alg.t2_pow(alg.coproduct_basis(yi), heads[i]))
             if powers[-1] != want:
                 failures.append((params_str(params), f"i={i + 1}"))

@@ -16,6 +16,7 @@ from qhopf.elements import Lin
 from qhopf.families import build
 from qhopf.families.rewriter import agree_on_product, normal_form, oracle_multiply
 from qhopf.params import parse_params
+from qhopf.verify import find_grouplikes
 
 INSTANCES = [
     {"family": "GroupZ2"},
@@ -52,10 +53,18 @@ def test_random_products_match_rewriter(spec):
 
 @pytest.mark.parametrize("spec", INSTANCES, ids=label)
 def test_generator_words_normalize_to_their_index(spec):
+    """Generator words and the words of every window-box index are
+    already normal forms of the rules.  Window 3 reaches past B's cap
+    p_2 - 1 = 2 on y2, so an uncapped letter would show."""
     alg = build(parse_params(spec))
+    one = alg.one_scalar()
     for name, idx in alg.generators():
         got = oracle_multiply(alg, alg.unit_index(), idx)
-        assert got == {alg.index_to_word(idx): alg.one_scalar()}, name
+        assert got == {alg.index_to_word(idx): one}, name
+    rules = alg.oracle_rules()
+    for idx in alg.basis_box(3):
+        word = alg.index_to_word(idx)
+        assert normal_form([(word, one)], rules, alg.level) == {word: one}, idx
 
 
 def test_rewriting_is_confluent_on_a_hard_case():
@@ -100,3 +109,20 @@ def test_presentation_relations_hold_in_the_algebra(path):
             at_counit = at_counit + eps
         assert total.is_zero(), rel
         assert at_counit.is_zero(), rel
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda path: path.stem)
+def test_unit_letters_span_the_grouplikes(path):
+    """The monomials in the unit letters are exactly the grouplike ones,
+    which checks each letter's unit flag against the coproduct: no unit
+    monomial fails to be grouplike, and no other box monomial is one."""
+    alg = build(parse_params(json.loads(path.read_text(encoding="utf-8"))))
+    units = alg.unit_monomials(2)
+    assert find_grouplikes(alg, 2) == units
+    one = alg.one_scalar()
+    grouplike = [
+        m
+        for m in alg.basis_box(2)
+        if alg.coproduct_basis(m) == Lin.basis((m, m), one)
+    ]
+    assert grouplike == units

@@ -63,14 +63,14 @@ def test_carried_basis_power_carry():
     assert alg.canon((0, 3)) == (2, 0)
     assert alg.canon((1, 4)) == (3, 1)
     # y2^2 * y2 carries into y1^2
-    assert alg.multiply_basis(((0, 2), 0), ((0, 1), 0)) == lin_from_pairs(
-        [(((2, 0), 0), 1)], level=6
+    assert alg.multiply_basis((0, 2, 0), (0, 1, 0)) == lin_from_pairs(
+        [((2, 0, 0), 1)], level=6
     )
     # x y1 = q^(m_1) y1 x with m_1 = 3, and zeta_6^3 = -1
-    y1 = ((1, 0), 0)
-    x = ((0, 0), 1)
+    y1 = (1, 0, 0)
+    x = (0, 0, 1)
     assert alg.multiply_basis(x, y1) == lin_from_pairs(
-        [((((1, 0), 1)), -1)], level=6
+        [((1, 0, 1), -1)], level=6
     )
 
 

@@ -235,6 +235,20 @@ def test_level_one_fast_path_normalises():
     assert a * 0 == 0 and (a * 0).den == 1
 
 
+def test_integral_sums_at_level_12():
+    """Sums of two denominator-1 values skip renormalising but still
+    land on the canonical zero and on tagged roots of unity."""
+    z = Cyclo.zeta(12)
+    a = Cyclo(12, [1, 2, 0, 0])
+    cancelled = a + Cyclo(12, [-1, -2, 0, 0])
+    assert cancelled == Cyclo.zero(12) and hash(cancelled) == hash(Cyclo.zero(12))
+    assert cancelled.den == 1 and cancelled.unit is None
+    landed = (z + 1) + Cyclo.from_fraction(-1, 12)
+    assert landed == z and landed.unit == z.unit
+    # zeta^3 - zeta = zeta^5, since Phi_12 = x^4 - x^2 + 1
+    assert (Cyclo.zeta(12, 3) + -z).unit == Cyclo.zeta(12, 5).unit
+
+
 @pytest.mark.parametrize("level", (1, 12, 105))
 def test_pickle_round_trip(level):
     deg = euler_phi(level)
