@@ -34,6 +34,16 @@ from the rules and the factorisation:
 Everything else (bilinear extension, tensor products, iterated
 coproducts) is generic and lives here.  Structure constants are
 memoized per instance; all verification windows re-use them.
+
+The kernels (`mul`, `coproduct`, `t2_mul`, `cop_left`, `cop_right`)
+accumulate, then finish once: each reads its operands' coefficients in
+the level's accumulation form (`qhopf.scalars.accumulation`: plain
+ints or Fractions at levels 1 and 2, the Cyclo itself above), adds the
+products into a dict, and turns each nonzero sum into one reduced
+Cyclo.  With `into=table` (and `sign=-1` to subtract) a kernel adds
+into a caller's table instead and leaves finishing to the caller, so
+an axiom residual lhs - rhs is one table.  A Lin always holds reduced,
+nonzero Cyclos; the accumulation form never leaves this protocol.
 """
 
 from __future__ import annotations
@@ -43,8 +53,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from qhopf.elements import Index, Lin, acc
-from qhopf.scalars import Cyclo
+from qhopf.elements import Index, Lin
+from qhopf.scalars import Cyclo, accumulation
 
 
 @dataclass
@@ -91,6 +101,7 @@ class HopfProvider(ABC):
         self.level = level
         self._one = Cyclo.one(level)
         self._zero = Cyclo.zero(level)
+        self.accum = accumulation(level)
         self._mul_cache: dict[tuple[Index, Index], Lin] = {}
         self._cop_cache: dict[Index, Lin] = {}
         self._anti_cache: dict[Index, Lin] = {}
@@ -207,10 +218,16 @@ class HopfProvider(ABC):
     def scalar(self, value) -> Cyclo:
         if isinstance(value, Cyclo):
             return value
+        if value == 1:
+            return self._one
         return Cyclo.from_fraction(Fraction(value), self.level)
 
     def one_scalar(self) -> Cyclo:
         return self._one
+
+    def finish(self, table: dict) -> Lin:
+        """The Lin of a table in accumulation form."""
+        return Lin(self.accum.finish(table))
 
     # -- generic element operations ----------------------------------------
 
@@ -220,14 +237,21 @@ class HopfProvider(ABC):
     def basis_el(self, i: Index, coeff=1) -> Lin:
         return Lin.basis(i, self.scalar(coeff))
 
-    def mul(self, a: Lin, b: Lin) -> Lin:
-        out: dict[Index, Cyclo] = {}
-        for i, c in a.terms.items():
-            for j, d in b.terms.items():
+    def mul(self, a: Lin, b: Lin, *, into: dict | None = None, sign: int = 1):
+        out = {} if into is None else into
+        items = self.accum.items
+        bt = items(b.terms)
+        for i, c in items(a.terms):
+            if sign < 0:
+                c = -c
+            for j, d in bt:
                 cd = c * d
-                for k, s in self.multiply_basis(i, j).terms.items():
-                    acc(out, k, s * cd)
-        return Lin(out)
+                for k, s in items(self.multiply_basis(i, j).terms):
+                    v = s * cd
+                    old = out.get(k)
+                    out[k] = v if old is None else old + v
+        if into is None:
+            return self.finish(out)
 
     def el_pow(self, a: Lin, k: int) -> Lin:
         if k < 0:
@@ -237,12 +261,18 @@ class HopfProvider(ABC):
             out = self.mul(out, a)
         return out
 
-    def coproduct(self, el: Lin) -> Lin:
-        out: dict = {}
-        for i, c in el.terms.items():
-            for pair, d in self.coproduct_basis(i).terms.items():
-                acc(out, pair, c * d)
-        return Lin(out)
+    def coproduct(self, el: Lin, *, into: dict | None = None, sign: int = 1):
+        out = {} if into is None else into
+        items = self.accum.items
+        for i, c in items(el.terms):
+            if sign < 0:
+                c = -c
+            for pair, d in items(self.coproduct_basis(i).terms):
+                v = c * d
+                old = out.get(pair)
+                out[pair] = v if old is None else old + v
+        if into is None:
+            return self.finish(out)
 
     def counit(self, el: Lin) -> Cyclo:
         out = self._zero
@@ -255,24 +285,31 @@ class HopfProvider(ABC):
     # -- tensors ------------------------------------------------------------
 
     def tensor2(self, a: Lin, b: Lin) -> Lin:
-        out: dict = {}
-        for i, c in a.terms.items():
-            for j, d in b.terms.items():
-                acc(out, (i, j), c * d)
-        return Lin(out)
+        items = self.accum.items
+        bt = items(b.terms)
+        return self.finish({(i, j): c * d for i, c in items(a.terms) for j, d in bt})
 
-    def t2_mul(self, s: Lin, t: Lin) -> Lin:
+    def t2_mul(self, s: Lin, t: Lin, *, into: dict | None = None, sign: int = 1):
         """Componentwise product of 2-tensors."""
-        out: dict = {}
-        for (i, j), c in s.terms.items():
-            for (k, l), d in t.terms.items():
+        out = {} if into is None else into
+        items = self.accum.items
+        tt = items(t.terms)
+        for (i, j), c in items(s.terms):
+            if sign < 0:
+                c = -c
+            for (k, l), d in tt:
                 cd = c * d
-                left = self.multiply_basis(i, k)
-                right = self.multiply_basis(j, l)
-                for a, ca in left.terms.items():
-                    for b, cb in right.terms.items():
-                        acc(out, (a, b), ca * cb * cd)
-        return Lin(out)
+                left = items(self.multiply_basis(i, k).terms)
+                right = items(self.multiply_basis(j, l).terms)
+                for a, ca in left:
+                    cacd = ca * cd
+                    for b, cb in right:
+                        key = (a, b)
+                        v = cacd * cb
+                        old = out.get(key)
+                        out[key] = v if old is None else old + v
+        if into is None:
+            return self.finish(out)
 
     def t2_pow(self, s: Lin, k: int) -> Lin:
         if k < 0:
@@ -283,21 +320,35 @@ class HopfProvider(ABC):
             out = self.t2_mul(out, s)
         return out
 
-    def cop_right(self, t: Lin) -> Lin:
+    def cop_right(self, t: Lin, *, into: dict | None = None, sign: int = 1):
         """(id (x) Delta) applied to a 2-tensor."""
-        out: dict = {}
-        for (i, j), c in t.terms.items():
-            for (k, l), d in self.coproduct_basis(j).terms.items():
-                acc(out, (i, k, l), c * d)
-        return Lin(out)
+        out = {} if into is None else into
+        items = self.accum.items
+        for (i, j), c in items(t.terms):
+            if sign < 0:
+                c = -c
+            for (k, l), d in items(self.coproduct_basis(j).terms):
+                key = (i, k, l)
+                v = c * d
+                old = out.get(key)
+                out[key] = v if old is None else old + v
+        if into is None:
+            return self.finish(out)
 
-    def cop_left(self, t: Lin) -> Lin:
+    def cop_left(self, t: Lin, *, into: dict | None = None, sign: int = 1):
         """(Delta (x) id) applied to a 2-tensor."""
-        out: dict = {}
-        for (i, j), c in t.terms.items():
-            for (k, l), d in self.coproduct_basis(i).terms.items():
-                acc(out, (k, l, j), c * d)
-        return Lin(out)
+        out = {} if into is None else into
+        items = self.accum.items
+        for (i, j), c in items(t.terms):
+            if sign < 0:
+                c = -c
+            for (k, l), d in items(self.coproduct_basis(i).terms):
+                key = (k, l, j)
+                v = c * d
+                old = out.get(key)
+                out[key] = v if old is None else old + v
+        if into is None:
+            return self.finish(out)
 
     # -- display --------------------------------------------------------------
 

@@ -30,6 +30,15 @@ tagged scalars are table lookups as well.  The tag is a cache of the
 value, never part of it: equality, hashing, display and every caller
 read only the reduced (level, num, den) form.  Levels 1 and 2 (plain
 Q) carry no tag and multiply and add on two ints.
+
+Sums of many products (the tensor kernels of `qhopf.families.base`)
+run in an *accumulation form*, given per level by `accumulation`.  At
+levels 1 and 2 it is a plain `int` while the denominator is 1 and a
+`Fraction` once one appears; at level >= 3 it is the `Cyclo` itself.
+A kernel converts its operands' coefficients into that form, adds into
+a dict, and finishes once: each nonzero entry becomes one reduced
+`Cyclo`.  The form never leaves a kernel; every value handed out is a
+reduced `Cyclo`.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from typing import Callable, NamedTuple
 
 
 class ScalarError(ValueError):
@@ -230,13 +240,13 @@ class Cyclo:
 
     @staticmethod
     def zero(level: int = 1) -> Cyclo:
-        return Cyclo(level, [0] * euler_phi(level), 1)
+        return _zero(level)
 
     @staticmethod
     def one(level: int = 1) -> Cyclo:
         if euler_phi(level) > 1:
             return _root(level, 0)
-        return Cyclo.from_fraction(1, level)
+        return _rational_one(level)
 
     @staticmethod
     def zeta(level: int, power: int = 1) -> Cyclo:
@@ -476,7 +486,69 @@ class Cyclo:
         return text.replace("+ -", "- ")
 
 
+@lru_cache(maxsize=None)
+def _zero(level: int) -> Cyclo:
+    return Cyclo(level, [0] * euler_phi(level), 1)
+
+
+@lru_cache(maxsize=None)
+def _rational_one(level: int) -> Cyclo:
+    return Cyclo(level, [1], 1)
+
+
 def common_level(a: Cyclo, b: Cyclo) -> tuple[Cyclo, Cyclo]:
     """Lift both scalars to the lcm of their levels."""
     l = lcm(a.level, b.level)
     return a.lift(l), b.lift(l)
+
+
+# -- accumulation form ------------------------------------------------
+
+
+class Accumulation(NamedTuple):
+    """The accumulation form of one level, see the module docstring."""
+
+    value: Callable  # Cyclo -> its form
+    items: Callable  # dict of Cyclos -> re-iterable (key, form) pairs
+    finish: Callable  # dict of forms -> its nonzero entries as reduced Cyclos
+
+
+def _same(c: Cyclo) -> Cyclo:
+    return c
+
+
+def _nonzero(table: dict) -> dict:
+    return {k: v for k, v in table.items() if v}
+
+
+def _rational(c: Cyclo) -> int | Fraction:
+    n, d = c.num[0], c.den
+    return n if d == 1 else Fraction(n, d)
+
+
+def _rational_items(terms: dict) -> list:
+    # `_rational` inlined: this runs once per structure-constant lookup
+    return [
+        (k, c.num[0] if c.den == 1 else Fraction(c.num[0], c.den))
+        for k, c in terms.items()
+    ]
+
+
+@lru_cache(maxsize=None)
+def accumulation(level: int) -> Accumulation:
+    """The accumulation form at this level, shared."""
+    if euler_phi(level) > 1:
+        return Accumulation(_same, dict.items, _nonzero)
+
+    def finish(table: dict) -> dict:
+        # int and Fraction are already reduced
+        out = {}
+        for k, v in table.items():
+            if v:
+                if v.__class__ is int:
+                    out[k] = _make(level, (v,), 1, None)
+                else:
+                    out[k] = _make(level, (v.numerator,), v.denominator, None)
+        return out
+
+    return Accumulation(_rational, _rational_items, finish)

@@ -7,6 +7,7 @@ from conftest import grid_specs, spec_label
 from qhopf.elements import Lin, lin_from_pairs
 from qhopf.families import build
 from qhopf.families.family_a import FamilyA
+from qhopf.families.family_c import FamilyC
 from qhopf.invariants import is_cocommutative
 from qhopf.linalg import Echelon
 from qhopf.params import parse_params
@@ -130,6 +131,117 @@ def test_corrupted_product_is_caught():
         "(y*x^-2, y*x^-2)",
         "1 residual tensor terms: [y*x^-2 ox y*x^-4] -2 - z3",
     )
+
+
+class _BrokenOreCoproduct(FamilyC):
+    """Delta(x) = 2 x ox y^(n-1) + 1 ox x: one coproduct constant doubled."""
+
+    def _coproduct_raw(self, i):
+        t = super()._coproduct_raw(i)
+        if i == (0, 1):
+            return t + Lin.basis(((0, 1), (self.n - 1, 0)), self.one_scalar())
+        return t
+
+
+class _BrokenOreProduct(FamilyC):
+    """x * y^-1 gains a stray y^-1: one product constant moved by 1."""
+
+    def _multiply_raw(self, i, j):
+        t = super()._multiply_raw(i, j)
+        if (i, j) == ((0, 1), (-1, 0)):
+            return t + Lin.basis((-1, 0), self.one_scalar())
+        return t
+
+
+# Every failure at window 2, in report order, as the unfused lhs - rhs
+# residuals reported them.  C(3) runs on integers only; CLift(2, 3/2)
+# has q^-1 = 2/3 in its constants, so its sums take the Fraction path.
+C3_COPRODUCT_FAILURES = [
+    ("coassociativity", "y^-2*x^2", "1 residual tensor terms: [y^-2*x ox x ox y^2] -2"),
+    ("coassociativity", "x", "1 residual tensor terms: [x ox y^2 ox y^2] 2"),
+    ("coassociativity", "x^2",
+     "3 residual tensor terms: [x ox y^2 ox y^2] -2; [x ox y^2 ox y^2*x] 2; "
+     "[x ox y^2 ox y^4] 2"),
+    ("counit", "x", "right: x"),
+    ("antipode", "x", "left: -x"),
+    ("antipode", "x", "right: 2*y^-2 + y^-2*x - 2*1"),
+    ("bialgebra", "(y^-2, x)", "1 residual tensor terms: [y^-2*x ox 1] -1"),
+    ("bialgebra", "(y^-2, y^2*x)", "1 residual tensor terms: [x ox y^2] 1"),
+    ("bialgebra", "(y^-2*x, x)",
+     "4 residual tensor terms: [y^-2*x ox 1] 2; [y^-2*x ox x] -1; "
+     "[y^-2*x ox y^2] -2; ..."),
+    ("bialgebra", "(y^-2*x, y^2)", "1 residual tensor terms: [x ox y^2] 1"),
+    ("bialgebra", "(y^-2*x, y^2*x)", "1 residual tensor terms: [x ox y^2] -2"),
+    ("bialgebra", "(y^-2*x^2, x)",
+     "10 residual tensor terms: [y^-2*x ox 1] -4; [y^-2*x ox x] 4; "
+     "[y^-2*x ox x^2] -1; ..."),
+    ("bialgebra", "(y^-2*x^2, y^2)", "1 residual tensor terms: [x ox y^2] -4"),
+    ("bialgebra", "(y^-2*x^2, y^2*x)", "1 residual tensor terms: [x ox y^2] 4"),
+    ("bialgebra", "(y^-1, x)", "1 residual tensor terms: [y^-1*x ox y] -1"),
+    ("bialgebra", "(y^-1, y*x)", "1 residual tensor terms: [x ox y^2] 1"),
+]
+
+C3_PRODUCT_FAILURES = [
+    ("bialgebra", "(y^-2*x^2, y^-1)",
+     "3 residual tensor terms: [y^-3 ox y^-1] -2; [y^-3*x ox y^-1] -2; "
+     "[y^-1 ox y^-1] 2"),
+    ("bialgebra", "(x, y^-1)", "1 residual tensor terms: [y^-1 ox y] -1"),
+    ("bialgebra", "(x, y^-1)", "counit residual 1"),
+    ("bialgebra", "(x, y^-1*x)", "1 residual tensor terms: [y^-1 ox y*x] -1"),
+    ("bialgebra", "(x, y^-1*x^2)", "1 residual tensor terms: [y^-1 ox y*x^2] -1"),
+    ("bialgebra", "(x^2, y^-1)", "1 residual tensor terms: [y^-1 ox y*x] -2"),
+    ("bialgebra", "(x^2, y^-1*x)", "1 residual tensor terms: [y^-1 ox y*x^2] -2"),
+    ("bialgebra", "(x^2, y^-1*x^2)", "1 residual tensor terms: [y^-1 ox y*x^3] -2"),
+]
+
+CLIFT_PRODUCT_FAILURES = [
+    ("antipode", "x", "right: y^-1"),
+    ("antipode", "x^2", "right: 16/9*y^-1"),
+    ("bialgebra", "(y^-1*x^2, y^-2*x)",
+     "3 residual tensor terms: [y^-3*x ox y^-1] -25/9; [y^-3*x^2 ox y^-1] -10/9; "
+     "[y^-2*x ox y^-1] 25/9"),
+    ("bialgebra", "(y^-1*x^2, y^-2*x^2)",
+     "3 residual tensor terms: [y^-3*x ox y^-1] 25/9; [y^-3*x^2 ox y^-1] 10/9; "
+     "[y^-2*x ox y^-1] -25/9"),
+    ("bialgebra", "(y^-1*x^2, y^-1)",
+     "3 residual tensor terms: [y^-2 ox y^-1] -5/3; [y^-2*x ox y^-1] -5/3; "
+     "[y^-1 ox y^-1] 5/3"),
+    ("bialgebra", "(x, y^-2*x)", "1 residual tensor terms: [y^-2*x ox y^-1] -1"),
+    ("bialgebra", "(x, y^-2*x^2)", "1 residual tensor terms: [y^-2*x ox y^-1] 1"),
+    ("bialgebra", "(x, y^-1)", "1 residual tensor terms: [y^-1 ox 1] -1"),
+    ("bialgebra", "(x, y^-1)", "counit residual 1"),
+    ("bialgebra", "(x, y^-1*x)", "1 residual tensor terms: [y^-1 ox x] -1"),
+    ("bialgebra", "(x, y^-1*x^2)", "1 residual tensor terms: [y^-1 ox x^2] -1"),
+    ("bialgebra", "(x^2, y^-1)",
+     "3 residual tensor terms: [y^-1 ox 1] -2/3; [y^-1 ox x] -5/3; [y^-1 ox y] 2/3"),
+    ("bialgebra", "(x^2, y^-1*x)",
+     "3 residual tensor terms: [y^-1 ox x] -2/3; [y^-1 ox x^2] -5/3; "
+     "[y^-1 ox y*x] 2/3"),
+    ("bialgebra", "(x^2, y^-1*x^2)",
+     "3 residual tensor terms: [y^-1 ox x^2] -2/3; [y^-1 ox x^3] -5/3; "
+     "[y^-1 ox y*x^2] 2/3"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,spec,want",
+    [
+        (_BrokenOreCoproduct, {"family": "C", "n": 3}, C3_COPRODUCT_FAILURES),
+        (_BrokenOreProduct, {"family": "C", "n": 3}, C3_PRODUCT_FAILURES),
+        (
+            _BrokenOreProduct,
+            {"family": "CLift", "n": 2, "q": "3/2"},
+            CLIFT_PRODUCT_FAILURES,
+        ),
+    ],
+    ids=["C3-coproduct", "C3-product", "CLift-3/2-product"],
+)
+def test_rational_corruption_is_reported_term_by_term(cls, spec, want):
+    alg = cls(parse_params(spec))
+    assert alg.level == 1
+    report = verify_axioms(alg, window=2)
+    got = [(f.axiom, f.where, f.residual) for f in report.failures]
+    assert got == want
 
 
 def test_residual_report_names_three_terms_and_the_count():

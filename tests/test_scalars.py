@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qhopf.scalars import (
     Cyclo,
     ScalarError,
+    accumulation,
     common_level,
     cyclotomic_polynomial,
     euler_phi,
@@ -247,6 +248,46 @@ def test_integral_sums_at_level_12():
     assert landed == z and landed.unit == z.unit
     # zeta^3 - zeta = zeta^5, since Phi_12 = x^4 - x^2 + 1
     assert (Cyclo.zeta(12, 3) + -z).unit == Cyclo.zeta(12, 5).unit
+
+
+@pytest.mark.parametrize("level", (1, 2, 4, 12, 105))
+def test_zero_and_one_are_shared(level):
+    deg = euler_phi(level)
+    for make, vec in ((Cyclo.zero, [0] * deg), (Cyclo.one, [1] + [0] * (deg - 1))):
+        first = make(level)
+        assert make(level) is first
+        fresh = Cyclo(level, vec)
+        assert first == fresh and hash(first) == hash(fresh)
+        assert first.unit == fresh.unit
+
+
+@pytest.mark.parametrize("level", (1, 2, 4, 12))
+def test_accumulation_form_sums_like_cyclo(level):
+    """Products summed in the accumulation form finish to the Cyclo sum;
+    a cancelled entry finishes to nothing."""
+    form = accumulation(level)
+    rng = random.Random(level)
+    deg = euler_phi(level)
+    values = [
+        Cyclo(level, [rng.randint(-4, 4) for _ in range(deg)], rng.choice([1, 1, 2, 6]))
+        for _ in range(12)
+    ]
+    table: dict = {}
+    want = Cyclo.zero(level)
+    for a, b in zip(values, values[1:]):
+        v = form.value(a) * form.value(b)
+        table["sum"] = v if "sum" not in table else table["sum"] + v
+        want = want + a * b
+    table["gone"] = form.value(values[0]) + -form.value(values[0])
+    assert [v for _, v in form.items({"a": values[0]})] == [form.value(values[0])]
+    out = form.finish(table)
+    assert list(out) == (["sum"] if want else [])
+    for c in out.values():
+        fresh = Cyclo(level, list(c.num), c.den)
+        assert c == want == fresh and hash(c) == hash(fresh) and c.unit == fresh.unit
+    if deg == 1:
+        assert isinstance(form.value(Cyclo.from_fraction(3, level)), int)
+        assert form.value(Cyclo.from_fraction(Fraction(3, 2), level)) == Fraction(3, 2)
 
 
 @pytest.mark.parametrize("level", (1, 12, 105))
