@@ -40,10 +40,11 @@ accumulate, then finish once: each reads its operands' coefficients in
 the level's accumulation form (`qhopf.scalars.accumulation`: plain
 ints or Fractions at levels 1 and 2, the Cyclo itself above), adds the
 products into a dict, and turns each nonzero sum into one reduced
-Cyclo.  With `into=table` (and `sign=-1` to subtract) a kernel adds
-into a caller's table instead and leaves finishing to the caller, so
-an axiom residual lhs - rhs is one table.  A Lin always holds reduced,
-nonzero Cyclos; the accumulation form never leaves this protocol.
+Cyclo.  With `into=table` a kernel adds into a caller's table instead
+and leaves finishing to the caller, so an axiom residual lhs - rhs is
+one table: the caller passes a negated operand for the right side.  A
+Lin always holds reduced, nonzero Cyclos; the accumulation form never
+leaves this protocol.
 """
 
 from __future__ import annotations
@@ -237,13 +238,11 @@ class HopfProvider(ABC):
     def basis_el(self, i: Index, coeff=1) -> Lin:
         return Lin.basis(i, self.scalar(coeff))
 
-    def mul(self, a: Lin, b: Lin, *, into: dict | None = None, sign: int = 1):
+    def mul(self, a: Lin, b: Lin, *, into: dict | None = None):
         out = {} if into is None else into
         items = self.accum.items
         bt = items(b.terms)
         for i, c in items(a.terms):
-            if sign < 0:
-                c = -c
             for j, d in bt:
                 cd = c * d
                 for k, s in items(self.multiply_basis(i, j).terms):
@@ -261,12 +260,10 @@ class HopfProvider(ABC):
             out = self.mul(out, a)
         return out
 
-    def coproduct(self, el: Lin, *, into: dict | None = None, sign: int = 1):
+    def coproduct(self, el: Lin, *, into: dict | None = None):
         out = {} if into is None else into
         items = self.accum.items
         for i, c in items(el.terms):
-            if sign < 0:
-                c = -c
             for pair, d in items(self.coproduct_basis(i).terms):
                 v = c * d
                 old = out.get(pair)
@@ -289,14 +286,12 @@ class HopfProvider(ABC):
         bt = items(b.terms)
         return self.finish({(i, j): c * d for i, c in items(a.terms) for j, d in bt})
 
-    def t2_mul(self, s: Lin, t: Lin, *, into: dict | None = None, sign: int = 1):
+    def t2_mul(self, s: Lin, t: Lin, *, into: dict | None = None):
         """Componentwise product of 2-tensors."""
         out = {} if into is None else into
         items = self.accum.items
         tt = items(t.terms)
         for (i, j), c in items(s.terms):
-            if sign < 0:
-                c = -c
             for (k, l), d in tt:
                 cd = c * d
                 left = items(self.multiply_basis(i, k).terms)
@@ -320,13 +315,11 @@ class HopfProvider(ABC):
             out = self.t2_mul(out, s)
         return out
 
-    def cop_right(self, t: Lin, *, into: dict | None = None, sign: int = 1):
+    def cop_right(self, t: Lin, *, into: dict | None = None):
         """(id (x) Delta) applied to a 2-tensor."""
         out = {} if into is None else into
         items = self.accum.items
         for (i, j), c in items(t.terms):
-            if sign < 0:
-                c = -c
             for (k, l), d in items(self.coproduct_basis(j).terms):
                 key = (i, k, l)
                 v = c * d
@@ -335,13 +328,11 @@ class HopfProvider(ABC):
         if into is None:
             return self.finish(out)
 
-    def cop_left(self, t: Lin, *, into: dict | None = None, sign: int = 1):
+    def cop_left(self, t: Lin, *, into: dict | None = None):
         """(Delta (x) id) applied to a 2-tensor."""
         out = {} if into is None else into
         items = self.accum.items
         for (i, j), c in items(t.terms):
-            if sign < 0:
-                c = -c
             for (k, l), d in items(self.coproduct_basis(i).terms):
                 key = (k, l, j)
                 v = c * d

@@ -44,7 +44,7 @@ reduced `Cyclo`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, lcm
 from typing import Callable, NamedTuple
 
@@ -527,11 +527,16 @@ def _rational(c: Cyclo) -> int | Fraction:
 
 
 def _rational_items(terms: dict) -> list:
-    # `_rational` inlined: this runs once per structure-constant lookup
-    return [
-        (k, c.num[0] if c.den == 1 else Fraction(c.num[0], c.den))
-        for k, c in terms.items()
-    ]
+    return [(k, _rational(c)) for k, c in terms.items()]
+
+
+def _rational_finish(level: int, table: dict) -> dict:
+    # int and Fraction are already reduced
+    return {
+        k: _make(level, (v.numerator,), v.denominator, None)
+        for k, v in table.items()
+        if v
+    }
 
 
 @lru_cache(maxsize=None)
@@ -539,16 +544,4 @@ def accumulation(level: int) -> Accumulation:
     """The accumulation form at this level, shared."""
     if euler_phi(level) > 1:
         return Accumulation(_same, dict.items, _nonzero)
-
-    def finish(table: dict) -> dict:
-        # int and Fraction are already reduced
-        out = {}
-        for k, v in table.items():
-            if v:
-                if v.__class__ is int:
-                    out[k] = _make(level, (v,), 1, None)
-                else:
-                    out[k] = _make(level, (v.numerator,), v.denominator, None)
-        return out
-
-    return Accumulation(_rational, _rational_items, finish)
+    return Accumulation(_rational, _rational_items, partial(_rational_finish, level))

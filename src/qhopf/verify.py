@@ -12,11 +12,13 @@ The axioms, per basis index e (and index pairs for the bialgebra law):
     bialgebra         Delta(e_i e_j) == Delta(e_i) Delta(e_j),
                       eps(e_i e_j) == eps(e_i) eps(e_j)
 
-Each tensor residual is accumulated as lhs - rhs in one table: the
-provider's kernels add the left side with `into=table` and the right
-side with `into=table, sign=-1`, in the level's accumulation form (see
+Each residual is accumulated as lhs - rhs in one table.  The
+coassociativity, antipode and bialgebra residuals go through the
+provider's kernels with `into=table`: the left side as is, the right
+side with one operand negated, in the level's accumulation form (see
 `qhopf.scalars`), and the table is finished once.  A check that holds
-leaves only zero entries, and finishing them builds no scalar.
+leaves only zero entries, and finishing them builds no scalar.  The
+counit residual is one pass over Delta(e) and adds Cyclos with `acc`.
 """
 
 from __future__ import annotations
@@ -63,28 +65,22 @@ def coassociativity_residual(alg: HopfProvider, idx) -> Lin:
     t = alg.coproduct_basis(idx)
     table: dict = {}
     alg.cop_left(t, into=table)
-    alg.cop_right(t, into=table, sign=-1)
+    alg.cop_right(-t, into=table)
     return alg.finish(table)
 
 
-def _add(table: dict, key, v) -> None:
-    old = table.get(key)
-    table[key] = v if old is None else old + v
-
-
 def counit_residuals(alg: HopfProvider, idx) -> tuple[Lin, Lin]:
-    value = alg.accum.value
-    minus_one = -value(alg.one_scalar())
+    minus_one = -alg.one_scalar()
     left = {idx: minus_one}
     right = {idx: minus_one}
-    for (i, j), c in alg.accum.items(alg.coproduct_basis(idx).terms):
+    for (i, j), c in alg.coproduct_basis(idx).terms.items():
         ei = alg.counit_basis(i)
-        if ei:
-            _add(left, j, c * value(ei))
+        if not ei.is_zero():
+            acc(left, j, c * ei)
         ej = alg.counit_basis(j)
-        if ej:
-            _add(right, i, c * value(ej))
-    return alg.finish(left), alg.finish(right)
+        if not ej.is_zero():
+            acc(right, i, c * ej)
+    return Lin(left), Lin(right)
 
 
 def antipode_residuals(alg: HopfProvider, idx) -> tuple[Lin, Lin]:
@@ -101,7 +97,7 @@ def bialgebra_residuals(alg: HopfProvider, i, j) -> tuple[Lin, Cyclo]:
     prod = alg.multiply_basis(i, j)
     table: dict = {}
     alg.coproduct(prod, into=table)
-    alg.t2_mul(alg.coproduct_basis(i), alg.coproduct_basis(j), into=table, sign=-1)
+    alg.t2_mul(alg.coproduct_basis(i), -alg.coproduct_basis(j), into=table)
     eps = alg.counit(prod) - alg.counit_basis(i) * alg.counit_basis(j)
     return alg.finish(table), eps
 
@@ -208,7 +204,8 @@ def _scan_pairs_parallel(alg: HopfProvider, window: int, jobs: int) -> tuple[int
     # workers get the provider's class and parameters and rebuild it,
     # so each refills its own structure-constant caches; a filled
     # provider would pickle (Cyclo reduces to its constructor
-    # arguments), but its caches are not shipped
+    # arguments, the accumulation form to module-level functions),
+    # but its caches are not shipped
     work = [(type(alg), alg.params, window, slot, jobs) for slot in range(jobs)]
     with mp.Pool(jobs) as pool:
         results = pool.map(_pair_worker, work)

@@ -7,6 +7,7 @@ kernels hand out must be a nonzero, reduced `Cyclo`.
 """
 
 import json
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -141,8 +142,8 @@ def test_kernels_match_cyclo_loops(name):
 
 
 @pytest.mark.parametrize("name", list(SPECS))
-def test_kernels_accumulate_a_signed_difference(name):
-    """kernel(x, into=T) then kernel(y, into=T, sign=-1) finishes to
+def test_kernels_accumulate_a_difference(name):
+    """kernel(x, into=T) then kernel(-y, into=T) finishes to
     kernel(x) - kernel(y), and to nothing when x == y."""
     alg = _build(name)
     ops = _operands(alg, 7)
@@ -152,14 +153,23 @@ def test_kernels_accumulate_a_signed_difference(name):
         second = (y, x) if arity == 2 else (y,)
         table: dict = {}
         assert kernel(*first, into=table) is None
-        kernel(*second, into=table, sign=-1)
+        kernel(-second[0], *second[1:], into=table)
         got = alg.finish(table)
         assert got == ref(alg, *first) - ref(alg, *second), kname
         _assert_reduced(alg, got)
         same: dict = {}
         kernel(*first, into=same)
-        kernel(*first, into=same, sign=-1)
+        kernel(-first[0], *first[1:], into=same)
         assert alg.finish(same).is_zero(), kname
+
+
+@pytest.mark.parametrize("name", list(SPECS))
+def test_filled_provider_pickles(name):
+    alg = _build(name)
+    x, y = _operands(alg, 3)["t2"]
+    expected = alg.t2_mul(x, y)
+    again = pickle.loads(pickle.dumps(alg))
+    assert again.t2_mul(x, y) == expected
 
 
 @pytest.mark.parametrize("name", list(SPECS))
