@@ -297,10 +297,12 @@ class HopfProvider(ABC):
                 left = items(self.multiply_basis(i, k).terms)
                 right = items(self.multiply_basis(j, l).terms)
                 for a, ca in left:
-                    cacd = ca * cd
                     for b, cb in right:
                         key = (a, b)
-                        v = cacd * cb
+                        # structure constants first: at level >= 3 they
+                        # are mostly roots of unity, whose product is a
+                        # table lookup, so only one product is dense
+                        v = ca * cb * cd
                         old = out.get(key)
                         out[key] = v if old is None else old + v
         if into is None:
