@@ -36,26 +36,30 @@ coproducts) is generic and lives here.  Structure constants are
 memoized per instance; all verification windows re-use them.
 
 The kernels (`mul`, `coproduct`, `t2_mul`, `cop_left`, `cop_right`)
-accumulate, then finish once: each reads its operands' coefficients in
-the level's accumulation form (`qhopf.scalars.accumulation`: plain
-ints or Fractions at levels 1 and 2, the Cyclo itself above), adds the
-products into a dict, and turns each nonzero sum into one reduced
-Cyclo.  With `into=table` a kernel adds into a caller's table instead
-and leaves finishing to the caller, so an axiom residual lhs - rhs is
-one table: the caller passes a negated operand for the right side.  A
-Lin always holds reduced, nonzero Cyclos; the accumulation form never
-leaves this protocol.
+accumulate, then finish once.  A kernel table maps each output key to
+a dict exponent -> rational, the exponent form of `qhopf.scalars`: the
+kernels read their operands' coefficients as terms r * omega^e of
+Q[C_N], multiply by adding exponents, and add per exponent.  `finish`
+reduces each key once, modulo the level's cyclotomic polynomial, into
+one reduced Cyclo, and only then drops the keys that vanish.  With
+`into=table` a kernel adds into a caller's table (`table()`) instead,
+so an axiom residual lhs - rhs is one table: the caller passes a
+negated operand for the right side.  A product entry of the cache is
+the Lin a fill returns until a kernel first reads it; that read puts
+its exponent form in its place, and `multiply_basis` reduces the form
+back into a fresh Lin.  A Lin always holds reduced, nonzero Cyclos.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
 from qhopf.elements import Index, Lin
-from qhopf.scalars import Cyclo, accumulation
+from qhopf.scalars import Cyclo, exponent_form, reduce_exponents
 
 
 @dataclass
@@ -102,8 +106,7 @@ class HopfProvider(ABC):
         self.level = level
         self._one = Cyclo.one(level)
         self._zero = Cyclo.zero(level)
-        self.accum = accumulation(level)
-        self._mul_cache: dict[tuple[Index, Index], Lin] = {}
+        self._mul_cache: dict[tuple[Index, Index], Lin | tuple] = {}
         self._cop_cache: dict[Index, Lin] = {}
         self._anti_cache: dict[Index, Lin] = {}
 
@@ -196,8 +199,25 @@ class HopfProvider(ABC):
         key = (i, j)
         hit = self._mul_cache.get(key)
         if hit is None:
-            hit = self._multiply_raw(i, j)
-            self._mul_cache[key] = hit
+            hit = self._mul_cache[key] = self._multiply_raw(i, j)
+        if hit.__class__ is not tuple:
+            return hit
+        table = self.table()
+        for k, e, r in hit:
+            table[k][e] = r
+        return self.finish(table)
+
+    def _mul_form(self, i: Index, j: Index) -> tuple:
+        # e_i * e_j as flat (k, e, r) triples; a kernel's first read
+        # converts the entry, in place of its Lin
+        key = (i, j)
+        hit = self._mul_cache.get(key)
+        if hit.__class__ is not tuple:
+            terms = (self._multiply_raw(i, j) if hit is None else hit).terms
+            form = exponent_form(self.level, terms)
+            hit = self._mul_cache[key] = tuple(
+                (k, e, r) for k, pairs in form for e, r in pairs
+            )
         return hit
 
     def coproduct_basis(self, i: Index) -> Lin:
@@ -226,9 +246,17 @@ class HopfProvider(ABC):
     def one_scalar(self) -> Cyclo:
         return self._one
 
+    def table(self, el: Lin | None = None) -> defaultdict:
+        """A kernel table, key -> {exponent: rational}, holding el."""
+        out: defaultdict = defaultdict(dict)
+        if el is not None:
+            for k, pairs in exponent_form(self.level, el.terms):
+                out[k] = dict(pairs)
+        return out
+
     def finish(self, table: dict) -> Lin:
-        """The Lin of a table in accumulation form."""
-        return Lin(self.accum.finish(table))
+        """The Lin of a kernel table: each key reduced once."""
+        return Lin(reduce_exponents(self.level, table))
 
     # -- generic element operations ----------------------------------------
 
@@ -239,16 +267,19 @@ class HopfProvider(ABC):
         return Lin.basis(i, self.scalar(coeff))
 
     def mul(self, a: Lin, b: Lin, *, into: dict | None = None):
-        out = {} if into is None else into
-        items = self.accum.items
-        bt = items(b.terms)
-        for i, c in items(a.terms):
-            for j, d in bt:
-                cd = c * d
-                for k, s in items(self.multiply_basis(i, j).terms):
-                    v = s * cd
-                    old = out.get(k)
-                    out[k] = v if old is None else old + v
+        out = self.table() if into is None else into
+        form = self._mul_form
+        bt = exponent_form(self.level, b.terms)
+        for i, cp in exponent_form(self.level, a.terms):
+            for j, dp in bt:
+                products = form(i, j)
+                for ec, rc in cp:
+                    for ed, rd in dp:
+                        e0, r0 = ec + ed, rc * rd
+                        for k, es, rs in products:
+                            slot = out[k]
+                            e = e0 + es
+                            slot[e] = slot.get(e, 0) + rs * r0
         if into is None:
             return self.finish(out)
 
@@ -261,15 +292,7 @@ class HopfProvider(ABC):
         return out
 
     def coproduct(self, el: Lin, *, into: dict | None = None):
-        out = {} if into is None else into
-        items = self.accum.items
-        for i, c in items(el.terms):
-            for pair, d in items(self.coproduct_basis(i).terms):
-                v = c * d
-                old = out.get(pair)
-                out[pair] = v if old is None else old + v
-        if into is None:
-            return self.finish(out)
+        return self._delta_into(el, lambda i: ((), i, ()), into)
 
     def counit(self, el: Lin) -> Cyclo:
         out = self._zero
@@ -282,29 +305,35 @@ class HopfProvider(ABC):
     # -- tensors ------------------------------------------------------------
 
     def tensor2(self, a: Lin, b: Lin) -> Lin:
-        items = self.accum.items
-        bt = items(b.terms)
-        return self.finish({(i, j): c * d for i, c in items(a.terms) for j, d in bt})
+        bt = b.terms.items()
+        return Lin({(i, j): c * d for i, c in a.terms.items() for j, d in bt})
 
     def t2_mul(self, s: Lin, t: Lin, *, into: dict | None = None):
         """Componentwise product of 2-tensors."""
-        out = {} if into is None else into
-        items = self.accum.items
-        tt = items(t.terms)
-        for (i, j), c in items(s.terms):
-            for (k, l), d in tt:
-                cd = c * d
-                left = items(self.multiply_basis(i, k).terms)
-                right = items(self.multiply_basis(j, l).terms)
-                for a, ca in left:
-                    for b, cb in right:
-                        key = (a, b)
-                        # structure constants first: at level >= 3 they
-                        # are mostly roots of unity, whose product is a
-                        # table lookup, so only one product is dense
-                        v = ca * cb * cd
-                        old = out.get(key)
-                        out[key] = v if old is None else old + v
+        out = self.table() if into is None else into
+        form = self._mul_form
+        tt = exponent_form(self.level, t.terms)
+        for (i, j), cp in exponent_form(self.level, s.terms):
+            for (k, l), dp in tt:
+                left, right = form(i, k), form(j, l)
+                if len(cp) == len(dp) == 1:
+                    # one pair each (levels 1 and 2, roots of unity)
+                    ((ec, rc),), ((ed, rd),) = cp, dp
+                    for a, ea, ra in left:
+                        e1, r1 = ec + ed + ea, rc * rd * ra
+                        for b, eb, rb in right:
+                            slot = out[a, b]
+                            e = e1 + eb
+                            slot[e] = slot.get(e, 0) + r1 * rb
+                    continue
+                for a, ea, ra in left:
+                    for b, eb, rb in right:
+                        slot = out[a, b]
+                        e1, r1 = ea + eb, ra * rb
+                        for ec, rc in cp:
+                            for ed, rd in dp:
+                                e = e1 + ec + ed
+                                slot[e] = slot.get(e, 0) + r1 * rc * rd
         if into is None:
             return self.finish(out)
 
@@ -319,27 +348,25 @@ class HopfProvider(ABC):
 
     def cop_right(self, t: Lin, *, into: dict | None = None):
         """(id (x) Delta) applied to a 2-tensor."""
-        out = {} if into is None else into
-        items = self.accum.items
-        for (i, j), c in items(t.terms):
-            for (k, l), d in items(self.coproduct_basis(j).terms):
-                key = (i, k, l)
-                v = c * d
-                old = out.get(key)
-                out[key] = v if old is None else old + v
-        if into is None:
-            return self.finish(out)
+        return self._delta_into(t, lambda ij: (ij[:1], ij[1], ()), into)
 
     def cop_left(self, t: Lin, *, into: dict | None = None):
         """(Delta (x) id) applied to a 2-tensor."""
-        out = {} if into is None else into
-        items = self.accum.items
-        for (i, j), c in items(t.terms):
-            for (k, l), d in items(self.coproduct_basis(i).terms):
-                key = (k, l, j)
-                v = c * d
-                old = out.get(key)
-                out[key] = v if old is None else old + v
+        return self._delta_into(t, lambda ij: ((), ij[0], ij[1:]), into)
+
+    def _delta_into(self, t: Lin, split, into: dict | None):
+        # Delta of one leg of each key: split(key) = (legs before, the
+        # leg, legs after)
+        out = self.table() if into is None else into
+        level = self.level
+        for key, cp in exponent_form(level, t.terms):
+            head, i, tail = split(key)
+            for kl, dp in exponent_form(level, self.coproduct_basis(i).terms):
+                slot = out[head + kl + tail]
+                for ec, rc in cp:
+                    for ed, rd in dp:
+                        e = ec + ed
+                        slot[e] = slot.get(e, 0) + rc * rd
         if into is None:
             return self.finish(out)
 

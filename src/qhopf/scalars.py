@@ -32,21 +32,25 @@ read only the reduced (level, num, den) form.  Levels 1 and 2 (plain
 Q) carry no tag and multiply and add on two ints.
 
 Sums of many products (the tensor kernels of `qhopf.families.base`)
-run in an *accumulation form*, given per level by `accumulation`.  At
-levels 1 and 2 it is a plain `int` while the denominator is 1 and a
-`Fraction` once one appears; at level >= 3 it is the `Cyclo` itself.
-A kernel converts its operands' coefficients into that form, adds into
-a dict, and finishes once: each nonzero entry becomes one reduced
-`Cyclo`.  The form never leaves a kernel; every value handed out is a
-reduced `Cyclo`.
+run in an *exponent form*: an element sum_e r_e omega^e of the group
+algebra Q[C_N], stored as (exponent, rational) pairs by
+`exponent_form`.  A tagged scalar is the one pair (unit, 1); a dense
+scalar puts coordinate i, which is zeta^i, at exponent (N / n) * i; at
+levels 1 and 2 the only exponent is 0 and the rational is an int, or a
+Fraction once a denominator appears.  A product adds exponents and
+multiplies rationals, a sum adds per exponent, and no scalar is built
+until `reduce_exponents` reduces each output key once, through the
+sparse rows of omega^e (exponents taken mod N), into one reduced
+scalar.  Zero is decided only there: a sum can be nonzero in Q[C_N]
+and still vanish modulo Phi_n.  The form never leaves a kernel; every
+value handed out is a reduced `Cyclo`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd, lcm
-from typing import Callable, NamedTuple
 
 
 class ScalarError(ValueError):
@@ -112,9 +116,10 @@ def _reduction_rows(level: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _units(level: int) -> tuple[dict, tuple, tuple]:
-    # the roots of unity of Q(zeta_level) (phi(level) > 1), indexed by
-    # their exponent e of omega: (vector -> e, tagged values, sparse
-    # vectors as (coordinate, coefficient) pairs)
+    # the roots of unity of Q(zeta_level), indexed by their exponent e
+    # of omega: (vector -> e, tagged values, sparse vectors as
+    # (coordinate, coefficient) pairs); at levels 1 and 2, where
+    # omega = -1 and nothing is tagged, only the sparse vectors are read
     rows = _reduction_rows(level)
     if level % 2 == 0:
         vectors = [rows[e] for e in range(level)]
@@ -502,46 +507,71 @@ def common_level(a: Cyclo, b: Cyclo) -> tuple[Cyclo, Cyclo]:
     return a.lift(l), b.lift(l)
 
 
-# -- accumulation form ------------------------------------------------
+# -- exponent form ----------------------------------------------------
 
 
-class Accumulation(NamedTuple):
-    """The accumulation form of one level, see the module docstring."""
-
-    value: Callable  # Cyclo -> its form
-    items: Callable  # dict of Cyclos -> re-iterable (key, form) pairs
-    finish: Callable  # dict of forms -> its nonzero entries as reduced Cyclos
-
-
-def _same(c: Cyclo) -> Cyclo:
-    return c
-
-
-def _nonzero(table: dict) -> dict:
-    return {k: v for k, v in table.items() if v}
-
-
-def _rational(c: Cyclo) -> int | Fraction:
-    n, d = c.num[0], c.den
-    return n if d == 1 else Fraction(n, d)
-
-
-def _rational_items(terms: dict) -> list:
-    return [(k, _rational(c)) for k, c in terms.items()]
+def exponent_form(level: int, terms: dict) -> list[tuple]:
+    """(key, pairs) per entry of a dict of level-`level` scalars, with
+    pairs the scalar's (e, r) terms r * omega^e in Q[C_N], see the
+    module docstring."""
+    step = len(_units(level)[2]) // level
+    out = []
+    for k, c in terms.items():
+        u = c.unit
+        num, den = c.num, c.den
+        if u is not None:
+            pairs = ((u, 1),)
+        elif len(num) == 1:
+            pairs = ((0, num[0] if den == 1 else Fraction(num[0], den)),)
+        elif den == 1:
+            pairs = tuple([(step * i, n) for i, n in enumerate(num) if n])
+        else:
+            pairs = tuple(
+                [(step * i, Fraction(n, den)) for i, n in enumerate(num) if n]
+            )
+        out.append((k, pairs))
+    return out
 
 
-def _rational_finish(level: int, table: dict) -> dict:
-    # int and Fraction are already reduced
-    return {
-        k: _make(level, (v.numerator,), v.denominator, None)
-        for k, v in table.items()
-        if v
-    }
-
-
-@lru_cache(maxsize=None)
-def accumulation(level: int) -> Accumulation:
-    """The accumulation form at this level, shared."""
-    if euler_phi(level) > 1:
-        return Accumulation(_same, dict.items, _nonzero)
-    return Accumulation(_rational, _rational_items, partial(_rational_finish, level))
+def reduce_exponents(level: int, table: dict) -> dict:
+    """key -> sum r * omega^e, reduced modulo Phi_level, for each key of
+    a table key -> {e: r} whose sum is nonzero."""
+    sparse = _units(level)[2]
+    n = len(sparse)
+    half = n // 2
+    deg = euler_phi(level)
+    out = {}
+    for key, terms in table.items():
+        if len(terms) == 1:
+            ((e, r),) = terms.items()
+            if not r:
+                continue
+            if n == 2:
+                # levels 1 and 2: omega = -1; int and Fraction are reduced
+                sign = sparse[e % 2][0][1]
+                out[key] = _make(level, (sign * r.numerator,), r.denominator, None)
+                continue
+            if r == 1:
+                out[key] = _root(level, e)
+                continue
+        # fold first, since omega^(e + N/2) = -omega^e: each root of
+        # unity up to sign gets one coefficient, and the terms that
+        # cancel there are never expanded
+        folded: dict = {}
+        for e, r in terms.items():
+            if r:
+                e %= n
+                if e >= half:
+                    e -= half
+                    r = -r
+                folded[e] = folded.get(e, 0) + r
+        den = lcm(*[r.denominator for r in folded.values()])
+        vec = [0] * deg
+        for e, r in folded.items():
+            if r:
+                c = r.numerator * (den // r.denominator)
+                for t, x in sparse[e]:
+                    vec[t] += c * x
+        if any(vec):
+            out[key] = Cyclo(level, vec, den)
+    return out

@@ -15,10 +15,11 @@ The axioms, per basis index e (and index pairs for the bialgebra law):
 Each residual is accumulated as lhs - rhs in one table.  The
 coassociativity, antipode and bialgebra residuals go through the
 provider's kernels with `into=table`: the left side as is, the right
-side with one operand negated, in the level's accumulation form (see
-`qhopf.scalars`), and the table is finished once.  A check that holds
-leaves only zero entries, and finishing them builds no scalar.  The
-counit residual is one pass over Delta(e) and adds Cyclos with `acc`.
+side with one operand negated, in the exponent form of `qhopf.scalars`
+(terms of Q[C_N]), and the table is finished once: each key is reduced
+modulo the cyclotomic polynomial, and only then tested for zero.  A
+check that holds builds no scalar.  The counit residual is one pass
+over Delta(e) and adds Cyclos with `acc`.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class AxiomReport:
 
 def coassociativity_residual(alg: HopfProvider, idx) -> Lin:
     t = alg.coproduct_basis(idx)
-    table: dict = {}
+    table = alg.table()
     alg.cop_left(t, into=table)
     alg.cop_right(-t, into=table)
     return alg.finish(table)
@@ -84,9 +85,8 @@ def counit_residuals(alg: HopfProvider, idx) -> tuple[Lin, Lin]:
 
 
 def antipode_residuals(alg: HopfProvider, idx) -> tuple[Lin, Lin]:
-    target = -alg.accum.value(alg.counit_basis(idx))
-    left = {alg.unit_index(): target}
-    right = {alg.unit_index(): target}
+    target = Lin.basis(alg.unit_index(), -alg.counit_basis(idx))
+    left, right = alg.table(target), alg.table(target)
     for (i, j), c in alg.coproduct_basis(idx).terms.items():
         alg.mul(alg.antipode_basis(i), alg.basis_el(j, c), into=left)
         alg.mul(alg.basis_el(i, c), alg.antipode_basis(j), into=right)
@@ -95,7 +95,7 @@ def antipode_residuals(alg: HopfProvider, idx) -> tuple[Lin, Lin]:
 
 def bialgebra_residuals(alg: HopfProvider, i, j) -> tuple[Lin, Cyclo]:
     prod = alg.multiply_basis(i, j)
-    table: dict = {}
+    table = alg.table()
     alg.coproduct(prod, into=table)
     alg.t2_mul(alg.coproduct_basis(i), -alg.coproduct_basis(j), into=table)
     eps = alg.counit(prod) - alg.counit_basis(i) * alg.counit_basis(j)
@@ -204,8 +204,8 @@ def _scan_pairs_parallel(alg: HopfProvider, window: int, jobs: int) -> tuple[int
     # workers get the provider's class and parameters and rebuild it,
     # so each refills its own structure-constant caches; a filled
     # provider would pickle (Cyclo reduces to its constructor
-    # arguments, the accumulation form to module-level functions),
-    # but its caches are not shipped
+    # arguments, and the product cache holds Lins or exponent forms of
+    # ints and Fractions), but its caches are not shipped
     work = [(type(alg), alg.params, window, slot, jobs) for slot in range(jobs)]
     with mp.Pool(jobs) as pool:
         results = pool.map(_pair_worker, work)

@@ -1,9 +1,10 @@
 """The five tensor kernels against plain Cyclo loops.
 
-Each kernel accumulates in the level's accumulation form and finishes
-once; the reference loops below multiply and add `Cyclo`s term by term
-through `acc`.  Both must give the same Lin, and every coefficient the
-kernels hand out must be a nonzero, reduced `Cyclo`.
+Each kernel accumulates in the exponent form of `qhopf.scalars` and
+reduces each output key once; the reference loops below multiply and
+add `Cyclo`s term by term through `acc`.  Both must give the same Lin,
+and every coefficient the kernels hand out must be a nonzero, reduced
+`Cyclo`.
 """
 
 import json
@@ -28,6 +29,8 @@ SPECS = {
     "clift_2_3over2": {"family": "CLift", "n": 2, "q": "3/2"},
     "a_2_z3": None,  # level 3
     "b_2_123_z12": None,  # level 12
+    "clift_3_z4": None,  # level 4, dense structure constants with denominators
+    "b_7_135_z105": None,  # level 105
 }
 
 
@@ -151,13 +154,13 @@ def test_kernels_accumulate_a_difference(name):
         x, y = ops[kind]
         first = (x, y) if arity == 2 else (x,)
         second = (y, x) if arity == 2 else (y,)
-        table: dict = {}
+        table = alg.table()
         assert kernel(*first, into=table) is None
         kernel(-second[0], *second[1:], into=table)
         got = alg.finish(table)
         assert got == ref(alg, *first) - ref(alg, *second), kname
         _assert_reduced(alg, got)
-        same: dict = {}
+        same = alg.table()
         kernel(*first, into=same)
         kernel(-first[0], *first[1:], into=same)
         assert alg.finish(same).is_zero(), kname

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from qhopf.scalars import (
     Cyclo,
     ScalarError,
-    accumulation,
     common_level,
     cyclotomic_polynomial,
     euler_phi,
+    exponent_form,
+    reduce_exponents,
 )
 
 
@@ -261,33 +262,79 @@ def test_zero_and_one_are_shared(level):
         assert first.unit == fresh.unit
 
 
-@pytest.mark.parametrize("level", (1, 2, 4, 12))
+def _pairs(level, c):
+    """The (exponent, rational) pairs of one scalar."""
+    ((_, pairs),) = exponent_form(level, {"c": c})
+    return pairs
+
+
+def _add_product(slot, p, q):
+    for e, r in p:
+        for f, s in q:
+            slot[e + f] = slot.get(e + f, 0) + r * s
+
+
+@pytest.mark.parametrize("level", (1, 2, 4, 12, 105))
 def test_accumulation_form_sums_like_cyclo(level):
-    """Products summed in the accumulation form finish to the Cyclo sum;
-    a cancelled entry finishes to nothing."""
-    form = accumulation(level)
+    """Products summed in the exponent form reduce to the Cyclo sum;
+    a cancelled entry reduces to nothing."""
     rng = random.Random(level)
     deg = euler_phi(level)
     values = [
         Cyclo(level, [rng.randint(-4, 4) for _ in range(deg)], rng.choice([1, 1, 2, 6]))
         for _ in range(12)
-    ]
-    table: dict = {}
+    ] + [Cyclo.zeta(level, 5), -Cyclo.zeta(level, 3)]
+    table: dict = {"sum": {}, "gone": {}, "gone_unit": {}}
     want = Cyclo.zero(level)
     for a, b in zip(values, values[1:]):
-        v = form.value(a) * form.value(b)
-        table["sum"] = v if "sum" not in table else table["sum"] + v
+        _add_product(table["sum"], _pairs(level, a), _pairs(level, b))
         want = want + a * b
-    table["gone"] = form.value(values[0]) + -form.value(values[0])
-    assert [v for _, v in form.items({"a": values[0]})] == [form.value(values[0])]
-    out = form.finish(table)
+    one = _pairs(level, Cyclo.one(level))
+    for key, v in (("gone", values[0]), ("gone_unit", values[-1])):
+        _add_product(table[key], _pairs(level, v), one)
+        _add_product(table[key], _pairs(level, -v), one)
+    for v in values:
+        assert reduce_exponents(level, {"a": dict(_pairs(level, v))}) == (
+            {"a": v} if v else {}
+        )
+    out = reduce_exponents(level, table)
     assert list(out) == (["sum"] if want else [])
     for c in out.values():
         fresh = Cyclo(level, list(c.num), c.den)
         assert c == want == fresh and hash(c) == hash(fresh) and c.unit == fresh.unit
     if deg == 1:
-        assert isinstance(form.value(Cyclo.from_fraction(3, level)), int)
-        assert form.value(Cyclo.from_fraction(Fraction(3, 2), level)) == Fraction(3, 2)
+        ((_, three),) = _pairs(level, Cyclo.from_fraction(3, level))
+        assert type(three) is int and three == 3
+        assert _pairs(level, Cyclo.from_fraction(Fraction(3, 2), level)) == (
+            (0, Fraction(3, 2)),
+        )
+    else:
+        assert _pairs(level, values[-1]) == ((values[-1].unit, 1),)
+
+
+@pytest.mark.parametrize("level, changed", ((12, 2), (105, 41)))
+def test_cyclotomic_relation_vanishes_only_when_reduced(level, changed):
+    """The terms a_k zeta^k of Phi_level(zeta) = 0 sit at distinct
+    exponents of Q[C_N], so nothing cancels before the reduction; after
+    it the key is gone.  With one term changed by a non-integer rational,
+    that key is the one survivor, equal to the Cyclo sum."""
+    coeffs = cyclotomic_polynomial(level)
+    if level == 105:
+        assert coeffs[7] == coeffs[41] == -2
+    table: dict = {"phi": {}, "scaled": {}, "changed": {}}
+    want = Cyclo.zero(level)
+    for k, a in enumerate(coeffs):
+        if not a:
+            continue
+        e = Cyclo.zeta(level, k).unit
+        b = a + Fraction(1, 3) if k == changed else a
+        for key, r in (("phi", a), ("scaled", a * Fraction(5, 7)), ("changed", b)):
+            table[key][e] = table[key].get(e, 0) + r
+        want = want + Cyclo.zeta(level, k) * Cyclo.from_fraction(b, level)
+    terms = sum(1 for a in coeffs if a)
+    assert all(len(slot) == terms for slot in table.values())
+    assert reduce_exponents(level, table) == {"changed": want}
+    assert want == Cyclo.zeta(level, changed) * Cyclo.from_fraction(Fraction(1, 3), level)
 
 
 @pytest.mark.parametrize("level", (1, 12, 105))
