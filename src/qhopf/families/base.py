@@ -46,8 +46,10 @@ one reduced Cyclo, and only then drops the keys that vanish.  With
 so an axiom residual lhs - rhs is one table: the caller passes a
 negated operand for the right side.  A product entry of the cache is
 the Lin a fill returns until a kernel first reads it; that read puts
-its exponent form in its place, and `multiply_basis` reduces the form
-back into a fresh Lin.  A Lin always holds reduced, nonzero Cyclos.
+its exponent form in its place, each term carrying the reduced
+coefficient it came from, so `multiply_basis` rebuilds the Lin from
+the entry without arithmetic.  A Lin always holds reduced, nonzero
+Cyclos.
 """
 
 from __future__ import annotations
@@ -202,21 +204,19 @@ class HopfProvider(ABC):
             hit = self._mul_cache[key] = self._multiply_raw(i, j)
         if hit.__class__ is not tuple:
             return hit
-        table = self.table()
-        for k, e, r in hit:
-            table[k][e] = r
-        return self.finish(table)
+        return Lin({k: c for k, _, _, c in hit})
 
     def _mul_form(self, i: Index, j: Index) -> tuple:
-        # e_i * e_j as flat (k, e, r) triples; a kernel's first read
-        # converts the entry, in place of its Lin
+        # e_i * e_j as flat (k, e, r, c) terms, c the reduced coefficient
+        # of e_k that the term belongs to; a kernel's first read converts
+        # the entry, in place of its Lin
         key = (i, j)
         hit = self._mul_cache.get(key)
         if hit.__class__ is not tuple:
             terms = (self._multiply_raw(i, j) if hit is None else hit).terms
-            form = exponent_form(self.level, terms)
+            form = zip(exponent_form(self.level, terms), terms.values())
             hit = self._mul_cache[key] = tuple(
-                (k, e, r) for k, pairs in form for e, r in pairs
+                (k, e, r, c) for (k, pairs), c in form for e, r in pairs
             )
         return hit
 
@@ -267,7 +267,7 @@ class HopfProvider(ABC):
         return Lin.basis(i, self.scalar(coeff))
 
     def mul(self, a: Lin, b: Lin, *, into: dict | None = None):
-        out = self.table() if into is None else into
+        out = defaultdict(dict) if into is None else into
         form = self._mul_form
         bt = exponent_form(self.level, b.terms)
         for i, cp in exponent_form(self.level, a.terms):
@@ -276,7 +276,7 @@ class HopfProvider(ABC):
                 for ec, rc in cp:
                     for ed, rd in dp:
                         e0, r0 = ec + ed, rc * rd
-                        for k, es, rs in products:
+                        for k, es, rs, _ in products:
                             slot = out[k]
                             e = e0 + es
                             slot[e] = slot.get(e, 0) + rs * r0
@@ -310,7 +310,7 @@ class HopfProvider(ABC):
 
     def t2_mul(self, s: Lin, t: Lin, *, into: dict | None = None):
         """Componentwise product of 2-tensors."""
-        out = self.table() if into is None else into
+        out = defaultdict(dict) if into is None else into
         form = self._mul_form
         tt = exponent_form(self.level, t.terms)
         for (i, j), cp in exponent_form(self.level, s.terms):
@@ -319,15 +319,15 @@ class HopfProvider(ABC):
                 if len(cp) == len(dp) == 1:
                     # one pair each (levels 1 and 2, roots of unity)
                     ((ec, rc),), ((ed, rd),) = cp, dp
-                    for a, ea, ra in left:
+                    for a, ea, ra, _ in left:
                         e1, r1 = ec + ed + ea, rc * rd * ra
-                        for b, eb, rb in right:
+                        for b, eb, rb, _ in right:
                             slot = out[a, b]
                             e = e1 + eb
                             slot[e] = slot.get(e, 0) + r1 * rb
                     continue
-                for a, ea, ra in left:
-                    for b, eb, rb in right:
+                for a, ea, ra, _ in left:
+                    for b, eb, rb, _ in right:
                         slot = out[a, b]
                         e1, r1 = ea + eb, ra * rb
                         for ec, rc in cp:
@@ -357,7 +357,7 @@ class HopfProvider(ABC):
     def _delta_into(self, t: Lin, split, into: dict | None):
         # Delta of one leg of each key: split(key) = (legs before, the
         # leg, legs after)
-        out = self.table() if into is None else into
+        out = defaultdict(dict) if into is None else into
         level = self.level
         for key, cp in exponent_form(level, t.terms):
             head, i, tail = split(key)

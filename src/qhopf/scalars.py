@@ -514,22 +514,19 @@ def exponent_form(level: int, terms: dict) -> list[tuple]:
     """(key, pairs) per entry of a dict of level-`level` scalars, with
     pairs the scalar's (e, r) terms r * omega^e in Q[C_N], see the
     module docstring."""
-    step = len(_units(level)[2]) // level
     out = []
     for k, c in terms.items():
         u = c.unit
-        num, den = c.num, c.den
         if u is not None:
-            pairs = ((u, 1),)
-        elif len(num) == 1:
-            pairs = ((0, num[0] if den == 1 else Fraction(num[0], den)),)
-        elif den == 1:
-            pairs = tuple([(step * i, n) for i, n in enumerate(num) if n])
-        else:
-            pairs = tuple(
-                [(step * i, Fraction(n, den)) for i, n in enumerate(num) if n]
-            )
-        out.append((k, pairs))
+            out.append((k, ((u, 1),)))
+            continue
+        num, den = c.num, c.den
+        if len(num) == 1:
+            out.append((k, ((0, num[0] if den == 1 else Fraction(num[0], den)),)))
+            continue
+        step = len(_units(level)[2]) // level
+        rs = num if den == 1 else [Fraction(n, den) for n in num]
+        out.append((k, tuple((step * i, r) for i, r in enumerate(rs) if r)))
     return out
 
 
@@ -539,7 +536,6 @@ def reduce_exponents(level: int, table: dict) -> dict:
     sparse = _units(level)[2]
     n = len(sparse)
     half = n // 2
-    deg = euler_phi(level)
     out = {}
     for key, terms in table.items():
         if len(terms) == 1:
@@ -566,7 +562,7 @@ def reduce_exponents(level: int, table: dict) -> dict:
                     r = -r
                 folded[e] = folded.get(e, 0) + r
         den = lcm(*[r.denominator for r in folded.values()])
-        vec = [0] * deg
+        vec = [0] * euler_phi(level)
         for e, r in folded.items():
             if r:
                 c = r.numerator * (den // r.denominator)
