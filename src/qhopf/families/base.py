@@ -267,7 +267,7 @@ class HopfProvider(ABC):
         return Lin.basis(i, self.scalar(coeff))
 
     def mul(self, a: Lin, b: Lin, *, into: dict | None = None):
-        out = defaultdict(dict) if into is None else into
+        out = self.table() if into is None else into
         form = self._mul_form
         bt = exponent_form(self.level, b.terms)
         for i, cp in exponent_form(self.level, a.terms):
@@ -310,7 +310,7 @@ class HopfProvider(ABC):
 
     def t2_mul(self, s: Lin, t: Lin, *, into: dict | None = None):
         """Componentwise product of 2-tensors."""
-        out = defaultdict(dict) if into is None else into
+        out = self.table() if into is None else into
         form = self._mul_form
         tt = exponent_form(self.level, t.terms)
         for (i, j), cp in exponent_form(self.level, s.terms):
@@ -357,7 +357,7 @@ class HopfProvider(ABC):
     def _delta_into(self, t: Lin, split, into: dict | None):
         # Delta of one leg of each key: split(key) = (legs before, the
         # leg, legs after)
-        out = defaultdict(dict) if into is None else into
+        out = self.table() if into is None else into
         level = self.level
         for key, cp in exponent_form(level, t.terms):
             head, i, tail = split(key)

@@ -17,9 +17,9 @@ coassociativity, antipode and bialgebra residuals go through the
 provider's kernels with `into=table`: the left side as is, the right
 side with one operand negated, in the exponent form of `qhopf.scalars`
 (terms of Q[C_N]), and the table is finished once: each key is reduced
-modulo the cyclotomic polynomial, and only then tested for zero.  A
-check that holds builds no scalar.  The counit residual is one pass
-over Delta(e) and adds Cyclos with `acc`.
+modulo the cyclotomic polynomial, and only then tested for zero, so
+finishing the table of a check that holds builds no scalar.  The
+counit residual is one pass over Delta(e) and adds Cyclos with `acc`.
 """
 
 from __future__ import annotations
