@@ -10,7 +10,8 @@ qhopf.params):
     qhopf report INSTANCE        instance echo + axioms + invariants
 
 Exit codes: 0 success (iso: isomorphic), 1 axiom or comodule check
-failure, 2 input error, 3 non-isomorphic.
+failure, 2 input error, 3 non-isomorphic, 4 internal error (an
+uncaught exception: a bug in qhopf, reported with its traceback).
 
 `--format structured` emits a JSON document with sorted keys and no
 timing data, so repeated runs are byte-identical; the human format
@@ -367,6 +368,13 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # not the axiom-failure code 1: an exception here is a bug
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -44,12 +44,18 @@ reduces each key once, modulo the level's cyclotomic polynomial, into
 one reduced Cyclo, and only then drops the keys that vanish.  With
 `into=table` a kernel adds into a caller's table (`table()`) instead,
 so an axiom residual lhs - rhs is one table: the caller passes a
-negated operand for the right side.  A product entry of the cache is
-the Lin a fill returns until a kernel first reads it; that read puts
-its exponent form in its place, each term carrying the reduced
-coefficient it came from, so `multiply_basis` rebuilds the Lin from
-the entry without arithmetic.  A Lin always holds reduced, nonzero
-Cyclos.
+negated operand for the right side, or `sign=-1` to `cop_right`.
+
+Structure constants are cached once per index, each with its exponent
+form.  A product entry is the Lin a fill returns until a kernel first
+reads it; that read puts its exponent form in its place, each term
+carrying the reduced coefficient it came from, so `multiply_basis`
+rebuilds the Lin from the entry without arithmetic.  A coproduct entry
+is a `FormLin`: the Lin that `coproduct_basis` hands out, plus the form
+the kernels read.  A family may return a FormLin from `_coproduct_raw`
+whose form is not the reduced coefficients' (the A and B families use
+the Gauss polynomials of `qhopf.qcombinat`); any other Lin is converted
+once, at its fill.  A Lin always holds reduced, nonzero Cyclos.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from qhopf.elements import Index, Lin
 from qhopf.scalars import Cyclo, exponent_form, reduce_exponents
@@ -80,6 +87,26 @@ class Presentation:
 def _spell(word: tuple[str, ...]) -> tuple[str, ...]:
     """Rule letters as generator names: G is g^-1."""
     return tuple(f"{a.lower()}^-1" if a[0].isupper() else a for a in word)
+
+
+class FormLin(Lin):
+    """A Lin that carries an exponent form of its coefficients: (key,
+    pairs) per term, the pairs (e, r) summing to the term's coefficient
+    modulo the cyclotomic polynomial.  Derived Lins (sums, negations,
+    relabellings) are plain Lins."""
+
+    __slots__ = ("form",)
+
+    def __init__(self, terms: dict, form: tuple):
+        super().__init__(terms)
+        self.form = form
+
+    @staticmethod
+    def of(triples) -> FormLin:
+        """From (key, reduced coefficient, pairs) triples."""
+        triples = list(triples)
+        terms = {k: c for k, c, _ in triples}
+        return FormLin(terms, tuple((k, p) for k, _, p in triples))
 
 
 class PowCache:
@@ -109,7 +136,7 @@ class HopfProvider(ABC):
         self._one = Cyclo.one(level)
         self._zero = Cyclo.zero(level)
         self._mul_cache: dict[tuple[Index, Index], Lin | tuple] = {}
-        self._cop_cache: dict[Index, Lin] = {}
+        self._cop_cache: dict[Index, FormLin] = {}
         self._anti_cache: dict[Index, Lin] = {}
 
     # -- family-specific structure constants ---------------------------
@@ -214,16 +241,24 @@ class HopfProvider(ABC):
         hit = self._mul_cache.get(key)
         if hit.__class__ is not tuple:
             terms = (self._multiply_raw(i, j) if hit is None else hit).terms
+            if len(terms) == 1:
+                # a monomial times a root of unity: one term, (unit, 1)
+                ((k, c),) = terms.items()
+                if c.unit is not None:
+                    hit = self._mul_cache[key] = ((k, c.unit, 1, c),)
+                    return hit
             form = zip(exponent_form(self.level, terms), terms.values())
             hit = self._mul_cache[key] = tuple(
                 (k, e, r, c) for (k, pairs), c in form for e, r in pairs
             )
         return hit
 
-    def coproduct_basis(self, i: Index) -> Lin:
+    def coproduct_basis(self, i: Index) -> FormLin:
         hit = self._cop_cache.get(i)
         if hit is None:
             hit = self._coproduct_raw(i)
+            if hit.__class__ is not FormLin:
+                hit = FormLin(hit.terms, tuple(exponent_form(self.level, hit.terms)))
             self._cop_cache[i] = hit
         return hit
 
@@ -246,17 +281,40 @@ class HopfProvider(ABC):
     def one_scalar(self) -> Cyclo:
         return self._one
 
+    def _form(self, el: Lin):
+        # the (key, pairs) terms a kernel reads: a FormLin's own form,
+        # any other Lin's reduced coefficients
+        if el.__class__ is FormLin:
+            return el.form
+        return exponent_form(self.level, el.terms)
+
     def table(self, el: Lin | None = None) -> defaultdict:
         """A kernel table, key -> {exponent: rational}, holding el."""
         out: defaultdict = defaultdict(dict)
         if el is not None:
-            for k, pairs in exponent_form(self.level, el.terms):
+            for k, pairs in self._form(el):
                 out[k] = dict(pairs)
         return out
 
     def finish(self, table: dict) -> Lin:
         """The Lin of a kernel table: each key reduced once."""
         return Lin(reduce_exponents(self.level, table))
+
+    def form_lin(self, table: dict) -> FormLin:
+        """The FormLin of a kernel table: each key reduced once, those
+        that vanish dropped, the others keeping their terms with the
+        exponents folded mod N (not shortened to the reduced value)."""
+        values = reduce_exponents(self.level, table)
+        n = lcm(2, self.level)
+        form = []
+        for k in values:
+            folded: dict = {}
+            for e, r in table[k].items():
+                if r:
+                    e %= n
+                    folded[e] = folded.get(e, 0) + r
+            form.append((k, tuple((e, r) for e, r in folded.items() if r)))
+        return FormLin(values, tuple(form))
 
     # -- generic element operations ----------------------------------------
 
@@ -269,8 +327,8 @@ class HopfProvider(ABC):
     def mul(self, a: Lin, b: Lin, *, into: dict | None = None):
         out = self.table() if into is None else into
         form = self._mul_form
-        bt = exponent_form(self.level, b.terms)
-        for i, cp in exponent_form(self.level, a.terms):
+        bt = self._form(b)
+        for i, cp in self._form(a):
             for j, dp in bt:
                 products = form(i, j)
                 for ec, rc in cp:
@@ -312,8 +370,8 @@ class HopfProvider(ABC):
         """Componentwise product of 2-tensors."""
         out = self.table() if into is None else into
         form = self._mul_form
-        tt = exponent_form(self.level, t.terms)
-        for (i, j), cp in exponent_form(self.level, s.terms):
+        tt = self._form(t)
+        for (i, j), cp in self._form(s):
             for (k, l), dp in tt:
                 left, right = form(i, k), form(j, l)
                 if len(cp) == len(dp) == 1:
@@ -346,22 +404,25 @@ class HopfProvider(ABC):
             out = self.t2_mul(out, s)
         return out
 
-    def cop_right(self, t: Lin, *, into: dict | None = None):
-        """(id (x) Delta) applied to a 2-tensor."""
-        return self._delta_into(t, lambda ij: (ij[:1], ij[1], ()), into)
+    def cop_right(self, t: Lin, *, into: dict | None = None, sign: int = 1):
+        """sign * (id (x) Delta) applied to a 2-tensor; sign=-1 is the
+        coassociativity rhs, so the cached Delta(e) is never negated."""
+        return self._delta_into(t, lambda ij: (ij[:1], ij[1], ()), into, sign)
 
     def cop_left(self, t: Lin, *, into: dict | None = None):
         """(Delta (x) id) applied to a 2-tensor."""
         return self._delta_into(t, lambda ij: ((), ij[0], ij[1:]), into)
 
-    def _delta_into(self, t: Lin, split, into: dict | None):
-        # Delta of one leg of each key: split(key) = (legs before, the
-        # leg, legs after)
+    def _delta_into(self, t: Lin, split, into: dict | None, sign: int = 1):
+        # sign * Delta of one leg of each key: split(key) = (legs before,
+        # the leg, legs after)
         out = self.table() if into is None else into
-        level = self.level
-        for key, cp in exponent_form(level, t.terms):
+        cop = self.coproduct_basis
+        for key, cp in self._form(t):
+            if sign < 0:
+                cp = [(e, -r) for e, r in cp]
             head, i, tail = split(key)
-            for kl, dp in exponent_form(level, self.coproduct_basis(i).terms):
+            for kl, dp in cop(i).form:
                 slot = out[head + kl + tail]
                 for ec, rc in cp:
                     for ed, rd in dp:

@@ -7,15 +7,19 @@ Basis monomials are y^a x^b (a >= 0, b in Z), keyed by the index
     (y^a x^b)(y^c x^d) = q^(b c) y^(a+c) x^(b+d).
 
 Coproducts of powers of y run through the skew binomial theorem with
-ratio q^n, since (x^n ox y)(y ox 1) = q^n (y ox 1)(x^n ox y).
+ratio q^n, since (x^n ox y)(y ox 1) = q^n (y ox 1)(x^n ox y):
+
+    Delta(y^a x^b) = sum_r (a choose r)_(q^n) y^(a-r) x^(n r + b) ox y^r x^b,
+
+each coefficient kept in its Gauss-polynomial form (`skew_binomial_forms`).
 """
 
 from __future__ import annotations
 
-from qhopf.elements import Lin, lin_from_pairs
-from qhopf.families.base import HopfProvider, PowCache
+from qhopf.elements import Lin
+from qhopf.families.base import FormLin, HopfProvider, PowCache
 from qhopf.params import AParams
-from qhopf.qcombinat import skew_binomial_coeffs
+from qhopf.qcombinat import skew_binomial_forms
 
 
 class FamilyA(HopfProvider):
@@ -27,12 +31,12 @@ class FamilyA(HopfProvider):
         self.n = params.n
         self.q = params.q.to_cyclo(self.level)
         self.qpow = PowCache(self.q)
-        self._skew_cache: dict[int, list] = {}
+        self._skew_cache: dict[int, dict] = {}
 
-    def _skew(self, a: int) -> list:
+    def _skew(self, a: int) -> dict:
         hit = self._skew_cache.get(a)
         if hit is None:
-            hit = skew_binomial_coeffs(a, self.qpow(self.n))
+            hit = skew_binomial_forms(a, self.qpow(self.n))
             self._skew_cache[a] = hit
         return hit
 
@@ -42,11 +46,10 @@ class FamilyA(HopfProvider):
 
     def _coproduct_raw(self, i):
         a, b = i
-        coeffs = self._skew(a)
-        pairs = [
-            (((a - r, self.n * r + b), (r, b)), coeffs[r]) for r in range(a + 1)
-        ]
-        return lin_from_pairs(pairs, self.level)
+        return FormLin.of(
+            (((a - r, self.n * r + b), (r, b)), c, pairs)
+            for r, (c, pairs) in self._skew(a).items()
+        )
 
     def _antipode_raw(self, i):
         # S(y^a x^b) = x^(-b) (-x^(-n) y)^a

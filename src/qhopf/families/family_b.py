@@ -20,14 +20,19 @@ the closed forms for Delta(y_i)^(d_i); each of those is a skew
 binomial expansion with ratio q^(m_i^2 n), because
 
     (x^(m_i n) ox y_i)(y_i ox 1) = q^(m_i^2 n) (y_i ox 1)(x^(m_i n) ox y_i).
+
+The products run in the exponent form from the Gauss polynomials of
+`skew_binomial_forms`, so each coefficient of Delta(y^d x^b) keeps a
+product of Gauss forms in Q[C_N]; it is reduced once, and dropped if it
+vanishes.
 """
 
 from __future__ import annotations
 
-from qhopf.elements import Lin, lin_from_pairs
-from qhopf.families.base import HopfProvider, PowCache
+from qhopf.elements import Lin
+from qhopf.families.base import FormLin, HopfProvider, PowCache
 from qhopf.params import BParams
-from qhopf.qcombinat import skew_binomial_coeffs
+from qhopf.qcombinat import skew_binomial_forms
 
 
 class FamilyB(HopfProvider):
@@ -48,7 +53,7 @@ class FamilyB(HopfProvider):
         self.qpow = PowCache(self.q)
         # skew ratio for Delta(y_i) powers
         self._ratios = tuple(self.qpow(self.mm[i] ** 2 * self.n) for i in range(self.s))
-        self._ypow_cop_cache: dict[tuple[int, int], Lin] = {}
+        self._ypow_cop_cache: dict[tuple[int, int], FormLin] = {}
         self.letters = tuple(
             (f"y{i + 1}", False, None if i == 0 else cap - 1)
             for i, cap in enumerate(self.pp)
@@ -82,25 +87,22 @@ class FamilyB(HopfProvider):
     # -- structure constants ---------------------------------------------
 
     def _multiply_raw(self, i, j):
+        # a power of q is never zero, so no Lin.basis test
         coeff = self.qpow(i[-1] * self.mu(j))
-        return Lin.basis(self.canon(x + y for x, y in zip(i, j)), coeff)
+        return Lin({self.canon([x + y for x, y in zip(i, j)]): coeff})
 
-    def _cop_ypow(self, i: int, k: int) -> Lin:
+    def _cop_ypow(self, i: int, k: int) -> FormLin:
         """Delta(y_i)^k = sum_r (k choose r)_(ratio_i) y_i^(k-r) x^(m_i n r) ox y_i^r."""
         key = (i, k)
         hit = self._ypow_cop_cache.get(key)
         if hit is None:
-            coeffs = skew_binomial_coeffs(k, self._ratios[i])
             step = self.mm[i] * self.n
-            pairs = []
-            for r in range(k + 1):
-                left = self.multiply_basis(
-                    self._yi_index(i, k - r), self._x_index(step * r)
-                )
-                ((li, lc),) = list(left.terms.items())
-                pairs.append(((li, self._yi_index(i, r)), coeffs[r] * lc))
-            hit = lin_from_pairs(pairs, self.level)
-            self._ypow_cop_cache[key] = hit
+            yi = self._yi_index
+            # y_i^(k-r) x^(step r) is already in normal order
+            hit = self._ypow_cop_cache[key] = FormLin.of(
+                ((yi(i, k - r)[:-1] + (step * r,), yi(i, r)), c, pairs)
+                for r, (c, pairs) in skew_binomial_forms(k, self._ratios[i]).items()
+            )
         return hit
 
     def _coproduct_raw(self, i):
@@ -108,7 +110,9 @@ class FamilyB(HopfProvider):
         out = Lin.basis((self._x_index(b), self._x_index(b)), self.one_scalar())
         for pos in range(self.s - 1, -1, -1):
             if d[pos]:
-                out = self.t2_mul(self._cop_ypow(pos, d[pos]), out)
+                table = self.table()
+                self.t2_mul(self._cop_ypow(pos, d[pos]), out, into=table)
+                out = self.form_lin(table)
         return out
 
     def _antipode_raw(self, i):

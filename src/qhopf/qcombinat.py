@@ -12,15 +12,26 @@ with vu = q uv,
     (u + v)^a  =  sum_r  (a choose r)_q  u^(a-r) v^r.
 
 Every coproduct power in the family modules goes through
-`skew_binomial_coeffs`, so the convention cannot drift between
-families.
+`skew_binomial_forms`, so the convention cannot drift between
+families.  It hands the coefficients out in the exponent form of
+`qhopf.scalars`: at a ratio omega^u, a root of unity,
+
+    (a choose r)_(omega^u)  =  sum_j  g_j omega^(u j)    in Q[C_N],
+
+with g_j the coefficients of the Gauss polynomial.  The kernels of
+`qhopf.families.base` multiply and add these forms, and the identities
+of Z[q] (q-Vandermonde, the skew binomial theorem itself) hold term by
+term in Q[C_N], since q -> omega^u is a ring map.  So the two sides of
+an axiom residual mostly cancel there, before any reduction modulo the
+cyclotomic polynomial.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import lcm
 
-from qhopf.scalars import Cyclo, divexact
+from qhopf.scalars import Cyclo, divexact, exponent_form, reduce_exponents
 
 QPoly = tuple[int, ...]
 
@@ -90,12 +101,32 @@ def gauss_binomial(a: int, r: int) -> QPoly:
     return out
 
 
-def skew_binomial_coeffs(a: int, q: Cyclo) -> list[Cyclo]:
-    """[(a choose r)_q evaluated at q, for r = 0..a].
+def skew_binomial_forms(a: int, ratio: Cyclo) -> dict[int, tuple]:
+    """r -> (value, pairs) for the (a choose r)_ratio, 0 <= r <= a, that
+    do not vanish; these are the coefficients of u^(a-r) v^r in (u+v)^a
+    when vu = ratio uv.
 
-    These are the coefficients of u^(a-r) v^r in (u+v)^a when vu = q uv.
+    value is the reduced scalar; pairs are (e, g) terms g * omega^e of
+    Q[C_N].  For ratio = omega^u they are the Gauss polynomial itself,
+    exponents folded mod N and kept even where the reduced value has
+    fewer terms; any other ratio (a rational one) gets the form of its
+    value.  Each value is reduced once, here.
     """
-    return [qp_eval(gauss_binomial(a, r), q) for r in range(a + 1)]
+    level, u, n = ratio.level, ratio.unit, lcm(2, ratio.level)
+    forms = {}
+    for r in range(a + 1):
+        g = gauss_binomial(a, r)
+        if u is None:
+            ((_, pairs),) = exponent_form(level, {r: qp_eval(g, ratio)})
+            forms[r] = dict(pairs)
+            continue
+        folded: dict = {}
+        for j, c in enumerate(g):
+            e = u * j % n
+            folded[e] = folded.get(e, 0) + c
+        forms[r] = folded
+    values = reduce_exponents(level, forms)
+    return {r: (c, tuple(forms[r].items())) for r, c in values.items()}
 
 
 def vanishing_criterion(a: int, xi: Cyclo) -> bool:

@@ -42,8 +42,13 @@ multiplies rationals, a sum adds per exponent, and no scalar is built
 until `reduce_exponents` reduces each output key once, through the
 sparse rows of omega^e (exponents taken mod N), into one reduced
 scalar.  Zero is decided only there: a sum can be nonzero in Q[C_N]
-and still vanish modulo Phi_n.  The form never leaves a kernel; every
-value handed out is a reduced `Cyclo`.
+and still vanish modulo Phi_n.  Structure constants are cached in the
+form as well (see `qhopf.families.base`), and a form need not be the
+one its reduced value gives: the A and B coproducts keep each
+coefficient as its Gauss polynomial over the roots of unity
+(`qhopf.qcombinat`), so that most terms of an axiom residual cancel in
+Q[C_N] before any reduction.  Every value handed out is a reduced
+`Cyclo`.
 """
 
 from __future__ import annotations

@@ -60,6 +60,20 @@ def test_exit_1_on_axiom_failure(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_exit_4_on_internal_error(capsys, monkeypatch):
+    """An uncaught exception is a bug, not an axiom failure (exit 1)."""
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(cli, "verify_axioms", crash)
+    code, out, err = run_cli(capsys, "verify", fixture("a_2_z3"))
+    assert code == 4
+    assert out == ""
+    assert "Traceback" in err
+    assert err.endswith("internal error: RuntimeError: injected fault\n")
+
+
 @pytest.mark.parametrize(
     "name,fragment",
     [

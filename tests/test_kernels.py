@@ -167,6 +167,19 @@ def test_kernels_accumulate_a_difference(name):
 
 
 @pytest.mark.parametrize("name", list(SPECS))
+def test_cop_right_subtracts_with_sign(name):
+    """sign=-1 adds -(id ox Delta)(x) without a negated copy of x."""
+    alg = _build(name)
+    x, y = _operands(alg, 5)["t2"]
+    table = alg.table()
+    alg.cop_right(x, into=table)
+    alg.cop_right(y, into=table, sign=-1)
+    got = alg.finish(table)
+    assert got == ref_cop_right(alg, x) - ref_cop_right(alg, y)
+    _assert_reduced(alg, got)
+
+
+@pytest.mark.parametrize("name", list(SPECS))
 def test_filled_provider_pickles(name):
     alg = _build(name)
     x, y = _operands(alg, 3)["t2"]
