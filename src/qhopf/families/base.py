@@ -44,7 +44,7 @@ reduces each key once, modulo the level's cyclotomic polynomial, into
 one reduced Cyclo, and only then drops the keys that vanish.  With
 `into=table` a kernel adds into a caller's table (`table()`) instead,
 so an axiom residual lhs - rhs is one table: the caller passes a
-negated operand for the right side, or `sign=-1` to `cop_right`.
+negated operand for the right side.
 
 Structure constants are cached once per index, each with its exponent
 form.  A product entry is the Lin a fill returns until a kernel first
@@ -55,7 +55,9 @@ is a `FormLin`: the Lin that `coproduct_basis` hands out, plus the form
 the kernels read.  A family may return a FormLin from `_coproduct_raw`
 whose form is not the reduced coefficients' (the A and B families use
 the Gauss polynomials of `qhopf.qcombinat`); any other Lin is converted
-once, at its fill.  A Lin always holds reduced, nonzero Cyclos.
+once, at its fill.  Negating a FormLin negates each rational of its
+form, so a negated coproduct keeps its form.  A Lin always holds
+reduced, nonzero Cyclos.
 """
 
 from __future__ import annotations
@@ -65,10 +67,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 from qhopf.elements import Index, Lin
-from qhopf.scalars import Cyclo, exponent_form, reduce_exponents
+from qhopf.scalars import Cyclo, exponent_form, reduce_exponents, reduce_forms
 
 
 @dataclass
@@ -92,8 +93,8 @@ def _spell(word: tuple[str, ...]) -> tuple[str, ...]:
 class FormLin(Lin):
     """A Lin that carries an exponent form of its coefficients: (key,
     pairs) per term, the pairs (e, r) summing to the term's coefficient
-    modulo the cyclotomic polynomial.  Derived Lins (sums, negations,
-    relabellings) are plain Lins."""
+    modulo the cyclotomic polynomial.  Its negation is a FormLin;
+    other derived Lins (sums, relabellings) are plain Lins."""
 
     __slots__ = ("form",)
 
@@ -107,6 +108,10 @@ class FormLin(Lin):
         triples = list(triples)
         terms = {k: c for k, c, _ in triples}
         return FormLin(terms, tuple((k, p) for k, _, p in triples))
+
+    def __neg__(self) -> FormLin:
+        form = tuple((k, tuple((e, -r) for e, r in p)) for k, p in self.form)
+        return FormLin({k: -v for k, v in self.terms.items()}, form)
 
 
 class PowCache:
@@ -242,7 +247,8 @@ class HopfProvider(ABC):
         if hit.__class__ is not tuple:
             terms = (self._multiply_raw(i, j) if hit is None else hit).terms
             if len(terms) == 1:
-                # a monomial times a root of unity: one term, (unit, 1)
+                # most fills: a monomial times a root of unity, the one
+                # pair (unit, 1), without exponent_form's lists
                 ((k, c),) = terms.items()
                 if c.unit is not None:
                     hit = self._mul_cache[key] = ((k, c.unit, 1, c),)
@@ -304,17 +310,7 @@ class HopfProvider(ABC):
         """The FormLin of a kernel table: each key reduced once, those
         that vanish dropped, the others keeping their terms with the
         exponents folded mod N (not shortened to the reduced value)."""
-        values = reduce_exponents(self.level, table)
-        n = lcm(2, self.level)
-        form = []
-        for k in values:
-            folded: dict = {}
-            for e, r in table[k].items():
-                if r:
-                    e %= n
-                    folded[e] = folded.get(e, 0) + r
-            form.append((k, tuple((e, r) for e, r in folded.items() if r)))
-        return FormLin(values, tuple(form))
+        return FormLin.of(reduce_forms(self.level, table))
 
     # -- generic element operations ----------------------------------------
 
@@ -404,23 +400,20 @@ class HopfProvider(ABC):
             out = self.t2_mul(out, s)
         return out
 
-    def cop_right(self, t: Lin, *, into: dict | None = None, sign: int = 1):
-        """sign * (id (x) Delta) applied to a 2-tensor; sign=-1 is the
-        coassociativity rhs, so the cached Delta(e) is never negated."""
-        return self._delta_into(t, lambda ij: (ij[:1], ij[1], ()), into, sign)
+    def cop_right(self, t: Lin, *, into: dict | None = None):
+        """(id (x) Delta) applied to a 2-tensor."""
+        return self._delta_into(t, lambda ij: (ij[:1], ij[1], ()), into)
 
     def cop_left(self, t: Lin, *, into: dict | None = None):
         """(Delta (x) id) applied to a 2-tensor."""
         return self._delta_into(t, lambda ij: ((), ij[0], ij[1:]), into)
 
-    def _delta_into(self, t: Lin, split, into: dict | None, sign: int = 1):
-        # sign * Delta of one leg of each key: split(key) = (legs before,
-        # the leg, legs after)
+    def _delta_into(self, t: Lin, split, into: dict | None):
+        # Delta of one leg of each key: split(key) = (legs before, the
+        # leg, legs after)
         out = self.table() if into is None else into
         cop = self.coproduct_basis
         for key, cp in self._form(t):
-            if sign < 0:
-                cp = [(e, -r) for e, r in cp]
             head, i, tail = split(key)
             for kl, dp in cop(i).form:
                 slot = out[head + kl + tail]

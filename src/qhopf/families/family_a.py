@@ -31,9 +31,9 @@ class FamilyA(HopfProvider):
         self.n = params.n
         self.q = params.q.to_cyclo(self.level)
         self.qpow = PowCache(self.q)
-        self._skew_cache: dict[int, dict] = {}
+        self._skew_cache: dict[int, list] = {}
 
-    def _skew(self, a: int) -> dict:
+    def _skew(self, a: int) -> list:
         hit = self._skew_cache.get(a)
         if hit is None:
             hit = skew_binomial_forms(a, self.qpow(self.n))
@@ -48,7 +48,7 @@ class FamilyA(HopfProvider):
         a, b = i
         return FormLin.of(
             (((a - r, self.n * r + b), (r, b)), c, pairs)
-            for r, (c, pairs) in self._skew(a).items()
+            for r, c, pairs in self._skew(a)
         )
 
     def _antipode_raw(self, i):

@@ -87,9 +87,8 @@ class FamilyB(HopfProvider):
     # -- structure constants ---------------------------------------------
 
     def _multiply_raw(self, i, j):
-        # a power of q is never zero, so no Lin.basis test
         coeff = self.qpow(i[-1] * self.mu(j))
-        return Lin({self.canon([x + y for x, y in zip(i, j)]): coeff})
+        return Lin.basis(self.canon(x + y for x, y in zip(i, j)), coeff)
 
     def _cop_ypow(self, i: int, k: int) -> FormLin:
         """Delta(y_i)^k = sum_r (k choose r)_(ratio_i) y_i^(k-r) x^(m_i n r) ox y_i^r."""
@@ -101,7 +100,7 @@ class FamilyB(HopfProvider):
             # y_i^(k-r) x^(step r) is already in normal order
             hit = self._ypow_cop_cache[key] = FormLin.of(
                 ((yi(i, k - r)[:-1] + (step * r,), yi(i, r)), c, pairs)
-                for r, (c, pairs) in skew_binomial_forms(k, self._ratios[i]).items()
+                for r, c, pairs in skew_binomial_forms(k, self._ratios[i])
             )
         return hit
 

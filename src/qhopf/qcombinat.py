@@ -29,9 +29,8 @@ cyclotomic polynomial.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
 
-from qhopf.scalars import Cyclo, divexact, exponent_form, reduce_exponents
+from qhopf.scalars import Cyclo, divexact, exponent_form, reduce_forms
 
 QPoly = tuple[int, ...]
 
@@ -101,18 +100,18 @@ def gauss_binomial(a: int, r: int) -> QPoly:
     return out
 
 
-def skew_binomial_forms(a: int, ratio: Cyclo) -> dict[int, tuple]:
-    """r -> (value, pairs) for the (a choose r)_ratio, 0 <= r <= a, that
-    do not vanish; these are the coefficients of u^(a-r) v^r in (u+v)^a
-    when vu = ratio uv.
+def skew_binomial_forms(a: int, ratio: Cyclo) -> list[tuple]:
+    """(r, value, pairs) for each (a choose r)_ratio, 0 <= r <= a, that
+    does not vanish; these are the coefficients of u^(a-r) v^r in
+    (u+v)^a when vu = ratio uv.
 
     value is the reduced scalar; pairs are (e, g) terms g * omega^e of
     Q[C_N].  For ratio = omega^u they are the Gauss polynomial itself,
-    exponents folded mod N and kept even where the reduced value has
-    fewer terms; any other ratio (a rational one) gets the form of its
-    value.  Each value is reduced once, here.
+    kept even where the reduced value has fewer terms; any other ratio
+    (a rational one) gets the form of its value.  Each value is reduced
+    once, here (`reduce_forms`).
     """
-    level, u, n = ratio.level, ratio.unit, lcm(2, ratio.level)
+    level, u = ratio.level, ratio.unit
     forms = {}
     for r in range(a + 1):
         g = gauss_binomial(a, r)
@@ -120,13 +119,11 @@ def skew_binomial_forms(a: int, ratio: Cyclo) -> dict[int, tuple]:
             ((_, pairs),) = exponent_form(level, {r: qp_eval(g, ratio)})
             forms[r] = dict(pairs)
             continue
-        folded: dict = {}
+        terms: dict = {}
         for j, c in enumerate(g):
-            e = u * j % n
-            folded[e] = folded.get(e, 0) + c
-        forms[r] = folded
-    values = reduce_exponents(level, forms)
-    return {r: (c, tuple(forms[r].items())) for r, c in values.items()}
+            terms[u * j] = terms.get(u * j, 0) + c
+        forms[r] = terms
+    return reduce_forms(level, forms)
 
 
 def vanishing_criterion(a: int, xi: Cyclo) -> bool:

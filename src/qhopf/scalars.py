@@ -576,3 +576,20 @@ def reduce_exponents(level: int, table: dict) -> dict:
         if any(vec):
             out[key] = Cyclo(level, vec, den)
     return out
+
+
+def reduce_forms(level: int, table: dict) -> list[tuple]:
+    """(key, value, pairs) for each key of a table key -> {e: r} whose
+    sum is nonzero: value is the sum reduced modulo Phi_level, pairs are
+    the key's own terms with exponents folded mod N and zeros dropped,
+    not shortened to the value's."""
+    n = len(_units(level)[2])
+    out = []
+    for key, value in reduce_exponents(level, table).items():
+        folded: dict = {}
+        for e, r in table[key].items():
+            if r:
+                e %= n
+                folded[e] = folded.get(e, 0) + r
+        out.append((key, value, tuple((e, r) for e, r in folded.items() if r)))
+    return out

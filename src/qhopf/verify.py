@@ -14,19 +14,12 @@ The axioms, per basis index e (and index pairs for the bialgebra law):
 
 Each residual is accumulated as lhs - rhs in one table.  The
 coassociativity, antipode and bialgebra residuals go through the
-provider's kernels with `into=table`, in the exponent form of
-`qhopf.scalars` (terms of Q[C_N]), and the table is finished once: each
-key is reduced modulo the cyclotomic polynomial, and only then tested
-for zero, so finishing the table of a check that holds builds no
-scalar.  No cached coproduct is negated for this (a negated Lin would
-lose its form): the coassociativity rhs goes in with `sign=-1`, and
-the bialgebra table holds Delta(e_i) Delta(e_j) - Delta(e_i e_j), with
-the one-term product negated, and is negated once it is finished.  The
-kernels read each cached coproduct's own form; for the A and B
-families that is its Gauss polynomials (`qhopf.qcombinat`), on which
-both sides of the bialgebra law mostly agree term by term in Q[C_N], so
-most residual keys cancel before any reduction.  The counit residual is
-one pass over Delta(e) and adds Cyclos with `acc`.
+provider's kernels with `into=table`: the left side as is, the right
+side with one operand negated, in the exponent form of `qhopf.scalars`
+(terms of Q[C_N]), and the table is finished once: each key is reduced
+modulo the cyclotomic polynomial, and only then tested for zero, so
+finishing the table of a check that holds builds no scalar.  The
+counit residual is one pass over Delta(e) and adds Cyclos with `acc`.
 """
 
 from __future__ import annotations
@@ -73,7 +66,7 @@ def coassociativity_residual(alg: HopfProvider, idx) -> Lin:
     t = alg.coproduct_basis(idx)
     table = alg.table()
     alg.cop_left(t, into=table)
-    alg.cop_right(t, into=table, sign=-1)
+    alg.cop_right(-t, into=table)
     return alg.finish(table)
 
 
@@ -103,10 +96,10 @@ def antipode_residuals(alg: HopfProvider, idx) -> tuple[Lin, Lin]:
 def bialgebra_residuals(alg: HopfProvider, i, j) -> tuple[Lin, Cyclo]:
     prod = alg.multiply_basis(i, j)
     table = alg.table()
-    alg.t2_mul(alg.coproduct_basis(i), alg.coproduct_basis(j), into=table)
-    alg.coproduct(-prod, into=table)
+    alg.coproduct(prod, into=table)
+    alg.t2_mul(alg.coproduct_basis(i), -alg.coproduct_basis(j), into=table)
     eps = alg.counit(prod) - alg.counit_basis(i) * alg.counit_basis(j)
-    return -alg.finish(table), eps
+    return alg.finish(table), eps
 
 
 def verify_axioms(

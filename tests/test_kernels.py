@@ -17,8 +17,9 @@ import pytest
 
 from qhopf.elements import Lin, acc
 from qhopf.families import build
+from qhopf.families.base import FormLin
 from qhopf.params import parse_params
-from qhopf.scalars import Cyclo, euler_phi
+from qhopf.scalars import Cyclo, euler_phi, reduce_exponents
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 
@@ -167,16 +168,19 @@ def test_kernels_accumulate_a_difference(name):
 
 
 @pytest.mark.parametrize("name", list(SPECS))
-def test_cop_right_subtracts_with_sign(name):
-    """sign=-1 adds -(id ox Delta)(x) without a negated copy of x."""
+def test_negated_coproduct_keeps_its_form(name):
+    """-Delta(e) is a FormLin whose form reduces to its own terms, so an
+    axiom residual can take its right side from a cached coproduct."""
     alg = _build(name)
-    x, y = _operands(alg, 5)["t2"]
-    table = alg.table()
-    alg.cop_right(x, into=table)
-    alg.cop_right(y, into=table, sign=-1)
-    got = alg.finish(table)
-    assert got == ref_cop_right(alg, x) - ref_cop_right(alg, y)
-    _assert_reduced(alg, got)
+    for idx in alg.basis_box(2):
+        cop = alg.coproduct_basis(idx)
+        neg = -cop
+        assert isinstance(neg, FormLin)
+        assert neg == Lin({k: -c for k, c in cop.terms.items()})
+        assert [k for k, _ in neg.form] == list(neg.terms)
+        forms = {k: dict(pairs) for k, pairs in neg.form}
+        assert reduce_exponents(alg.level, forms) == neg.terms, idx
+        _assert_reduced(alg, neg)
 
 
 @pytest.mark.parametrize("name", list(SPECS))

@@ -26,9 +26,9 @@ def skew_values(a, q):
     """(a choose r)_q for r = 0..a as `skew_binomial_forms` gives them,
     after checking that each form reduces to its value."""
     forms = skew_binomial_forms(a, q)
-    reduced = reduce_exponents(q.level, {r: dict(p) for r, (_, p) in forms.items()})
-    assert reduced == {r: c for r, (c, _) in forms.items()}
-    return [forms[r][0] if r in forms else Cyclo.zero(q.level) for r in range(a + 1)]
+    values = {r: c for r, c, _ in forms}
+    assert reduce_exponents(q.level, {r: dict(p) for r, _, p in forms}) == values
+    return [values.get(r, Cyclo.zero(q.level)) for r in range(a + 1)]
 
 
 def test_frozen_small_table():

@@ -18,6 +18,7 @@ from qhopf.scalars import (
     euler_phi,
     exponent_form,
     reduce_exponents,
+    reduce_forms,
 )
 
 
@@ -310,6 +311,17 @@ def test_accumulation_form_sums_like_cyclo(level):
         )
     else:
         assert _pairs(level, values[-1]) == ((values[-1].unit, 1),)
+
+
+def test_reduce_forms_keeps_folded_terms():
+    """At level 3 (N = 6) a key keeps its own terms, folded mod 6 with
+    zeros dropped, beside its reduced value; 1 + omega^2 + omega^4, the
+    cube roots of unity, vanishes and is dropped."""
+    table = {"a": {0: 1, 6: 1, 3: 0, 8: 2}, "gone": {0: 1, 2: 1, 4: 1}}
+    ((key, value, pairs),) = reduce_forms(3, table)
+    assert key == "a" and pairs == ((0, 2), (2, 2))
+    assert value == 2 + 2 * Cyclo.zeta(3)  # omega = -zeta^2, so omega^2 = zeta
+    assert {"a": value} == reduce_exponents(3, {"a": dict(pairs)})
 
 
 @pytest.mark.parametrize("level, changed", ((12, 2), (105, 41)))
