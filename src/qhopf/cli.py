@@ -13,6 +13,12 @@ Exit codes: 0 success (iso: isomorphic), 1 axiom or comodule check
 failure, 2 input error, 3 non-isomorphic, 4 internal error (an
 uncaught exception: a bug in qhopf, reported with its traceback).
 
+The subcommands and their arguments are stated once, in `COMMANDS`.
+A command line that names a subcommand is parsed by that subcommand's
+parser alone; the top-level parser, which lists all five, is built only
+for -h, --version and usage errors.  Every subcommand rejects
+`--window` or `--jobs` below 1 with exit 2 before its handler runs.
+
 `--format structured` emits a JSON document with sorted keys and no
 timing data, so repeated runs are byte-identical; the human format
 prints wall-clock time.  `--seed` is echoed into structured output for
@@ -72,7 +78,7 @@ def _emit(doc: dict) -> None:
 def _check_window(args) -> None:
     if args.window < 1:
         raise InputError(f"--window must be >= 1, got {args.window}")
-    if getattr(args, "jobs", 1) < 1:
+    if args.jobs < 1:
         raise InputError(f"--jobs must be >= 1, got {args.jobs}")
 
 
@@ -88,7 +94,6 @@ def _print_invariants(vec) -> None:
 
 
 def cmd_verify(args) -> int:
-    _check_window(args)
     params = _load_instance(args.instance)
     alg = build(params)
     t0 = time.perf_counter()
@@ -117,7 +122,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    _check_window(args)
     params = _load_instance(args.instance)
     alg = build(params)
     t0 = time.perf_counter()
@@ -166,7 +170,6 @@ def cmd_iso(args) -> int:
 
 
 def cmd_comodule(args) -> int:
-    _check_window(args)
     if args.quotient != "default":
         raise InputError(
             f"unknown quotient {args.quotient!r} (the only built-in is 'default')"
@@ -253,7 +256,6 @@ def cmd_comodule(args) -> int:
 
 
 def cmd_report(args) -> int:
-    _check_window(args)
     params = _load_instance(args.instance)
     alg = build(params)
     t0 = time.perf_counter()
@@ -291,7 +293,60 @@ def cmd_report(args) -> int:
 # -- wiring --------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+COMMON_OPTIONS = (
+    ("--window", dict(type=int, default=3, metavar="N",
+                      help="basis box radius (default 3)")),
+    ("--format", dict(choices=("human", "structured"), default="human",
+                      help="output format (default human)")),
+    ("--seed", dict(type=int, default=0, metavar="S",
+                    help="seed recorded in structured output (default 0)")),
+    ("--jobs", dict(type=int, default=1, metavar="J",
+                    help="worker processes for the bialgebra pair scan (default 1)")),
+)
+
+# name -> (handler, help, positional arguments, extra options as (flag,
+# add_argument keywords) pairs); the handler is named, not bound, and
+# looked up in this module when it is called
+COMMANDS = {
+    "verify": (
+        "cmd_verify", "run the Hopf axiom checks on a window", ("instance",), ()
+    ),
+    "invariants": (
+        "cmd_invariants", "compute the invariant vector", ("instance",), ()
+    ),
+    "iso": (
+        "cmd_iso", "decide isomorphism of two instances", ("first", "second"), ()
+    ),
+    "comodule": (
+        "cmd_comodule", "coactions and gradings for the built-in quotient",
+        ("instance",),
+        (("--quotient", dict(default="default",
+                             help="quotient name (only 'default' is built in)")),),
+    ),
+    "report": (
+        "cmd_report", "full instance report: axioms, invariants, PI data",
+        ("instance",), (),
+    ),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    _, _, positionals, options = COMMANDS[name]
+    for flag, keywords in COMMON_OPTIONS:
+        parser.add_argument(flag, **keywords)
+    for positional in positionals:
+        parser.add_argument(positional, help="instance spec (JSON file)")
+    for flag, keywords in options:
+        parser.add_argument(flag, **keywords)
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog=f"qhopf {name}")
+    _add_arguments(parser, name)
+    return parser
+
+
+def _top_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qhopf",
         description="Exact window verification, invariants, and isomorphism "
@@ -300,71 +355,28 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"qhopf {__version__}"
     )
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--window", type=int, default=3, metavar="N",
-        help="basis box radius (default 3)",
-    )
-    common.add_argument(
-        "--format", choices=("human", "structured"), default="human",
-        help="output format (default human)",
-    )
-    common.add_argument(
-        "--seed", type=int, default=0, metavar="S",
-        help="seed recorded in structured output (default 0)",
-    )
-    common.add_argument(
-        "--jobs", type=int, default=1, metavar="J",
-        help="worker processes for the bialgebra pair scan (default 1)",
-    )
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "verify", parents=[common], help="run the Hopf axiom checks on a window"
-    )
-    p.add_argument("instance", help="instance spec (JSON file)")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser(
-        "invariants", parents=[common], help="compute the invariant vector"
-    )
-    p.add_argument("instance", help="instance spec (JSON file)")
-    p.set_defaults(func=cmd_invariants)
-
-    p = sub.add_parser(
-        "iso", parents=[common], help="decide isomorphism of two instances"
-    )
-    p.add_argument("first", help="instance spec (JSON file)")
-    p.add_argument("second", help="instance spec (JSON file)")
-    p.set_defaults(func=cmd_iso)
-
-    p = sub.add_parser(
-        "comodule", parents=[common],
-        help="coactions and gradings for the built-in quotient",
-    )
-    p.add_argument("instance", help="instance spec (JSON file)")
-    p.add_argument(
-        "--quotient", default="default",
-        help="quotient name (only 'default' is built in)",
-    )
-    p.set_defaults(func=cmd_comodule)
-
-    p = sub.add_parser(
-        "report", parents=[common],
-        help="full instance report: axioms, invariants, PI data",
-    )
-    p.add_argument("instance", help="instance spec (JSON file)")
-    p.set_defaults(func=cmd_report)
-
+    for name, (_, text, _, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=text), name)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name = argv[0] if argv else None
+    if name in COMMANDS:
+        args, extra = _command_parser(name).parse_known_args(argv[1:])
+        if extra:
+            _top_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        # -h, --version, a missing or unknown command: the top-level
+        # parser, with every subcommand's parser under it, prints and exits
+        args = _top_parser().parse_args(argv)
+        name = args.command
+    handler = globals()[COMMANDS[name][0]]
     try:
-        return args.func(args)
+        _check_window(args)
+        return handler(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

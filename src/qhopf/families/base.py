@@ -262,10 +262,7 @@ class HopfProvider(ABC):
     def coproduct_basis(self, i: Index) -> FormLin:
         hit = self._cop_cache.get(i)
         if hit is None:
-            hit = self._coproduct_raw(i)
-            if hit.__class__ is not FormLin:
-                hit = FormLin(hit.terms, tuple(exponent_form(self.level, hit.terms)))
-            self._cop_cache[i] = hit
+            hit = self._cop_cache[i] = self.as_form_lin(self._coproduct_raw(i))
         return hit
 
     def antipode_basis(self, i: Index) -> Lin:
@@ -293,6 +290,14 @@ class HopfProvider(ABC):
         if el.__class__ is FormLin:
             return el.form
         return exponent_form(self.level, el.terms)
+
+    def as_form_lin(self, el: Lin) -> FormLin:
+        """el with the form the kernels read; its negation keeps the
+        form's exponents (a root of unity's negation moves its exponent
+        by N/2, so -el's terms would not cancel el's before folding)."""
+        if el.__class__ is FormLin:
+            return el
+        return FormLin(el.terms, tuple(exponent_form(self.level, el.terms)))
 
     def table(self, el: Lin | None = None) -> defaultdict:
         """A kernel table, key -> {exponent: rational}, holding el."""

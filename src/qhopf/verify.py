@@ -14,12 +14,15 @@ The axioms, per basis index e (and index pairs for the bialgebra law):
 
 Each residual is accumulated as lhs - rhs in one table.  The
 coassociativity, antipode and bialgebra residuals go through the
-provider's kernels with `into=table`: the left side as is, the right
-side with one operand negated, in the exponent form of `qhopf.scalars`
-(terms of Q[C_N]), and the table is finished once: each key is reduced
-modulo the cyclotomic polynomial, and only then tested for zero, so
-finishing the table of a check that holds builds no scalar.  The
-counit residual is one pass over Delta(e) and adds Cyclos with `acc`.
+provider's kernels with `into=table`, in the exponent form of
+`qhopf.scalars` (terms of Q[C_N]): one side as is, the other with one
+operand negated.  The bialgebra table holds rhs - lhs, with the product
+(usually one term) negated in its exponent form rather than a copy of
+Delta(e_j), and its finished residual is negated back.  Each table is
+finished once: each key is reduced modulo the cyclotomic polynomial,
+and only then tested for zero, so finishing the table of a check that
+holds builds no scalar.  The counit residual is one pass over Delta(e)
+and adds Cyclos with `acc`.
 """
 
 from __future__ import annotations
@@ -96,10 +99,10 @@ def antipode_residuals(alg: HopfProvider, idx) -> tuple[Lin, Lin]:
 def bialgebra_residuals(alg: HopfProvider, i, j) -> tuple[Lin, Cyclo]:
     prod = alg.multiply_basis(i, j)
     table = alg.table()
-    alg.coproduct(prod, into=table)
-    alg.t2_mul(alg.coproduct_basis(i), -alg.coproduct_basis(j), into=table)
+    alg.coproduct(-alg.as_form_lin(prod), into=table)
+    alg.t2_mul(alg.coproduct_basis(i), alg.coproduct_basis(j), into=table)
     eps = alg.counit(prod) - alg.counit_basis(i) * alg.counit_basis(j)
-    return alg.finish(table), eps
+    return -alg.finish(table), eps
 
 
 def verify_axioms(

@@ -152,6 +152,15 @@ def test_exit_2_on_bad_window(capsys):
     assert code == 2
     assert "--window" in err
 
+    # every subcommand checks the options before its handler runs, iso too
+    for flag in ("--window", "--jobs"):
+        code, out, err = run_cli(
+            capsys, "iso", flag, "0", fixture("c_2"), fixture("c_3")
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"input error: {flag} must be >= 1, got 0\n"
+
 
 def test_iso_exit_codes_and_explanations(capsys):
     code, out, _ = run_cli(capsys, "iso", fixture("clift_3_z4"), fixture("a_2_z4p3"))

@@ -184,6 +184,25 @@ def test_negated_coproduct_keeps_its_form(name):
 
 
 @pytest.mark.parametrize("name", list(SPECS))
+def test_negated_product_cancels_before_folding(name):
+    """-as_form_lin(p) keeps p's exponents and negates the rationals, so
+    a table holding p and -p is zero term by term before any fold by
+    omega^(N/2) = -1; the bialgebra residual negates e_i e_j this way."""
+    alg = _build(name)
+    box = alg.basis_box(1)
+    for i in box:
+        for j in box:
+            prod = alg.multiply_basis(i, j)
+            neg = -alg.as_form_lin(prod)
+            assert neg == -prod
+            table = alg.table(prod)
+            for k, pairs in neg.form:
+                for e, r in pairs:
+                    table[k][e] = table[k].get(e, 0) + r
+            assert not any(r for t in table.values() for r in t.values()), (i, j)
+
+
+@pytest.mark.parametrize("name", list(SPECS))
 def test_filled_provider_pickles(name):
     alg = _build(name)
     x, y = _operands(alg, 3)["t2"]
