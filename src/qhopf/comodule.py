@@ -15,6 +15,18 @@ decompose every element by t-exponent.  For Laurent quotients the
 exponents give commuting left/right gradings; for polynomial quotients
 the t^1 coefficients are derivations delta_r, delta_l whose divided
 powers recover the full coaction (checked, not assumed).
+
+A `Coaction` computes rho and lam of each basis element once, from
+`coproduct_basis` and `pi_index`, and keeps them for the life of the
+instance (one command); the coactions of an element, its degrees, the
+counit collapse and the bigrade sum all read those tables.  The
+bicomodule check is one residual per element,
+
+    (pi ox id ox pi)((Delta ox id) Delta - (id ox Delta) Delta),
+
+accumulated in the exponent form of `qhopf.scalars` from the
+coproducts' forms and pi's, and reduced once per key by the provider's
+`finish`, as the axiom checks of `qhopf.verify` are.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from qhopf.elements import Lin, acc
 from qhopf.families.base import HopfProvider
 from qhopf.families.builder import family
 from qhopf.linalg import Echelon, kernel_of_map
-from qhopf.scalars import Cyclo
+from qhopf.scalars import Cyclo, exponent_form
 
 
 class QuotientError(ValueError):
@@ -95,12 +107,23 @@ def default_quotient(alg: HopfProvider) -> QuotientSpec:
 
 
 class Coaction:
-    """rho/lam machinery for one algebra instance and one quotient."""
+    """rho/lam machinery for one algebra instance and one quotient.
+
+    Every coaction is read from per-index tables, each filled on first
+    use and kept on the instance: pi of a basis index, rho and lam of a
+    basis element as {n: Lin}, the same two coactions in exponent form
+    (for the bicomodule residual), and the rho-grading of a window box.
+    """
 
     def __init__(self, alg: HopfProvider, spec: QuotientSpec):
         self.alg = alg
         self.spec = spec
         self._pi_cache: dict = {}
+        self._pi_forms: dict = {}
+        # per side (0: lam, pi on the left leg; 1: rho, on the right)
+        self._coactions: tuple[dict, dict] = ({}, {})
+        self._coaction_forms: tuple[dict, dict] = ({}, {})
+        self._gradings: dict = {}
         self._check_algebra_map()
         self._check_coalgebra_map()
 
@@ -121,6 +144,13 @@ class Coaction:
                 break
         self._pi_cache[idx] = out
         return out
+
+    def _pi_form(self, idx) -> list:
+        # pi(e_idx) as (t-exponent, pairs) terms of Q[C_N]
+        hit = self._pi_forms.get(idx)
+        if hit is None:
+            hit = self._pi_forms[idx] = exponent_form(self.alg.level, self.pi_index(idx))
+        return hit
 
     # -- construction-time validation --------------------------------
 
@@ -169,35 +199,88 @@ class Coaction:
 
     # -- the coactions ------------------------------------------------
 
-    def rho(self, h: Lin) -> dict:
-        """h as sum of components ox t^n; returns {n: component}."""
+    def _basis_coaction(self, idx, side: int) -> dict:
+        """rho (side 1) or lam (side 0) of e_idx as {n: component}: pi
+        applied to one leg of Delta(e_idx), the other leg kept."""
+        cache = self._coactions[side]
+        hit = cache.get(idx)
+        if hit is None:
+            out: dict = {}
+            for legs, d in self.alg.coproduct_basis(idx).terms.items():
+                kept = legs[1 - side]
+                for n, cn in self.pi_index(legs[side]).items():
+                    acc(out.setdefault(n, {}), kept, d * cn)
+            hit = cache[idx] = {n: Lin(comp) for n, comp in out.items() if comp}
+        return hit
+
+    def _coact(self, h: Lin, side: int) -> dict:
+        terms = h.terms
+        if len(terms) == 1:
+            ((idx, c),) = terms.items()
+            if c.is_one():
+                # the table itself, not a copy
+                return self._basis_coaction(idx, side)
         out: dict = {}
-        for idx, c in h.terms.items():
-            for (i, j), d in self.alg.coproduct_basis(idx).terms.items():
-                for n, cn in self.pi_index(j).items():
-                    comp = out.setdefault(n, {})
-                    acc(comp, i, c * d * cn)
+        for idx, c in terms.items():
+            for n, comp in self._basis_coaction(idx, side).items():
+                slot = out.setdefault(n, {})
+                for k, d in comp.terms.items():
+                    acc(slot, k, c * d)
         return {n: Lin(comp) for n, comp in out.items() if comp}
 
+    def rho(self, h: Lin) -> dict:
+        """h as sum of components ox t^n; returns {n: component}."""
+        return dict(self._coact(h, 1))
+
     def lam(self, h: Lin) -> dict:
-        out: dict = {}
-        for idx, c in h.terms.items():
-            for (i, j), d in self.alg.coproduct_basis(idx).terms.items():
-                for n, cn in self.pi_index(i).items():
-                    comp = out.setdefault(n, {})
-                    acc(comp, j, c * d * cn)
-        return {n: Lin(comp) for n, comp in out.items() if comp}
+        """h as sum of t^n ox components; returns {n: component}."""
+        return dict(self._coact(h, 0))
+
+    def _collapse(self, h: Lin, side: int, every_degree: bool) -> Lin:
+        """The bar counit on the coaction's t leg: every degree counts 1
+        (Laurent) or only degree 0 does (polynomial)."""
+        comps = self._coact(h, side)
+        if not every_degree:
+            return comps.get(0, Lin({}))
+        if len(comps) == 1:
+            return next(iter(comps.values()))
+        total = Lin({})
+        for comp in comps.values():
+            total = total + comp
+        return total
+
+    def _coaction_form(self, idx, side: int) -> tuple:
+        """_basis_coaction in exponent form, unreduced: ((kept leg, n),
+        pairs) per term, from the coproduct's form and pi's."""
+        cache = self._coaction_forms[side]
+        hit = cache.get(idx)
+        if hit is None:
+            out: dict = {}
+            for legs, dp in self.alg.coproduct_basis(idx).form:
+                kept = legs[1 - side]
+                for n, pp in self._pi_form(legs[side]):
+                    slot = out.setdefault((kept, n), {})
+                    for ed, rd in dp:
+                        for ep, rp in pp:
+                            e = ed + ep
+                            slot[e] = slot.get(e, 0) + rd * rp
+            hit = cache[idx] = tuple(
+                (key, pairs)
+                for key, slot in out.items()
+                if (pairs := tuple((e, r) for e, r in slot.items() if r))
+            )
+        return hit
 
     # -- gradings (Laurent quotients) ---------------------------------
 
     def rho_degree(self, idx) -> int:
-        comps = self.rho(self.alg.basis_el(idx))
+        comps = self._basis_coaction(idx, 1)
         if len(comps) != 1:
             raise QuotientError("basis monomial is not rho-homogeneous")
         return next(iter(comps))
 
     def lam_degree(self, idx) -> int:
-        comps = self.lam(self.alg.basis_el(idx))
+        comps = self._basis_coaction(idx, 0)
         if len(comps) != 1:
             raise QuotientError("basis monomial is not lam-homogeneous")
         return next(iter(comps))
@@ -212,50 +295,55 @@ class Coaction:
         return {k: v for k, v in out.items() if not v.is_zero()}
 
     def coactions_compatible(self, h: Lin) -> bool:
-        """Bicomodule axiom: rho-then-lam agrees with lam-then-rho on h."""
-        left: dict = {}
-        for n, comp in self.rho(h).items():
-            for m, c2 in self.lam(comp).items():
-                if not c2.is_zero():
-                    left[(m, n)] = c2
-        right: dict = {}
-        for m, comp in self.lam(h).items():
-            for n, c2 in self.rho(comp).items():
-                if not c2.is_zero():
-                    right[(m, n)] = c2
-        return left == right
+        """Bicomodule axiom: rho-then-lam agrees with lam-then-rho on h.
+
+        The residual (lam ox id) rho(h) - (id ox rho) lam(h), which is
+        (pi ox id ox pi)((Delta ox id) Delta - (id ox Delta) Delta)(h),
+        is one kernel table (t-exponent, basis index, t-exponent) ->
+        {exponent: rational}, each key reduced once by `finish`."""
+        alg = self.alg
+        forms = self._coaction_form
+        table = alg.table()
+        for idx, hp in alg.table(h).items():
+            for sign, first, second in ((1, 1, 0), (-1, 0, 1)):
+                # sign +1: lam of rho's kept leg; -1: rho of lam's
+                for (a, n1), p1 in forms(idx, first):
+                    p = [(eh + e1, sign * rh * r1) for eh, rh in hp.items() for e1, r1 in p1]
+                    for (b, n2), p2 in forms(a, second):
+                        slot = table[(n2, b, n1) if sign == 1 else (n1, b, n2)]
+                        for e1, r1 in p:
+                            for e2, r2 in p2:
+                                e = e1 + e2
+                                slot[e] = slot.get(e, 0) + r1 * r2
+        return alg.finish(table).is_zero()
 
     def decomposes(self, h: Lin) -> bool:
         """The bigrade components sum back to h (a grading statement,
         meaningful for Laurent quotients where the bar counit sums all
-        degrees)."""
-        total = Lin({})
-        for comp in self.bigrade(h).values():
-            total = total + comp
-        return (total - h).is_zero()
+        degrees): collapsing both t legs, every degree counted, returns
+        h."""
+        return self._collapse(self._collapse(h, 1, True), 0, True) == h
 
     def counit_recovers(self, h: Lin) -> bool:
         """Coaction counit axiom: collapsing the bar leg returns h."""
-        if self.spec.kind == "laurent":
-            right = Lin({})
-            for comp in self.rho(h).values():
-                right = right + comp
-            left = Lin({})
-            for comp in self.lam(h).values():
-                left = left + comp
-        else:
-            right = self.rho(h).get(0, Lin({}))
-            left = self.lam(h).get(0, Lin({}))
-        return (right - h).is_zero() and (left - h).is_zero()
+        every = self.spec.kind == "laurent"
+        return all(self._collapse(h, side, every) == h for side in (1, 0))
+
+    def _grading(self, window: int) -> dict:
+        # the window box by rho-degree, once per window
+        hit = self._gradings.get(window)
+        if hit is None:
+            hit = {}
+            for idx in self.alg.basis_box(window):
+                hit.setdefault(self.rho_degree(idx), []).append(idx)
+            self._gradings[window] = hit
+        return hit
 
     def strong_grading(self, n: int, window: int) -> bool:
         """Window check that H_{-n} H_n spans H_0 (right grading)."""
         if self.spec.kind != "laurent":
             raise QuotientError("strong grading applies to Laurent quotients")
-        box = self.alg.basis_box(window)
-        by_degree: dict = {}
-        for idx in box:
-            by_degree.setdefault(self.rho_degree(idx), []).append(idx)
+        by_degree = self._grading(window)
         ech = Echelon()
         for u in by_degree.get(-n, []):
             for v in by_degree.get(n, []):

@@ -35,6 +35,11 @@ class Echelon:
             row = self.rows.get(piv)
             if row is None:
                 return out
+            if len(row) == 1:
+                # a row is normalized to 1 at its pivot: eliminating
+                # with a one-term row only drops that coordinate
+                del out[piv]
+                continue
             c = out[piv]
             for k, v in row.items():
                 acc(out, k, -(v * c))

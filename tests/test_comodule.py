@@ -1,12 +1,16 @@
 """Coactions along the built-in quotients: frozen component values,
-gradings, derivations, Taylor expansion, coinvariants."""
+gradings, derivations, Taylor expansion, coinvariants, and every
+coaction check against a reference route that applies pi to the legs of
+each coproduct term directly, in Cyclo arithmetic."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from qhopf.comodule import Coaction, QuotientError, QuotientSpec, default_quotient
-from qhopf.elements import Lin, lin_from_pairs
+from qhopf.elements import Lin, acc, lin_from_pairs
 from qhopf.families import build
 from qhopf.linalg import Echelon
 from qhopf.params import parse_params
@@ -16,6 +20,93 @@ from qhopf.scalars import Cyclo
 def coaction_of(spec):
     alg = build(parse_params(spec))
     return alg, Coaction(alg, default_quotient(alg))
+
+
+# -- the reference route: pi on one leg of each coproduct term ----------
+
+
+def ref_coaction(co, h, side):
+    """rho (side 1) or lam (side 0) of h as {n: Lin}."""
+    out = {}
+    for idx, c in h.terms.items():
+        for legs, d in co.alg.coproduct_basis(idx).terms.items():
+            for n, cn in co.pi_index(legs[side]).items():
+                acc(out.setdefault(n, {}), legs[1 - side], c * d * cn)
+    return {n: Lin(comp) for n, comp in out.items() if comp}
+
+
+def ref_compatible(co, h):
+    left, right = {}, {}
+    for n, comp in ref_coaction(co, h, 1).items():
+        for m, c2 in ref_coaction(co, comp, 0).items():
+            left[(m, n)] = c2
+    for m, comp in ref_coaction(co, h, 0).items():
+        for n, c2 in ref_coaction(co, comp, 1).items():
+            right[(m, n)] = c2
+    return left == right
+
+
+def ref_collapse(co, h, side, every_degree):
+    comps = ref_coaction(co, h, side)
+    if not every_degree:
+        return comps.get(0, Lin())
+    total = Lin()
+    for comp in comps.values():
+        total = total + comp
+    return total
+
+
+def ref_counit_recovers(co, h):
+    every = co.spec.kind == "laurent"
+    return all(ref_collapse(co, h, side, every) == h for side in (0, 1))
+
+
+def ref_decomposes(co, h):
+    total = Lin()
+    for n, comp in ref_coaction(co, h, 1).items():
+        for comp2 in ref_coaction(co, comp, 0).values():
+            total = total + comp2
+    return total == h
+
+
+def corpus_with_quotient():
+    """Instance files of the corpus whose family has a built-in quotient."""
+    root = Path(__file__).resolve().parent.parent / "instances"
+    names = []
+    for path in sorted(root.glob("*.json")):
+        if path.name.startswith("bad_"):
+            continue
+        params = parse_params(json.loads(path.read_text(encoding="utf-8")))
+        try:
+            default_quotient(build(params))
+        except QuotientError:
+            continue
+        names.append((path.stem, params))
+    return names
+
+
+CORPUS = corpus_with_quotient()
+
+
+def assert_matches_reference(co, h):
+    assert co.rho(h) == ref_coaction(co, h, 1)
+    assert co.lam(h) == ref_coaction(co, h, 0)
+    assert co.coactions_compatible(h) == ref_compatible(co, h)
+    assert co.counit_recovers(h) == ref_counit_recovers(co, h)
+    assert co.decomposes(h) == ref_decomposes(co, h)
+
+
+@pytest.mark.parametrize("params", [p for _, p in CORPUS], ids=[n for n, _ in CORPUS])
+def test_tables_match_the_reference_route_on_the_corpus(params):
+    alg = build(params)
+    co = Coaction(alg, default_quotient(alg))
+    for idx in alg.basis_box(3):
+        assert_matches_reference(co, alg.basis_el(idx))
+        assert_matches_reference(co, alg.basis_el(idx, -3))
+
+
+def test_the_corpus_has_one_instance_without_a_quotient():
+    assert len(CORPUS) == 38
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -123,6 +214,39 @@ def test_coactions_commute_on_random_elements(spec):
             el = el + Lin.basis(rng.choice(box), alg.scalar(rng.randint(-4, 4)))
         assert co.coactions_compatible(el)
         assert co.counit_recovers(el)
+        assert_matches_reference(co, el)
+
+
+def test_a_tampered_quotient_fails_on_the_box():
+    # __init__ checked the true images; the tables are filled afterwards
+    # from the tampered one, so some check on the box must fail
+    for spec, name, image in [
+        ({"family": "A", "n": 2, "q": {"order": 3, "power": 1}}, "x", 2),
+        ({"family": "B", "n": 1, "p": [1, 2, 3], "q": {"order": 6, "power": 1}},
+         "x", 2),
+        ({"family": "C", "n": 3}, "x", 0),
+    ]:
+        alg, co = coaction_of(spec)
+        one = alg.one_scalar()
+        co.spec.images[name] = (one + one, 1) if image == 2 else (one, image)
+        results = []
+        for idx in alg.basis_box(2):
+            el = alg.basis_el(idx)
+            assert_matches_reference(co, el)
+            results.append(co.coactions_compatible(el) and co.counit_recovers(el))
+        assert not all(results), spec
+
+
+def test_residual_sees_a_non_coassociative_coproduct():
+    # Delta(x) = x ox x + x ox 1 is not coassociative, and the defect
+    # x ox 1 ox x survives pi ox id ox pi
+    alg, co = coaction_of({"family": "A", "n": 2, "q": {"order": 3, "power": 1}})
+    x, u = (0, 1), alg.unit_index()
+    broken = alg.coproduct_basis(x) + Lin.basis((x, u), alg.one_scalar())
+    alg._cop_cache[x] = alg.as_form_lin(broken)
+    el = alg.basis_el(x)
+    assert not ref_compatible(co, el)
+    assert not co.coactions_compatible(el)
 
 
 def test_laurent_box_decomposes():
