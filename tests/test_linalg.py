@@ -1,9 +1,10 @@
 """Exact echelon spans and kernels over cyclotomic scalars.
 
-Each test's vectors include one-term vectors that meet one-term rows
-(which `Echelon.residue` eliminates by dropping the coordinate) and
-rows with more terms; `FullElimination`, which subtracts every row in
-full, must give the same ranks, memberships, rows and kernels."""
+The Echelon and kernel tests include one-term vectors that meet
+one-term rows (which `Echelon.residue` eliminates by dropping the
+coordinate) and rows with more terms; `FullElimination`, which
+subtracts every row in full, must give the same ranks, memberships,
+rows and kernels."""
 
 import pytest
 
