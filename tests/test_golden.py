@@ -6,8 +6,8 @@ data), run in-process through `qhopf.cli.main` from the repository root:
 
 * verify, invariants, comodule and report at `--window 2` on every
   instance file, the invalid `bad_*.json` ones included;
-* comodule at `--window 5` (the benchmark's window) on every instance
-  file as well;
+* comodule at `--window 3` (the CLI default) and at `--window 5` (the
+  benchmark's window) on every instance file as well;
 * iso on every ordered pair of valid instances, and on each invalid
   file against itself and against a valid instance in both orders.
 
@@ -44,7 +44,11 @@ def command_lines() -> list[list[str]]:
         for cmd in ("verify", "invariants", "comodule", "report")
         for path in paths
     ]
-    lines += [["comodule", "--window", "5", *STRUCTURED, path] for path in paths]
+    lines += [
+        ["comodule", "--window", window, *STRUCTURED, path]
+        for window in ("3", "5")
+        for path in paths
+    ]
     lines += [["iso", *STRUCTURED, a, b] for a in valid for b in valid]
     for path in bad:
         for pair in ((path, path), (path, valid[0]), (valid[0], path)):
