@@ -1,11 +1,12 @@
 """Comodule structure over a monomial Hopf quotient.
 
-A quotient spec sends each generator to 0, 1, or a scalar multiple of a
-power of t, landing in k[t^{+-1}] (t grouplike) or k[t] (t primitive).
-That is enough for every quotient used here, and it keeps the
-well-definedness checks finite: relations must map to zero and the
-coproduct/counit must commute with the projection on generators, both
-verified at construction time.
+A quotient spec sends each generator to 0 or a power of t, landing in
+k[t^{+-1}] (t grouplike) or k[t] (t primitive), so pi of a basis
+monomial is 0 or t^n and is read as its t-degree n.  That is enough for
+every quotient used here, and it keeps the well-definedness checks
+finite: relations must map to zero and the coproduct/counit must
+commute with the projection on generators, both verified at
+construction time.
 
 From a valid spec the two coactions
 
@@ -16,17 +17,18 @@ exponents give commuting left/right gradings; for polynomial quotients
 the t^1 coefficients are derivations delta_r, delta_l whose divided
 powers recover the full coaction (checked, not assumed).
 
-A `Coaction` computes rho and lam of each basis element once, from
-`coproduct_basis` and `pi_index`, and keeps them for the life of the
-instance (one command); the coactions of an element, its degrees, the
-counit collapse and the bigrade sum all read those tables.  The
-bicomodule check is one residual per element,
+A `Coaction` computes rho and lam of each basis element once, by
+regrouping the terms of `coproduct_basis` by the t-degree of one leg,
+and keeps them for the life of the instance (one command); the
+coactions of an element, its degrees, the counit collapse and the
+bigrade sum all read those tables.  The bicomodule check is one
+residual per element,
 
     (pi ox id ox pi)((Delta ox id) Delta - (id ox Delta) Delta),
 
 accumulated in the exponent form of `qhopf.scalars` from the
-coproducts' forms and pi's, and reduced once per key by the provider's
-`finish`, as the axiom checks of `qhopf.verify` are.
+coproducts' forms, and reduced once per key by the provider's `finish`,
+as the axiom checks of `qhopf.verify` are.
 """
 
 from __future__ import annotations
@@ -38,37 +40,18 @@ from qhopf.elements import Lin, acc
 from qhopf.families.base import HopfProvider
 from qhopf.families.builder import family
 from qhopf.linalg import Echelon, kernel_of_map
-from qhopf.scalars import Cyclo, exponent_form
+from qhopf.scalars import Cyclo
 
 
 class QuotientError(ValueError):
     pass
 
 
-# polynomial-in-t values are sparse dicts exponent -> Cyclo
-
-
-def _pol_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        acc(out, k, v)
-    return out
-
-
-def _pol_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for i, c in a.items():
-        for j, d in b.items():
-            acc(out, i + j, c * d)
-    return out
-
-
 class QuotientSpec:
     """Images of the generators under the quotient map.
 
     kind is "laurent" or "poly"; images maps each base generator name
-    (no inverse names) to None for zero or (coeff, exponent) for a
-    monomial coeff * t^exponent.
+    (no inverse names) to None for zero or to k for the power t^k.
     """
 
     def __init__(self, kind: str, images: dict):
@@ -77,18 +60,18 @@ class QuotientSpec:
         self.kind = kind
         self.images = dict(images)
 
-    def mono_pow(self, name: str, e: int, level: int):
+    def degree(self, name: str, e: int) -> int | None:
+        """The t-degree of pi(name^e), or None where it is 0."""
         if e == 0:
-            return {0: Cyclo.one(level)}
-        img = self.images.get(name)
-        if img is None:
+            return 0
+        k = self.images.get(name)
+        if k is None:
             if e < 0:
                 raise QuotientError(f"negative power of {name} with zero image")
-            return {}
-        c, k = img
+            return None
         if self.kind == "poly" and k * e < 0:
             raise QuotientError(f"negative t-exponent for {name}^{e}")
-        return {k * e: c ** e}
+        return k * e
 
 
 def default_quotient(alg: HopfProvider) -> QuotientSpec:
@@ -99,27 +82,23 @@ def default_quotient(alg: HopfProvider) -> QuotientSpec:
         raise QuotientError(
             "no built-in quotient: a nontrivial twist leaves no monomial collapse"
         )
-    kind, images = found
-    one = Cyclo.one(alg.level)
-    return QuotientSpec(
-        kind, {name: None if k is None else (one, k) for name, k in images.items()}
-    )
+    return QuotientSpec(*found)
 
 
 class Coaction:
     """rho/lam machinery for one algebra instance and one quotient.
 
     Every coaction is read from per-index tables, each filled on first
-    use and kept on the instance: pi of a basis index, rho and lam of a
-    basis element as {n: Lin}, the same two coactions in exponent form
-    (for the bicomodule residual), and the rho-grading of a window box.
+    use and kept on the instance: the t-degree of pi of a basis index,
+    rho and lam of a basis element as {n: Lin}, the same two coactions
+    in exponent form (for the bicomodule residual), and the
+    rho-grading of a window box.
     """
 
     def __init__(self, alg: HopfProvider, spec: QuotientSpec):
         self.alg = alg
         self.spec = spec
         self._pi_cache: dict = {}
-        self._pi_forms: dict = {}
         # per side (0: lam, pi on the left leg; 1: rho, on the right)
         self._coactions: tuple[dict, dict] = ({}, {})
         self._coaction_forms: tuple[dict, dict] = ({}, {})
@@ -129,87 +108,75 @@ class Coaction:
 
     # -- the projection pi ------------------------------------------
 
-    def _letter_image(self, name: str) -> dict:
-        base, neg = (name[:-3], True) if name.endswith("^-1") else (name, False)
-        return self.spec.mono_pow(base, -1 if neg else 1, self.alg.level)
-
-    def pi_index(self, idx) -> dict:
-        cached = self._pi_cache.get(idx)
-        if cached is not None:
-            return cached
-        out = {0: self.alg.one_scalar()}
+    def pi_index(self, idx) -> int | None:
+        """n where pi(e_idx) = t^n, or None where pi(e_idx) = 0."""
+        try:
+            return self._pi_cache[idx]
+        except KeyError:
+            pass
+        n = 0
         for name, e in self.alg.index_factors(idx):
-            out = _pol_mul(out, self.spec.mono_pow(name, e, self.alg.level))
-            if not out:
+            k = self.spec.degree(name, e)
+            if k is None:
+                n = None
                 break
-        self._pi_cache[idx] = out
-        return out
-
-    def _pi_form(self, idx) -> list:
-        # pi(e_idx) as (t-exponent, pairs) terms of Q[C_N]
-        hit = self._pi_forms.get(idx)
-        if hit is None:
-            hit = self._pi_forms[idx] = exponent_form(self.alg.level, self.pi_index(idx))
-        return hit
+            n += k
+        self._pi_cache[idx] = n
+        return n
 
     # -- construction-time validation --------------------------------
 
     def _check_algebra_map(self):
-        pres = self.alg.presentation()
-        for rel in pres.relations:
+        gens = dict(self.alg.generators())
+        for rel in self.alg.presentation().relations:
             total: dict = {}
             for coeff, word in rel:
-                term = {0: coeff}
-                for name in word:
-                    term = _pol_mul(term, self._letter_image(name))
-                total = _pol_add(total, term)
+                degrees = [self.pi_index(gens[name]) for name in word]
+                if None not in degrees:
+                    acc(total, sum(degrees), coeff)
             if total:
                 raise QuotientError("a defining relation does not map to zero")
 
-    def _bar_coproduct(self, pol: dict) -> dict:
-        out: dict = {}
-        for k, c in pol.items():
-            if self.spec.kind == "laurent":
-                acc(out, (k, k), c)
-            else:
-                for j in range(k + 1):
-                    acc(out, (j, k - j), c * math.comb(k, j))
-        return out
-
-    def _bar_counit(self, pol: dict) -> Cyclo:
+    def _bar_coproduct(self, k: int | None) -> dict:
+        # Delta(t^k) as {(i, j): coefficient of t^i ox t^j}
+        if k is None:
+            return {}
         if self.spec.kind == "laurent":
-            total = Cyclo.zero(self.alg.level)
-            for c in pol.values():
-                total = total + c
-            return total
-        return pol.get(0, Cyclo.zero(self.alg.level))
+            return {(k, k): self.alg.one_scalar()}
+        return {(j, k - j): self.alg.scalar(math.comb(k, j)) for j in range(k + 1)}
+
+    def _bar_counit(self, k: int | None) -> Cyclo:
+        # eps(t^k): 1 in every degree (Laurent) or in degree 0 (polynomial)
+        hit = k is not None if self.spec.kind == "laurent" else k == 0
+        return self.alg.scalar(1 if hit else 0)
 
     def _check_coalgebra_map(self):
+        pi = self.pi_index
         for name, idx in self.alg.generators():
-            img = self._letter_image(name)
+            k = pi(idx)
             two_sided: dict = {}
             for (i, j), c in self.alg.coproduct_basis(idx).terms.items():
-                for m, cm in self.pi_index(i).items():
-                    for n, cn in self.pi_index(j).items():
-                        acc(two_sided, (m, n), c * cm * cn)
-            if two_sided != self._bar_coproduct(img):
+                if (m := pi(i)) is not None and (n := pi(j)) is not None:
+                    acc(two_sided, (m, n), c)
+            if two_sided != self._bar_coproduct(k):
                 raise QuotientError(f"coproduct does not descend on {name}")
-            if not (self.alg.counit_basis(idx) - self._bar_counit(img)).is_zero():
+            if not (self.alg.counit_basis(idx) - self._bar_counit(k)).is_zero():
                 raise QuotientError(f"counit does not descend on {name}")
 
     # -- the coactions ------------------------------------------------
 
     def _basis_coaction(self, idx, side: int) -> dict:
-        """rho (side 1) or lam (side 0) of e_idx as {n: component}: pi
-        applied to one leg of Delta(e_idx), the other leg kept."""
+        """rho (side 1) or lam (side 0) of e_idx as {n: component}: the
+        terms of Delta(e_idx) grouped by the t-degree of pi on one leg,
+        the other leg kept."""
         cache = self._coactions[side]
         hit = cache.get(idx)
         if hit is None:
             out: dict = {}
             for legs, d in self.alg.coproduct_basis(idx).terms.items():
-                kept = legs[1 - side]
-                for n, cn in self.pi_index(legs[side]).items():
-                    acc(out.setdefault(n, {}), kept, d * cn)
+                n = self.pi_index(legs[side])
+                if n is not None:
+                    acc(out.setdefault(n, {}), legs[1 - side], d)
             hit = cache[idx] = {n: Lin(comp) for n, comp in out.items() if comp}
         return hit
 
@@ -251,19 +218,17 @@ class Coaction:
 
     def _coaction_form(self, idx, side: int) -> tuple:
         """_basis_coaction in exponent form, unreduced: ((kept leg, n),
-        pairs) per term, from the coproduct's form and pi's."""
+        pairs) per term, regrouped from the coproduct's form."""
         cache = self._coaction_forms[side]
         hit = cache.get(idx)
         if hit is None:
             out: dict = {}
-            for legs, dp in self.alg.coproduct_basis(idx).form:
-                kept = legs[1 - side]
-                for n, pp in self._pi_form(legs[side]):
-                    slot = out.setdefault((kept, n), {})
-                    for ed, rd in dp:
-                        for ep, rp in pp:
-                            e = ed + ep
-                            slot[e] = slot.get(e, 0) + rd * rp
+            for legs, pairs in self.alg.coproduct_basis(idx).form:
+                n = self.pi_index(legs[side])
+                if n is not None:
+                    slot = out.setdefault((legs[1 - side], n), {})
+                    for e, r in pairs:
+                        slot[e] = slot.get(e, 0) + r
             hit = cache[idx] = tuple(
                 (key, pairs)
                 for key, slot in out.items()
@@ -378,31 +343,31 @@ class Coaction:
 
     # -- coinvariants --------------------------------------------------
 
+    def _coinvariants(self, window: int, side: int) -> list[Lin]:
+        """Kernel basis of rho(h) - h ox 1 (side 1) or lam(h) - 1 ox h
+        (side 0) on the window span, keyed (index, n) on the right and
+        (n, index) on the left: the key order fixes the basis found."""
+        alg = self.alg
+        minus_one = Cyclo.zero(alg.level) - alg.one_scalar()
+
+        def key(idx, n):
+            return (idx, n) if side else (n, idx)
+
+        def image(e):
+            vec: dict = {}
+            for n, comp in self._coact(alg.basis_el(e), side).items():
+                for idx, c in comp.terms.items():
+                    acc(vec, key(idx, n), c)
+            acc(vec, key(e, 0), minus_one)
+            return vec
+
+        box = alg.basis_box(window)
+        return [Lin(k) for k in kernel_of_map(box, image, alg.level)]
+
     def right_coinvariants(self, window: int) -> list[Lin]:
         """Kernel basis of rho(h) - h ox 1 on the window span."""
-        box = self.alg.basis_box(window)
-        one = self.alg.one_scalar()
-
-        def image(e):
-            vec: dict = {}
-            for n, comp in self.rho(self.alg.basis_el(e)).items():
-                for idx, c in comp.terms.items():
-                    acc(vec, (idx, n), c)
-            acc(vec, (e, 0), Cyclo.zero(self.alg.level) - one)
-            return vec
-
-        return [Lin(k) for k in kernel_of_map(box, image, self.alg.level)]
+        return self._coinvariants(window, 1)
 
     def left_coinvariants(self, window: int) -> list[Lin]:
-        box = self.alg.basis_box(window)
-        one = self.alg.one_scalar()
-
-        def image(e):
-            vec: dict = {}
-            for n, comp in self.lam(self.alg.basis_el(e)).items():
-                for idx, c in comp.terms.items():
-                    acc(vec, (n, idx), c)
-            acc(vec, (0, e), Cyclo.zero(self.alg.level) - one)
-            return vec
-
-        return [Lin(k) for k in kernel_of_map(box, image, self.alg.level)]
+        """Kernel basis of lam(h) - 1 ox h on the window span."""
+        return self._coinvariants(window, 0)

@@ -77,11 +77,11 @@ def grouplike_profile(alg: HopfProvider, bound: int = 3) -> tuple[int, bool]:
         if vec:
             vectors.append(vec)
     rank = span_rank(vectors)
-    abelian = True
-    for pos, g in enumerate(gls):
-        for h in gls[pos + 1 :]:
-            if alg.multiply_basis(g, h) != alg.multiply_basis(h, g):
-                abelian = False
+    abelian = all(
+        alg.multiply_basis(g, h) == alg.multiply_basis(h, g)
+        for pos, g in enumerate(gls)
+        for h in gls[pos + 1 :]
+    )
     return rank, abelian
 
 

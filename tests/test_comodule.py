@@ -1,10 +1,12 @@
 """Coactions along the built-in quotients: frozen component values,
 gradings, derivations, Taylor expansion, coinvariants, and every
-coaction check against a reference route that applies pi to the legs of
-each coproduct term directly, in Cyclo arithmetic."""
+coaction check against a reference route that reads pi off the
+quotient's images and applies it to the legs of each coproduct term
+directly, in Cyclo arithmetic."""
 
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,6 @@ from qhopf.elements import Lin, acc, lin_from_pairs
 from qhopf.families import build
 from qhopf.linalg import Echelon
 from qhopf.params import parse_params
-from qhopf.scalars import Cyclo
 
 
 def coaction_of(spec):
@@ -25,13 +26,27 @@ def coaction_of(spec):
 # -- the reference route: pi on one leg of each coproduct term ----------
 
 
+def ref_pi(co, idx):
+    """The t-degree of pi(e_idx), or None for 0, read off the spec's
+    images and the index's generator powers."""
+    n = 0
+    for name, e in co.alg.index_factors(idx):
+        if e:
+            k = co.spec.images.get(name)
+            if k is None:
+                return None
+            n += k * e
+    return n
+
+
 def ref_coaction(co, h, side):
     """rho (side 1) or lam (side 0) of h as {n: Lin}."""
     out = {}
     for idx, c in h.terms.items():
         for legs, d in co.alg.coproduct_basis(idx).terms.items():
-            for n, cn in co.pi_index(legs[side]).items():
-                acc(out.setdefault(n, {}), legs[1 - side], c * d * cn)
+            n = ref_pi(co, legs[side])
+            if n is not None:
+                acc(out.setdefault(n, {}), legs[1 - side], c * d)
     return {n: Lin(comp) for n, comp in out.items() if comp}
 
 
@@ -220,14 +235,19 @@ def test_coactions_commute_on_random_elements(spec):
 
 def test_a_tampered_quotient_fails_on_the_box():
     # __init__ checked the true images; the tables are filled afterwards
-    # from the tampered one, so some check on the box must fail
-    for spec, coeff, exponent in [
-        ({"family": "A", "n": 2, "q": {"order": 3, "power": 1}}, 2, 1),
-        ({"family": "B", "n": 1, "p": [1, 2, 3], "q": {"order": 6, "power": 1}}, 2, 1),
-        ({"family": "C", "n": 3}, 1, 0),
+    # from the tampered one (pi's degree table, partly filled by
+    # __init__'s checks, is emptied), so some check on the box must
+    # fail; only the counit collapse does.  The tamper sends a letter to
+    # t^0 where the true image is 0 (A, B) or t (C): sending x to
+    # another power of t would still be a Hopf map
+    for spec, name in [
+        ({"family": "A", "n": 2, "q": {"order": 3, "power": 1}}, "y"),
+        ({"family": "B", "n": 1, "p": [1, 2, 3], "q": {"order": 6, "power": 1}}, "y1"),
+        ({"family": "C", "n": 3}, "x"),
     ]:
         alg, co = coaction_of(spec)
-        co.spec.images["x"] = (alg.scalar(coeff), exponent)
+        co.spec.images[name] = 0
+        co._pi_cache.clear()
         results = []
         for idx in alg.basis_box(2):
             el = alg.basis_el(idx)
@@ -269,10 +289,26 @@ def test_trivial_twist_lift_reuses_the_ore_quotient():
 
 def test_coaction_rejects_non_algebra_maps():
     alg = build(parse_params({"family": "EnvNonabelian"}))
-    one = Cyclo.one(alg.level)
-    bad = QuotientSpec("poly", {"y": (one, 1), "x": (one, 1)})
+    bad = QuotientSpec("poly", {"y": 1, "x": 1})
     with pytest.raises(QuotientError):
         Coaction(alg, bad)
+
+
+@pytest.mark.parametrize("spec,kind,images,message", [
+    # x is a unit: x^-1 has no image when x goes to 0
+    ({"family": "A", "n": 2, "q": 1}, "laurent", {"y": None},
+     "negative power of x with zero image"),
+    # y is a unit: y^-1 would go to t^-1, outside k[t]
+    ({"family": "C", "n": 2}, "poly", {"y": 1, "x": 1},
+     "negative t-exponent for y^-1"),
+    # Delta(y) = y ox 1 + x^2 ox y goes to t ox 1 + t^2 ox t, not t ox t
+    ({"family": "A", "n": 2, "q": 1}, "laurent", {"y": 1, "x": 1},
+     "coproduct does not descend on y"),
+])
+def test_coaction_rejects_each_ill_defined_quotient(spec, kind, images, message):
+    alg = build(parse_params(spec))
+    with pytest.raises(QuotientError, match=f"^{re.escape(message)}$"):
+        Coaction(alg, QuotientSpec(kind, images))
 
 
 def test_quotient_spec_rejects_unknown_kind():

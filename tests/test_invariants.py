@@ -15,6 +15,7 @@ from qhopf.invariants import (
     ext1_from_instance,
     family_tag,
     gldim_class,
+    grouplike_profile,
     invariant_vector,
     iso_key,
     isomorphic,
@@ -200,6 +201,24 @@ def test_distinguish_names_the_first_differing_invariant():
     assert got == "abelianization_goldie_rank"
     got = distinguish(build(P({"family": "GroupZ2"})), build(P({"family": "GroupZSemiZ"})), 2)
     assert got == "is_commutative"
+
+
+@pytest.mark.parametrize("spec,want", [
+    ({"family": "GroupZ2"}, (2, True)),
+    ({"family": "GroupZSemiZ"}, (2, False)),
+])
+def test_grouplike_profile_stops_at_the_first_non_commuting_pair(spec, want):
+    alg = build(P(spec))
+    calls = []
+    multiply = alg.multiply_basis
+    alg.multiply_basis = lambda g, h: calls.append((g, h)) or multiply(g, h)
+    assert grouplike_profile(alg, 5) == want
+    pairs = calls[::2]
+    assert calls[1::2] == [(h, g) for g, h in pairs]
+    commuting = [multiply(g, h) == multiply(h, g) for g, h in pairs]
+    # every pair before the last commutes: the scan ends at the first
+    # pair that does not, or after the last pair
+    assert all(commuting[:-1]) and commuting[-1] == want[1]
 
 
 def test_isomorphic_is_an_equivalence_on_the_pool():
