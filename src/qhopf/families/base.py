@@ -8,7 +8,10 @@ provider states:
                            letter is grouplike, with exponents in Z and
                            counit 1; any other letter has counit 0 and
                            exponents 0..cap (cap None: unbounded)
-    _multiply_raw(i, j)    e_i * e_j        as a Lin over indices
+    _monomial(i, j)        e_i * e_j = r * omega^e * e_k  as (k, e, r),
+                           for a monomial family (below)
+    _multiply_raw(i, j)    e_i * e_j        as a Lin over indices, for
+                           any other family
     _coproduct_raw(i)      Delta(e_i)       as a Lin over index pairs
     _antipode_raw(i)       S(e_i)           as a Lin over indices
     oracle_rules()         the defining relations, oriented for rewriting
@@ -46,6 +49,20 @@ one reduced Cyclo, and only then drops the keys that vanish.  With
 so an axiom residual lhs - rhs is one table: the caller passes a
 negated operand for the right side.
 
+Five families are skew-Laurent monomial algebras (GroupZ2, GroupZSemiZ,
+EnvAbelian, A and B): two basis monomials multiply to one monomial
+times a scalar, which is a root of unity omega^e except for A at a
+rational q != +-1, where it is the rational r = q^(bc).  Such a family
+states its product once, as `_monomial(i, j) -> (k, e, r)` with e
+reduced mod N = lcm(2, level) and r an int or Fraction (1 at every
+root-of-unity q).  `_multiply_raw` is derived from it (the reduced
+r * omega^e: tagged at levels >= 3, untagged +-r at levels 1 and 2),
+and `mul`, `t2_mul` and the bialgebra residual of `qhopf.verify` read
+(k, e, r) directly, with no per-pair cache entry: the families memoize
+their closed forms per index, not per pair.  C, CLift and EnvNonabelian
+multiply into polynomials and state `_multiply_raw`; their kernel
+products go through the product cache below.
+
 Structure constants are cached once per index, each with its exponent
 form.  A product entry is the Lin a fill returns until a kernel first
 reads it; that read puts its exponent form in its place, each term
@@ -69,7 +86,13 @@ from fractions import Fraction
 from itertools import product
 
 from qhopf.elements import Index, Lin
-from qhopf.scalars import Cyclo, exponent_form, reduce_exponents, reduce_forms
+from qhopf.scalars import (
+    Cyclo,
+    exponent_form,
+    reduce_exponents,
+    reduce_forms,
+    roots_of_unity,
+)
 
 
 @dataclass
@@ -138,6 +161,8 @@ class HopfProvider(ABC):
 
     def __init__(self, level: int):
         self.level = level
+        self._roots = roots_of_unity(level)
+        self.omega_order = len(self._roots)  # N = lcm(2, level)
         self._one = Cyclo.one(level)
         self._zero = Cyclo.zero(level)
         self._mul_cache: dict[tuple[Index, Index], Lin | tuple] = {}
@@ -146,8 +171,12 @@ class HopfProvider(ABC):
 
     # -- family-specific structure constants ---------------------------
 
-    @abstractmethod
-    def _multiply_raw(self, i: Index, j: Index) -> Lin: ...
+    # (i, j) -> (k, e, r) in a monomial family, see the module docstring
+    _monomial = None
+
+    def _multiply_raw(self, i: Index, j: Index) -> Lin:
+        k, e, r = self._monomial(i, j)
+        return Lin({k: self.omega_scalar(e, r)})
 
     @abstractmethod
     def _coproduct_raw(self, i: Index) -> Lin: ...
@@ -284,6 +313,12 @@ class HopfProvider(ABC):
     def one_scalar(self) -> Cyclo:
         return self._one
 
+    def omega_scalar(self, e: int, r) -> Cyclo:
+        """r * omega^e, reduced, for e in [0, N)."""
+        if r == 1:
+            return self._roots[e]
+        return reduce_exponents(self.level, {0: {e: r}})[0]
+
     def _form(self, el: Lin):
         # the (key, pairs) terms a kernel reads: a FormLin's own form,
         # any other Lin's reduced coefficients
@@ -327,10 +362,18 @@ class HopfProvider(ABC):
 
     def mul(self, a: Lin, b: Lin, *, into: dict | None = None):
         out = self.table() if into is None else into
-        form = self._mul_form
+        mono, form = self._monomial, self._mul_form
         bt = self._form(b)
         for i, cp in self._form(a):
             for j, dp in bt:
+                if mono is not None:
+                    k, es, rs = mono(i, j)
+                    slot = out[k]
+                    for ec, rc in cp:
+                        for ed, rd in dp:
+                            e = ec + ed + es
+                            slot[e] = slot.get(e, 0) + rc * rd * rs
+                    continue
                 products = form(i, j)
                 for ec, rc in cp:
                     for ed, rd in dp:
@@ -370,10 +413,20 @@ class HopfProvider(ABC):
     def t2_mul(self, s: Lin, t: Lin, *, into: dict | None = None):
         """Componentwise product of 2-tensors."""
         out = self.table() if into is None else into
-        form = self._mul_form
+        mono, form = self._monomial, self._mul_form
         tt = self._form(t)
         for (i, j), cp in self._form(s):
             for (k, l), dp in tt:
+                if mono is not None:
+                    a, ea, ra = mono(i, k)
+                    b, eb, rb = mono(j, l)
+                    slot = out[a, b]
+                    e1, r1 = ea + eb, ra * rb
+                    for ec, rc in cp:
+                        for ed, rd in dp:
+                            e = e1 + ec + ed
+                            slot[e] = slot.get(e, 0) + r1 * rc * rd
+                    continue
                 left, right = form(i, k), form(j, l)
                 if len(cp) == len(dp) == 1:
                     # one pair each (levels 1 and 2, roots of unity)

@@ -32,9 +32,9 @@ class _Enveloping(HopfProvider):
 
 
 class EnvAbelian(_Enveloping):
-    def _multiply_raw(self, i, j):
+    def _monomial(self, i, j):
         (a, b), (c, d) = i, j
-        return Lin.basis((a + c, b + d), self.one_scalar())
+        return (a + c, b + d), 0, 1
 
     def _antipode_raw(self, i):
         a, b = i

@@ -4,7 +4,11 @@ x is grouplike, y is skew primitive with Delta(y) = y ox 1 + x^n ox y.
 Basis monomials are y^a x^b (a >= 0, b in Z), keyed by the index
 (a, b), and multiply by
 
-    (y^a x^b)(y^c x^d) = q^(b c) y^(a+c) x^(b+d).
+    (y^a x^b)(y^c x^d) = q^(b c) y^(a+c) x^(b+d),
+
+stated as `_monomial`: q^(b c) is omega^(e_q b c) for a root of unity
+q = omega^(e_q) (q = +-1 included), and the rational q^(b c), memoized
+per exponent b c, for any other q.
 
 Coproducts of powers of y run through the skew binomial theorem with
 ratio q^n, since (x^n ox y)(y ox 1) = q^n (y ox 1)(x^n ox y):
@@ -16,7 +20,8 @@ each coefficient kept in its Gauss-polynomial form (`skew_binomial_forms`).
 
 from __future__ import annotations
 
-from qhopf.elements import Lin
+from fractions import Fraction
+
 from qhopf.families.base import FormLin, HopfProvider, PowCache
 from qhopf.params import AParams
 from qhopf.qcombinat import skew_binomial_forms
@@ -32,6 +37,9 @@ class FamilyA(HopfProvider):
         self.q = params.q.to_cyclo(self.level)
         self.qpow = PowCache(self.q)
         self._skew_cache: dict[int, list] = {}
+        # q = omega^qe, or qe None for a rational q other than +-1
+        self._qe = self._roots.index(self.q) if self.q in self._roots else None
+        self._qr_cache: dict[int, int | Fraction] = {}
 
     def _skew(self, a: int) -> list:
         hit = self._skew_cache.get(a)
@@ -40,9 +48,18 @@ class FamilyA(HopfProvider):
             self._skew_cache[a] = hit
         return hit
 
-    def _multiply_raw(self, i, j):
+    def _monomial(self, i, j):
         (a, b), (c, d) = i, j
-        return Lin.basis((a + c, b + d), self.qpow(b * c))
+        m = b * c
+        if self._qe is not None:
+            return (a + c, b + d), self._qe * m % self.omega_order, 1
+        hit = self._qr_cache.get(m)
+        if hit is None:
+            hit = self.params.q.rational**m
+            if hit.denominator == 1:
+                hit = hit.numerator
+            self._qr_cache[m] = hit
+        return (a + c, b + d), 0, hit
 
     def _coproduct_raw(self, i):
         a, b = i

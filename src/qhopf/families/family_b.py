@@ -15,6 +15,17 @@ i >= 2 (d_1 unbounded).  The total y-degree mu(d) = sum m_i d_i is
 injective on canonical tuples; a raw tuple renormalizes by the carry
 d_i -= p_i, d_1 += p_1, which preserves mu because m_i p_i = m = m_1 p_1.
 
+Two monomials multiply inside k[y][x^(pm 1); sigma], where y^d is
+y^mu(d) and x^b y^mu = q^(b mu) y^mu x^b:
+
+    (y^d x^b)(y^d' x^b') = q^(b mu(d')) y^(d+d') x^(b+b').
+
+So mu and b alone fix the product: its scalar is q^(b mu(d')), and its
+index is the one canonical y-tuple of degree mu(d) + mu(d') followed by
+the x-exponent b + b'.  `_monomial` keeps (mu, b) per index and the
+canonical y-tuple per degree, so its memory grows with the indices it
+meets, not with the pairs of them.
+
 The coproduct of a monomial is assembled by tensor multiplication of
 the closed forms for Delta(y_i)^(d_i); each of those is a skew
 binomial expansion with ratio q^(m_i^2 n), because
@@ -29,7 +40,7 @@ vanishes.
 
 from __future__ import annotations
 
-from qhopf.elements import Lin
+from qhopf.elements import Index, Lin
 from qhopf.families.base import FormLin, HopfProvider, PowCache
 from qhopf.params import BParams
 from qhopf.qcombinat import skew_binomial_forms
@@ -54,6 +65,10 @@ class FamilyB(HopfProvider):
         # skew ratio for Delta(y_i) powers
         self._ratios = tuple(self.qpow(self.mm[i] ** 2 * self.n) for i in range(self.s))
         self._ypow_cop_cache: dict[tuple[int, int], FormLin] = {}
+        # q = omega^qe; index -> (mu, b, qe * b), and mu -> canonical d
+        self._qe = self.q.unit
+        self._mu_b: dict[Index, tuple[int, int, int]] = {}
+        self._canon_d: dict[int, tuple[int, ...]] = {}
         self.letters = tuple(
             (f"y{i + 1}", False, None if i == 0 else cap - 1)
             for i, cap in enumerate(self.pp)
@@ -86,9 +101,20 @@ class FamilyB(HopfProvider):
 
     # -- structure constants ---------------------------------------------
 
-    def _multiply_raw(self, i, j):
-        coeff = self.qpow(i[-1] * self.mu(j))
-        return Lin.basis(self.canon(x + y for x, y in zip(i, j)), coeff)
+    def _monomial(self, i, j):
+        mu_b = self._mu_b
+        mi, bi, ei = mu_b.get(i) or self._fill_mu_b(i)
+        mj, bj, _ = mu_b.get(j) or self._fill_mu_b(j)
+        mu = mi + mj
+        d = self._canon_d.get(mu)
+        if d is None:
+            d = self._canon_d[mu] = self.canon(x + y for x, y in zip(i[:-1], j))
+        return d + (bi + bj,), ei * mj % self.omega_order, 1
+
+    def _fill_mu_b(self, i):
+        b = i[-1]
+        hit = self._mu_b[i] = (self.mu(i), b, self._qe * b)
+        return hit
 
     def _cop_ypow(self, i: int, k: int) -> FormLin:
         """Delta(y_i)^k = sum_r (k choose r)_(ratio_i) y_i^(k-r) x^(m_i n r) ox y_i^r."""

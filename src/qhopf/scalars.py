@@ -535,12 +535,23 @@ def exponent_form(level: int, terms: dict) -> list[tuple]:
     return out
 
 
+@lru_cache(maxsize=None)
+def roots_of_unity(level: int) -> tuple[Cyclo, ...]:
+    """omega^e for e in [0, N), shared: tagged at levels >= 3, the
+    untagged 1 and -1 at levels 1 and 2."""
+    if euler_phi(level) > 1:
+        return _units(level)[1]
+    one = _rational_one(level)
+    return one, -one
+
+
 def reduce_exponents(level: int, table: dict) -> dict:
     """key -> sum r * omega^e, reduced modulo Phi_level, for each key of
     a table key -> {e: r} whose sum is nonzero."""
     sparse = _units(level)[2]
     n = len(sparse)
     half = n // 2
+    deg = euler_phi(level)
     out = {}
     for key, terms in table.items():
         if len(terms) == 1:
@@ -555,6 +566,8 @@ def reduce_exponents(level: int, table: dict) -> dict:
             if r == 1:
                 out[key] = _root(level, e)
                 continue
+        if not any(terms.values()):
+            continue
         # fold first, since omega^(e + N/2) = -omega^e: each root of
         # unity up to sign gets one coefficient, and the terms that
         # cancel there are never expanded
@@ -567,7 +580,7 @@ def reduce_exponents(level: int, table: dict) -> dict:
                     r = -r
                 folded[e] = folded.get(e, 0) + r
         den = lcm(*[r.denominator for r in folded.values()])
-        vec = [0] * euler_phi(level)
+        vec = [0] * deg
         for e, r in folded.items():
             if r:
                 c = r.numerator * (den // r.denominator)

@@ -1,13 +1,17 @@
 """Axiom verification: green on the real families, red on corrupted
 structure maps, plus grouplike and skew-primitive searches."""
 
+import random
+
 import pytest
 
 from conftest import grid_specs, spec_label
 from qhopf.elements import Lin, lin_from_pairs
 from qhopf.families import build
 from qhopf.families.family_a import FamilyA
+from qhopf.families.family_b import FamilyB
 from qhopf.families.family_c import FamilyC
+from qhopf.families.rewriter import agree_on_product
 from qhopf.invariants import is_cocommutative
 from qhopf.linalg import Echelon
 from qhopf.params import parse_params
@@ -101,11 +105,13 @@ class _BrokenCoproduct(FamilyA):
 
 
 class _BrokenProduct(FamilyA):
-    """Forgets the commutation scalar, so Delta is no longer an algebra map."""
+    """Forgets the commutation scalar, so Delta is no longer an algebra map.
+    It states the broken product as A's `_monomial`, which the kernels
+    and `multiply_basis` both read."""
 
-    def _multiply_raw(self, i, j):
+    def _monomial(self, i, j):
         (a, b), (c, d) = i, j
-        return Lin.basis((a + c, b + d), self.one_scalar())
+        return (a + c, b + d), 0, 1
 
 
 def test_corrupted_coproduct_is_caught():
@@ -131,6 +137,30 @@ def test_corrupted_product_is_caught():
         "(y*x^-2, y*x^-2)",
         "1 residual tensor terms: [y*x^-2 ox y*x^-4] -2 - z3",
     )
+
+
+class _OffByOneOmega(FamilyB):
+    """B's closed form with the omega exponent of every product moved by 1."""
+
+    def _monomial(self, i, j):
+        k, e, r = super()._monomial(i, j)
+        return k, (e + 1) % self.omega_order, r
+
+
+def test_off_by_one_omega_in_the_closed_form_is_caught():
+    """Both routes read the closed form: the kernels fail the bialgebra
+    check, and `multiply_basis` disagrees with the rewriting oracle on
+    the pairs `test_random_products_match_rewriter` draws."""
+    params = parse_params(
+        {"family": "B", "n": 2, "p": [1, 2, 3], "q": {"order": 12, "power": 1}}
+    )
+    alg = _OffByOneOmega(params)
+    report = verify_axioms(alg, window=1, axioms=("bialgebra",))
+    assert report.failures
+    box = alg.basis_box(3)
+    rng = random.Random(2024)
+    pairs = [(rng.choice(box), rng.choice(box)) for _ in range(60)]
+    assert not any(agree_on_product(alg, i, j) for i, j in pairs)
 
 
 class _BrokenOreCoproduct(FamilyC):

@@ -18,8 +18,10 @@ import pytest
 from qhopf.elements import Lin, acc
 from qhopf.families import build
 from qhopf.families.base import FormLin
-from qhopf.params import parse_params
+from qhopf.families.family_a import FamilyA
+from qhopf.params import AParams, ScalarSpec, parse_params
 from qhopf.scalars import Cyclo, euler_phi, reduce_exponents
+from qhopf.verify import verify_axioms
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 
@@ -35,7 +37,38 @@ SPECS = {
 }
 
 
+class _AtLevel2(ScalarSpec):
+    """A rational q read at level 2: Q(zeta_2) is Q again, the other
+    level of the integer lane (omega = -1), which no parameter set
+    reaches."""
+
+    def min_level(self):
+        return 2
+
+
+# the five monomial families at levels 1, 2 and >= 3; None reads instances/
+MONOMIAL = {
+    "group_z2": None,
+    "group_zsemiz": None,
+    "env_abelian": None,
+    "a_2_1": None,  # level 1, q = 1
+    "a_1_m1": None,  # level 1, q = -1 = omega
+    "a_2_2": None,  # level 1, q = 2: the rational r = q^(bc)
+    "a_1_m1_level2": AParams(n=1, q=_AtLevel2(Fraction(-1), 0, 0)),
+    "a_2_z3": None,  # level 3
+    "a_2_z4p3": None,  # level 4
+    "b_2_123_z12": None,  # level 12
+    "b_7_135_z105": None,  # level 105
+}
+
+
 def _build(name):
+    if name in MONOMIAL and name not in SPECS:
+        params = MONOMIAL[name]
+        if params is not None:
+            return FamilyA(params)
+        spec = json.loads((INSTANCES / f"{name}.json").read_text())
+        return build(parse_params(spec))
     spec = SPECS[name]
     if spec is None:
         spec = json.loads((INSTANCES / f"{name}.json").read_text())
@@ -219,3 +252,48 @@ def test_basis_element_shares_the_one(name):
     assert alg.basis_el(i, Fraction(3, 2)).terms[i] == Cyclo.from_fraction(
         Fraction(3, 2), alg.level
     )
+
+
+@pytest.mark.parametrize("name", list(MONOMIAL))
+def test_monomial_kernels_match_multiply_basis(name):
+    """mul and t2_mul read the closed form `_monomial`, with no product
+    cache entry, and equal the sums built term by term from
+    `multiply_basis` and `tensor2`."""
+    alg = _build(name)
+    assert alg._monomial is not None
+    for seed in range(3):
+        ops = _operands(alg, seed)
+        (a, b), (s, t) = ops["el"], ops["t2"]
+        got_mul, got_t2 = alg.mul(a, b), alg.t2_mul(s, t)
+        assert not any(v.__class__ is tuple for v in alg._mul_cache.values())
+        want_mul = sum(
+            (alg.multiply_basis(i, j).scale(c * d) for i, c in a for j, d in b),
+            Lin(),
+        )
+        want_t2 = sum(
+            (
+                alg.tensor2(alg.multiply_basis(i, k), alg.multiply_basis(j, l)).scale(
+                    c * d
+                )
+                for (i, j), c in s
+                for (k, l), d in t
+            ),
+            Lin(),
+        )
+        assert got_mul == want_mul, seed
+        assert got_t2 == want_t2, seed
+        _assert_reduced(alg, got_mul)
+        _assert_reduced(alg, got_t2)
+        for lin in alg._mul_cache.values():
+            _assert_reduced(alg, lin)
+
+
+def test_verify_caches_no_kernel_product():
+    """verify of B(2, 1, 2, 3, z12) at window 3 reads every kernel
+    product from the closed form: the product cache holds none, and the
+    closed-form memos hold at most a few entries per index of box(2w)
+    (273 of them), not one per pair of the box (7,056)."""
+    alg = _build("b_2_123_z12")
+    assert verify_axioms(alg, window=3).passed
+    assert not any(v.__class__ is tuple for v in alg._mul_cache.values())
+    assert len(alg._mu_b) + len(alg._canon_d) <= 2 * len(alg.basis_box(6))
