@@ -8,13 +8,15 @@ provider states:
                            letter is grouplike, with exponents in Z and
                            counit 1; any other letter has counit 0 and
                            exponents 0..cap (cap None: unbounded)
-    _monomial(i, j)        e_i * e_j = r * omega^e * e_k  as (k, e, r),
-                           for a monomial family (below)
-    _multiply_raw(i, j)    e_i * e_j        as a Lin over indices, for
-                           any other family
+    _product(i, j)         e_i * e_j = sum r * omega^e * e_k  as
+                           ((k, e, r), ...), the kernels' view
+    _multiply_raw(i, j)    e_i * e_j        as a Lin over indices
     _coproduct_raw(i)      Delta(e_i)       as a Lin over index pairs
     _antipode_raw(i)       S(e_i)           as a Lin over indices
     oracle_rules()         the defining relations, oriented for rewriting
+
+A family states one of `_product` and `_multiply_raw`; the base class
+derives the other (below).  A stated `_product` has one term.
 
 Derived here from `letters`, never restated per family:
 
@@ -49,32 +51,28 @@ one reduced Cyclo, and only then drops the keys that vanish.  With
 so an axiom residual lhs - rhs is one table: the caller passes a
 negated operand for the right side.
 
-Five families are skew-Laurent monomial algebras (GroupZ2, GroupZSemiZ,
-EnvAbelian, A and B): two basis monomials multiply to one monomial
-times a scalar, which is a root of unity omega^e except for A at a
-rational q != +-1, where it is the rational r = q^(bc).  Such a family
-states its product once, as `_monomial(i, j) -> (k, e, r)` with e
-reduced mod N = lcm(2, level) and r an int or Fraction (1 at every
-root-of-unity q).  `_multiply_raw` is derived from it (the reduced
-r * omega^e: tagged at levels >= 3, untagged +-r at levels 1 and 2),
-and `mul`, `t2_mul` and the bialgebra residual of `qhopf.verify` read
-(k, e, r) directly, with no per-pair cache entry: the families memoize
-their closed forms per index, not per pair.  C, CLift and EnvNonabelian
-multiply into polynomials and state `_multiply_raw`; their kernel
-products go through the product cache below.
+The kernels (`mul`, `t2_mul`, and the bialgebra residual of
+`qhopf.verify`) read a product only through `_product(i, j)`, as terms
+(k, e, r) with e reduced mod N = lcm(2, level) and r a nonzero int or
+Fraction.  Five families are skew-Laurent monomial algebras (GroupZ2,
+GroupZSemiZ, EnvAbelian, A and B): two basis monomials multiply to one
+monomial times a scalar, which is a root of unity omega^e except for A
+at a rational q != +-1, where it is the rational r = q^(bc).  Such a
+family states `_product` as its one term, from a closed form with no
+per-pair memo, and `_multiply_raw` is derived from it (the reduced
+r * omega^e: a shared root of unity when r = 1).  C, CLift and
+EnvNonabelian multiply into polynomials and state `_multiply_raw`;
+their `_product` is its exponent form, memoized per pair.
 
-Structure constants are cached once per index, each with its exponent
-form.  A product entry is the Lin a fill returns until a kernel first
-reads it; that read puts its exponent form in its place, each term
-carrying the reduced coefficient it came from, so `multiply_basis`
-rebuilds the Lin from the entry without arithmetic.  A coproduct entry
-is a `FormLin`: the Lin that `coproduct_basis` hands out, plus the form
-the kernels read.  A family may return a FormLin from `_coproduct_raw`
-whose form is not the reduced coefficients' (the A and B families use
-the Gauss polynomials of `qhopf.qcombinat`); any other Lin is converted
-once, at its fill.  Negating a FormLin negates each rational of its
-form, so a negated coproduct keeps its form.  A Lin always holds
-reduced, nonzero Cyclos.
+Structure constants are cached once per index.  `multiply_basis` is a
+memo of the Lins `_multiply_raw` returns, which the kernels never read.
+A coproduct entry is a `FormLin`: the Lin that `coproduct_basis` hands
+out, plus the form the kernels read.  A family may return a FormLin
+from `_coproduct_raw` whose form is not the reduced coefficients' (the
+A and B families use the Gauss polynomials of `qhopf.qcombinat`); any
+other Lin is converted once, at its fill.  Negating a FormLin negates
+each rational of its form, so a negated coproduct keeps its form.  A
+Lin always holds reduced, nonzero Cyclos.
 """
 
 from __future__ import annotations
@@ -165,17 +163,27 @@ class HopfProvider(ABC):
         self.omega_order = len(self._roots)  # N = lcm(2, level)
         self._one = Cyclo.one(level)
         self._zero = Cyclo.zero(level)
-        self._mul_cache: dict[tuple[Index, Index], Lin | tuple] = {}
+        self._mul_cache: dict[tuple[Index, Index], Lin] = {}
+        self._product_cache: dict[tuple[Index, Index], tuple] = {}
         self._cop_cache: dict[Index, FormLin] = {}
         self._anti_cache: dict[Index, Lin] = {}
 
     # -- family-specific structure constants ---------------------------
 
-    # (i, j) -> (k, e, r) in a monomial family, see the module docstring
-    _monomial = None
+    def _product(self, i: Index, j: Index) -> tuple:
+        # the exponent form of a stated `_multiply_raw`, per pair
+        key = (i, j)
+        hit = self._product_cache.get(key)
+        if hit is None:
+            form = exponent_form(self.level, self._multiply_raw(i, j).terms)
+            hit = self._product_cache[key] = tuple(
+                (k, e, r) for k, pairs in form for e, r in pairs
+            )
+        return hit
 
     def _multiply_raw(self, i: Index, j: Index) -> Lin:
-        k, e, r = self._monomial(i, j)
+        # a stated `_product` is one term (a monomial family)
+        ((k, e, r),) = self._product(i, j)
         return Lin({k: self.omega_scalar(e, r)})
 
     @abstractmethod
@@ -263,29 +271,6 @@ class HopfProvider(ABC):
         hit = self._mul_cache.get(key)
         if hit is None:
             hit = self._mul_cache[key] = self._multiply_raw(i, j)
-        if hit.__class__ is not tuple:
-            return hit
-        return Lin({k: c for k, _, _, c in hit})
-
-    def _mul_form(self, i: Index, j: Index) -> tuple:
-        # e_i * e_j as flat (k, e, r, c) terms, c the reduced coefficient
-        # of e_k that the term belongs to; a kernel's first read converts
-        # the entry, in place of its Lin
-        key = (i, j)
-        hit = self._mul_cache.get(key)
-        if hit.__class__ is not tuple:
-            terms = (self._multiply_raw(i, j) if hit is None else hit).terms
-            if len(terms) == 1:
-                # most fills: a monomial times a root of unity, the one
-                # pair (unit, 1), without exponent_form's lists
-                ((k, c),) = terms.items()
-                if c.unit is not None:
-                    hit = self._mul_cache[key] = ((k, c.unit, 1, c),)
-                    return hit
-            form = zip(exponent_form(self.level, terms), terms.values())
-            hit = self._mul_cache[key] = tuple(
-                (k, e, r, c) for (k, pairs), c in form for e, r in pairs
-            )
         return hit
 
     def coproduct_basis(self, i: Index) -> FormLin:
@@ -362,26 +347,16 @@ class HopfProvider(ABC):
 
     def mul(self, a: Lin, b: Lin, *, into: dict | None = None):
         out = self.table() if into is None else into
-        mono, form = self._monomial, self._mul_form
+        product = self._product
         bt = self._form(b)
         for i, cp in self._form(a):
             for j, dp in bt:
-                if mono is not None:
-                    k, es, rs = mono(i, j)
+                for k, es, rs in product(i, j):
                     slot = out[k]
                     for ec, rc in cp:
                         for ed, rd in dp:
                             e = ec + ed + es
                             slot[e] = slot.get(e, 0) + rc * rd * rs
-                    continue
-                products = form(i, j)
-                for ec, rc in cp:
-                    for ed, rd in dp:
-                        e0, r0 = ec + ed, rc * rd
-                        for k, es, rs, _ in products:
-                            slot = out[k]
-                            e = e0 + es
-                            slot[e] = slot.get(e, 0) + rs * r0
         if into is None:
             return self.finish(out)
 
@@ -413,33 +388,13 @@ class HopfProvider(ABC):
     def t2_mul(self, s: Lin, t: Lin, *, into: dict | None = None):
         """Componentwise product of 2-tensors."""
         out = self.table() if into is None else into
-        mono, form = self._monomial, self._mul_form
+        product = self._product
         tt = self._form(t)
         for (i, j), cp in self._form(s):
             for (k, l), dp in tt:
-                if mono is not None:
-                    a, ea, ra = mono(i, k)
-                    b, eb, rb = mono(j, l)
-                    slot = out[a, b]
-                    e1, r1 = ea + eb, ra * rb
-                    for ec, rc in cp:
-                        for ed, rd in dp:
-                            e = e1 + ec + ed
-                            slot[e] = slot.get(e, 0) + r1 * rc * rd
-                    continue
-                left, right = form(i, k), form(j, l)
-                if len(cp) == len(dp) == 1:
-                    # one pair each (levels 1 and 2, roots of unity)
-                    ((ec, rc),), ((ed, rd),) = cp, dp
-                    for a, ea, ra, _ in left:
-                        e1, r1 = ec + ed + ea, rc * rd * ra
-                        for b, eb, rb, _ in right:
-                            slot = out[a, b]
-                            e = e1 + eb
-                            slot[e] = slot.get(e, 0) + r1 * rb
-                    continue
-                for a, ea, ra, _ in left:
-                    for b, eb, rb, _ in right:
+                right = product(j, l)
+                for a, ea, ra in product(i, k):
+                    for b, eb, rb in right:
                         slot = out[a, b]
                         e1, r1 = ea + eb, ra * rb
                         for ec, rc in cp:

@@ -32,9 +32,9 @@ class _Enveloping(HopfProvider):
 
 
 class EnvAbelian(_Enveloping):
-    def _monomial(self, i, j):
+    def _product(self, i, j):
         (a, b), (c, d) = i, j
-        return (a + c, b + d), 0, 1
+        return (((a + c, b + d), 0, 1),)
 
     def _antipode_raw(self, i):
         a, b = i

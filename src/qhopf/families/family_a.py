@@ -6,7 +6,7 @@ Basis monomials are y^a x^b (a >= 0, b in Z), keyed by the index
 
     (y^a x^b)(y^c x^d) = q^(b c) y^(a+c) x^(b+d),
 
-stated as `_monomial`: q^(b c) is omega^(e_q b c) for a root of unity
+stated as the one term of `_product`: q^(b c) is omega^(e_q b c) for a root of unity
 q = omega^(e_q) (q = +-1 included), and the rational q^(b c), memoized
 per exponent b c, for any other q.
 
@@ -48,18 +48,18 @@ class FamilyA(HopfProvider):
             self._skew_cache[a] = hit
         return hit
 
-    def _monomial(self, i, j):
+    def _product(self, i, j):
         (a, b), (c, d) = i, j
         m = b * c
         if self._qe is not None:
-            return (a + c, b + d), self._qe * m % self.omega_order, 1
+            return (((a + c, b + d), self._qe * m % self.omega_order, 1),)
         hit = self._qr_cache.get(m)
         if hit is None:
             hit = self.params.q.rational**m
             if hit.denominator == 1:
                 hit = hit.numerator
             self._qr_cache[m] = hit
-        return (a + c, b + d), 0, hit
+        return (((a + c, b + d), 0, hit),)
 
     def _coproduct_raw(self, i):
         a, b = i

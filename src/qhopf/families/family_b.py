@@ -22,7 +22,7 @@ y^mu(d) and x^b y^mu = q^(b mu) y^mu x^b:
 
 So mu and b alone fix the product: its scalar is q^(b mu(d')), and its
 index is the one canonical y-tuple of degree mu(d) + mu(d') followed by
-the x-exponent b + b'.  `_monomial` keeps (mu, b) per index and the
+the x-exponent b + b'.  `_product` keeps (mu, b) per index and the
 canonical y-tuple per degree, so its memory grows with the indices it
 meets, not with the pairs of them.
 
@@ -101,7 +101,7 @@ class FamilyB(HopfProvider):
 
     # -- structure constants ---------------------------------------------
 
-    def _monomial(self, i, j):
+    def _product(self, i, j):
         mu_b = self._mu_b
         mi, bi, ei = mu_b.get(i) or self._fill_mu_b(i)
         mj, bj, _ = mu_b.get(j) or self._fill_mu_b(j)
@@ -109,7 +109,7 @@ class FamilyB(HopfProvider):
         d = self._canon_d.get(mu)
         if d is None:
             d = self._canon_d[mu] = self.canon(x + y for x, y in zip(i[:-1], j))
-        return d + (bi + bj,), ei * mj % self.omega_order, 1
+        return ((d + (bi + bj,), ei * mj % self.omega_order, 1),)
 
     def _fill_mu_b(self, i):
         b = i[-1]

@@ -29,9 +29,9 @@ class _GroupRing(HopfProvider):
 
 
 class GroupZ2(_GroupRing):
-    def _monomial(self, i, j):
+    def _product(self, i, j):
         (a, b), (c, d) = i, j
-        return (a + c, b + d), 0, 1
+        return (((a + c, b + d), 0, 1),)
 
     def _antipode_raw(self, i):
         a, b = i
@@ -53,10 +53,10 @@ class GroupZ2(_GroupRing):
 
 
 class GroupZSemiZ(_GroupRing):
-    def _monomial(self, i, j):
+    def _product(self, i, j):
         (a, b), (c, d) = i, j
         c = c if b % 2 == 0 else -c
-        return (a + c, b + d), 0, 1
+        return (((a + c, b + d), 0, 1),)
 
     def _antipode_raw(self, i):
         # (y^a x^b)^-1 = x^-b y^-a = y^((-1)^(b+1) a) x^-b

@@ -18,15 +18,15 @@ provider's kernels with `into=table`, in the exponent form of
 `qhopf.scalars` (terms of Q[C_N]): one side as is, the other with one
 operand negated.  The bialgebra table holds rhs - lhs, with the product
 (usually one term) negated rather than a copy of Delta(e_j), and its
-finished residual is negated back.  A monomial family's product
-r omega^e e_k, read from its closed form (`_monomial`), enters as
--r omega^e Delta(e_k) term by term; any other family's product is
-negated in its exponent form.  Each table is finished once: each key is
-reduced modulo the cyclotomic polynomial, and only then tested for
-zero, so finishing the table of a check that holds builds no scalar.
-The counit residual is one pass over Delta(e) and adds Cyclos with
-`acc`; the bialgebra law's counit sides are subtracted only when they
-differ, and a pair is named only when it fails.
+finished residual is negated back: each term r omega^e e_k of the
+provider's `_product(i, j)` enters as -r omega^e Delta(e_k).  Each
+table is finished once: each key is reduced modulo the cyclotomic
+polynomial, and only then tested for zero, so finishing the table of a
+check that holds builds no scalar.  The counit residual is one pass
+over Delta(e) and adds Cyclos with `acc`.  The bialgebra law's counit
+residual is the sum of the r omega^e whose e_k has counit 1, minus 1
+when e_i and e_j both have counit 1, in exponent form; it is reduced
+only when it has a term, and a pair is named only when it fails.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from qhopf.elements import Lin, acc
 from qhopf.families.base import HopfProvider
 from qhopf.linalg import kernel_of_map
-from qhopf.scalars import Cyclo
+from qhopf.scalars import Cyclo, reduce_exponents
 
 
 @dataclass
@@ -102,21 +102,21 @@ def antipode_residuals(alg: HopfProvider, idx) -> tuple[Lin, Lin]:
 
 def bialgebra_residuals(alg: HopfProvider, i, j) -> tuple[Lin, Cyclo]:
     table = alg.table()
-    if alg._monomial is None:
-        prod = alg.multiply_basis(i, j)
-        alg.coproduct(-alg.as_form_lin(prod), into=table)
-        lhs = alg.counit(prod)
-    else:
-        # e_i e_j = r omega^e e_k: -r omega^e Delta(e_k), term by term
-        k, e, r = alg._monomial(i, j)
+    # eps(e_i e_j) - eps(e_i) eps(e_j) in exponent form, eps being 0 or 1
+    counit = alg.counit_basis
+    units = {} if counit(i).is_zero() or counit(j).is_zero() else {0: -1}
+    for k, e, r in alg._product(i, j):
+        # -r omega^e Delta(e_k), term by term
         for kl, pairs in alg.coproduct_basis(k).form:
-            table[kl] = {e + ed: -r * rd for ed, rd in pairs}
-        lhs = alg.counit_basis(k)
-        if not lhs.is_zero():
-            lhs = alg.omega_scalar(e, r)
+            slot = table[kl]
+            for ed, rd in pairs:
+                x = e + ed
+                slot[x] = slot.get(x, 0) - r * rd
+        if not counit(k).is_zero():
+            units[e] = units.get(e, 0) + r
     alg.t2_mul(alg.coproduct_basis(i), alg.coproduct_basis(j), into=table)
-    rhs = alg.counit_basis(i) * alg.counit_basis(j)
-    eps = lhs - rhs if lhs != rhs else Cyclo.zero(alg.level)
+    zero = Cyclo.zero(alg.level)
+    eps = reduce_exponents(alg.level, {0: units}).get(0, zero) if units else zero
     return -alg.finish(table), eps
 
 
@@ -224,8 +224,8 @@ def _scan_pairs_parallel(alg: HopfProvider, window: int, jobs: int) -> tuple[int
     # workers get the provider's class and parameters and rebuild it,
     # so each refills its own structure-constant caches; a filled
     # provider would pickle (Cyclo reduces to its constructor
-    # arguments, the product cache holds Lins or exponent forms, and
-    # the coproduct cache FormLins, both of ints and Fractions), but
+    # arguments, the product memos hold Lins and (k, e, r) terms, and
+    # the coproduct cache FormLins, all of ints and Fractions), but
     # its caches are not shipped
     work = [(type(alg), alg.params, window, slot, jobs) for slot in range(jobs)]
     with mp.Pool(jobs) as pool:

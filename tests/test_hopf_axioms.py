@@ -56,13 +56,16 @@ def test_axioms_window_3_carried_basis():
 
 
 def test_parallel_scan_matches_serial():
-    params = parse_params(
-        {"family": "B", "n": 1, "p": [1, 2, 3], "q": {"order": 6, "power": 1}}
-    )
-    alg = build(params)
-    serial = verify_axioms(alg, window=2)
-    parallel = verify_axioms(alg, window=2, jobs=3)
-    assert serial.to_json() == parallel.to_json()
+    """B(1, 1, 2, 3, z6), and CLift(2, 3/2), whose products of several
+    terms enter the bialgebra residual term by term in the workers."""
+    for spec in (
+        {"family": "B", "n": 1, "p": [1, 2, 3], "q": {"order": 6, "power": 1}},
+        {"family": "CLift", "n": 2, "q": "3/2"},
+    ):
+        alg = build(parse_params(spec))
+        serial = verify_axioms(alg, window=2)
+        parallel = verify_axioms(alg, window=2, jobs=3)
+        assert serial.to_json() == parallel.to_json(), spec
 
 
 def test_parallel_scan_caps_workers_at_the_core_count(monkeypatch):
@@ -106,12 +109,12 @@ class _BrokenCoproduct(FamilyA):
 
 class _BrokenProduct(FamilyA):
     """Forgets the commutation scalar, so Delta is no longer an algebra map.
-    It states the broken product as A's `_monomial`, which the kernels
+    It states the broken product as A's `_product`, which the kernels
     and `multiply_basis` both read."""
 
-    def _monomial(self, i, j):
+    def _product(self, i, j):
         (a, b), (c, d) = i, j
-        return (a + c, b + d), 0, 1
+        return (((a + c, b + d), 0, 1),)
 
 
 def test_corrupted_coproduct_is_caught():
@@ -142,9 +145,9 @@ def test_corrupted_product_is_caught():
 class _OffByOneOmega(FamilyB):
     """B's closed form with the omega exponent of every product moved by 1."""
 
-    def _monomial(self, i, j):
-        k, e, r = super()._monomial(i, j)
-        return k, (e + 1) % self.omega_order, r
+    def _product(self, i, j):
+        ((k, e, r),) = super()._product(i, j)
+        return ((k, (e + 1) % self.omega_order, r),)
 
 
 def test_off_by_one_omega_in_the_closed_form_is_caught():

@@ -61,15 +61,14 @@ MONOMIAL = {
     "b_7_135_z105": None,  # level 105
 }
 
+# the other three families (C, CLift, EnvNonabelian): polynomial products
+ORE = ["c_3", "clift_2_3over2", "clift_3_z4", "env_nonabelian"]
+
 
 def _build(name):
-    if name in MONOMIAL and name not in SPECS:
-        params = MONOMIAL[name]
-        if params is not None:
-            return FamilyA(params)
-        spec = json.loads((INSTANCES / f"{name}.json").read_text())
-        return build(parse_params(spec))
-    spec = SPECS[name]
+    spec = SPECS.get(name) or MONOMIAL.get(name)
+    if isinstance(spec, AParams):
+        return FamilyA(spec)
     if spec is None:
         spec = json.loads((INSTANCES / f"{name}.json").read_text())
     return build(parse_params(spec))
@@ -220,7 +219,8 @@ def test_negated_coproduct_keeps_its_form(name):
 def test_negated_product_cancels_before_folding(name):
     """-as_form_lin(p) keeps p's exponents and negates the rationals, so
     a table holding p and -p is zero term by term before any fold by
-    omega^(N/2) = -1; the bialgebra residual negates e_i e_j this way."""
+    omega^(N/2) = -1, as when the bialgebra residual adds each term
+    r omega^e e_k of e_i e_j as -r omega^e Delta(e_k)."""
     alg = _build(name)
     box = alg.basis_box(1)
     for i in box:
@@ -254,18 +254,25 @@ def test_basis_element_shares_the_one(name):
     )
 
 
-@pytest.mark.parametrize("name", list(MONOMIAL))
+@pytest.mark.parametrize("name", list(MONOMIAL) + ORE)
 def test_monomial_kernels_match_multiply_basis(name):
-    """mul and t2_mul read the closed form `_monomial`, with no product
-    cache entry, and equal the sums built term by term from
-    `multiply_basis` and `tensor2`."""
+    """mul and t2_mul read products only as the (k, e, r) terms of
+    `_product`, one term in a monomial family, with no `multiply_basis`
+    entry (and, in a monomial family, no per-pair memo), and equal the
+    sums built term by term from `multiply_basis` and `tensor2`."""
     alg = _build(name)
-    assert alg._monomial is not None
-    for seed in range(3):
-        ops = _operands(alg, seed)
-        (a, b), (s, t) = ops["el"], ops["t2"]
-        got_mul, got_t2 = alg.mul(a, b), alg.t2_mul(s, t)
-        assert not any(v.__class__ is tuple for v in alg._mul_cache.values())
+    box = alg.basis_box(1)
+    for i in box:
+        for j in box:
+            terms = alg._product(i, j)
+            assert terms and all(0 <= e < alg.omega_order and r for _, e, r in terms)
+            assert len(terms) == 1 or name in ORE, (i, j)
+    ops = [_operands(alg, seed) for seed in range(3)]
+    got = [(alg.mul(*o["el"]), alg.t2_mul(*o["t2"])) for o in ops]
+    assert not alg._mul_cache
+    assert not alg._product_cache or name in ORE
+    for seed, (o, (got_mul, got_t2)) in enumerate(zip(ops, got)):
+        (a, b), (s, t) = o["el"], o["t2"]
         want_mul = sum(
             (alg.multiply_basis(i, j).scale(c * d) for i, c in a for j, d in b),
             Lin(),
@@ -290,10 +297,16 @@ def test_monomial_kernels_match_multiply_basis(name):
 
 def test_verify_caches_no_kernel_product():
     """verify of B(2, 1, 2, 3, z12) at window 3 reads every kernel
-    product from the closed form: the product cache holds none, and the
+    product from the closed form: the product caches hold none, and the
     closed-form memos hold at most a few entries per index of box(2w)
-    (273 of them), not one per pair of the box (7,056)."""
+    (273 of them), not one per pair of the box (7,056).  No family's
+    verify fills `multiply_basis`, and no monomial family's verify
+    fills the per-pair memo of `_product`."""
     alg = _build("b_2_123_z12")
     assert verify_axioms(alg, window=3).passed
-    assert not any(v.__class__ is tuple for v in alg._mul_cache.values())
+    assert not alg._mul_cache and not alg._product_cache
     assert len(alg._mu_b) + len(alg._canon_d) <= 2 * len(alg.basis_box(6))
+    for name in ["group_z2", "group_zsemiz", "env_abelian", "a_2_z3"] + ORE:
+        alg = _build(name)
+        assert verify_axioms(alg, window=2).passed, name
+        assert not alg._mul_cache and (name in ORE or not alg._product_cache), name
