@@ -14,10 +14,16 @@ failure, 2 input error, 3 non-isomorphic, 4 internal error (an
 uncaught exception: a bug in qhopf, reported with its traceback).
 
 The subcommands and their arguments are stated once, in `COMMANDS`.
-A command line that names a subcommand is parsed by that subcommand's
-parser alone; the top-level parser, which lists all five, is built only
-for -h, --version and usage errors.  Every subcommand rejects
-`--window` or `--jobs` below 1 with exit 2 before its handler runs.
+A command line that names a subcommand is first read by a plain loop
+over the same table, which takes it only when every later word is an
+exact flag of that subcommand followed by a value its type and choices
+accept, or a positional, with each flag at most once, no word but a
+flag starting with "-" and exactly the subcommand's positionals.  Any
+other line goes to that subcommand's argparse parser, so argparse
+alone writes help, version and usage-error text; the top-level parser,
+which lists all five, is built only for -h, --version and usage
+errors.  Every subcommand rejects `--window` or `--jobs` below 1 with
+exit 2 before its handler runs.
 
 `--format structured` emits a JSON document with sorted keys and no
 timing data, so repeated runs are byte-identical; the human format
@@ -27,10 +33,10 @@ provenance even though every computation here is deterministic.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
+from types import SimpleNamespace
 
 from qhopf import __version__
 from qhopf.comodule import Coaction, QuotientError, default_quotient
@@ -330,7 +336,7 @@ COMMANDS = {
 }
 
 
-def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+def _add_arguments(parser, name: str) -> None:
     _, _, positionals, options = COMMANDS[name]
     for flag, keywords in COMMON_OPTIONS:
         parser.add_argument(flag, **keywords)
@@ -340,13 +346,17 @@ def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
         parser.add_argument(flag, **keywords)
 
 
-def _command_parser(name: str) -> argparse.ArgumentParser:
+def _command_parser(name: str):
+    import argparse
+
     parser = argparse.ArgumentParser(prog=f"qhopf {name}")
     _add_arguments(parser, name)
     return parser
 
 
-def _top_parser() -> argparse.ArgumentParser:
+def _top_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="qhopf",
         description="Exact window verification, invariants, and isomorphism "
@@ -361,13 +371,46 @@ def _top_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_exact(name: str, words: list[str]):
+    """The namespace subcommand `name`'s parser gives `words`, read
+    without building it; None where the loop leaves the line to argparse
+    (see the module docstring)."""
+    _, _, positionals, options = COMMANDS[name]
+    options = dict(COMMON_OPTIONS + options)
+    given, found = {}, []
+    rest = iter(words)
+    for word in rest:
+        if not word.startswith("-"):
+            found.append(word)
+            continue
+        value = next(rest, "-")  # a flag with no value is declined too
+        if word not in options or word in given or value.startswith("-"):
+            return None
+        keywords = options[word]
+        try:
+            value = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[word] = value
+    if len(found) != len(positionals):
+        return None
+    values = dict(zip(positionals, found))
+    for flag, keywords in options.items():
+        values[flag[2:].replace("-", "_")] = given.get(flag, keywords.get("default"))
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     name = argv[0] if argv else None
     if name in COMMANDS:
-        args, extra = _command_parser(name).parse_known_args(argv[1:])
-        if extra:
-            _top_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+        args = _parse_exact(name, argv[1:])
+        if args is None:
+            args, extra = _command_parser(name).parse_known_args(argv[1:])
+            if extra:
+                _top_parser().error(f"unrecognized arguments: {' '.join(extra)}")
     else:
         # -h, --version, a missing or unknown command: the top-level
         # parser, with every subcommand's parser under it, prints and exits

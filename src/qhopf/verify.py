@@ -167,8 +167,8 @@ def verify_axioms(
         report.checked["antipode"] = len(box)
 
     if "bialgebra" in axioms:
-        # no more workers than cores; the output does not depend on it
-        jobs = min(jobs, os.cpu_count() or 1)
+        # no more workers than usable cores; the output does not depend on it
+        jobs = min(jobs, _usable_cores())
         if jobs > 1:
             count, tagged = _scan_pairs_parallel(alg, window, jobs)
         else:
@@ -208,6 +208,14 @@ def _tensor_residual(alg: HopfProvider, r: Lin, shown: int = 3) -> str:
     ]
     more = "; ..." if len(keys) > shown else ""
     return f"{len(keys)} residual tensor terms: " + "; ".join(terms) + more
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity mask (a cpuset or
+    `taskset` narrows it) where the OS reports one, else the core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _pair_worker(args) -> tuple[int, list]:

@@ -1,5 +1,6 @@
-"""Command-line parsing: usage errors, help and version text, and the
-cost of parsing one command line.
+"""Command-line parsing: usage errors, help and version text, the cost
+of parsing one command line, and the exact-line loop in `qhopf.cli.main`
+against argparse.
 
 `golden_cli.json` holds only valid command lines.  FRONT_END pins what
 `qhopf.cli.main` does with the ones that stop in argument parsing, or
@@ -13,9 +14,14 @@ import argparse
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qhopf.cli as cli
 
@@ -80,6 +86,29 @@ FRONT_END = {
     "verify --format structured no/such/spec.json": [
         2, EMPTY, "54b203f39cdde4f9af6e4f49d77ee62b9fce09c7e891d9b0d30ad5dc4f0ae031"
     ],
+    # either side of the exact-line loop in `main`, recorded before it was
+    # added; no instance is read
+    "verify --win 2 no/such/spec.json": [
+        2, EMPTY, "54b203f39cdde4f9af6e4f49d77ee62b9fce09c7e891d9b0d30ad5dc4f0ae031"
+    ],
+    "verify --window=2 no/such/spec.json": [
+        2, EMPTY, "54b203f39cdde4f9af6e4f49d77ee62b9fce09c7e891d9b0d30ad5dc4f0ae031"
+    ],
+    "verify --window -1 no/such/spec.json": [
+        2, EMPTY, "61522a029765926d846e41a86ccfff5db3ba32ec4bb75da5afd3454b51da8e79"
+    ],
+    "iso no/such/a.json --format structured no/such/b.json": [
+        2, EMPTY, "cb132a5a22ee4ee01f1ce2630e269b4e2fc9a73af6676866ae518d5fb28810e5"
+    ],
+    "verify --jobs 2 --jobs 0 no/such/spec.json": [
+        2, EMPTY, "4774c2a49aa4a6eff9bf0d7eb73b2b9043ab23335679652bd50366d5d94d6f6e"
+    ],
+    "comodule --quotient -x no/such/spec.json": [
+        2, EMPTY, "a14c4fe2dbe826c4cb3a043424c3e7586217349337d4dcb531ba277d5f69ce3c"
+    ],
+    "verify --seed 2 --window 2 --jobs 1 --format human no/such/spec.json": [
+        2, EMPTY, "54b203f39cdde4f9af6e4f49d77ee62b9fce09c7e891d9b0d30ad5dc4f0ae031"
+    ],
 }
 
 
@@ -107,8 +136,9 @@ def test_front_end_output_is_pinned(monkeypatch, line):
 
 
 def test_one_command_line_builds_one_parser(monkeypatch):
-    """Only the named subcommand's parser is built (the top-level parser
-    with all five subparsers would be six)."""
+    """An exact command line builds no parser; any other builds only the
+    named subcommand's (the top-level parser with all five subparsers
+    would be six)."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -119,7 +149,96 @@ def test_one_command_line_builds_one_parser(monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     monkeypatch.setattr(cli, "cmd_iso", lambda args: 0)
     assert cli.main(["iso", "--format", "structured", "f", "g"]) == 0
+    assert built == []
+    assert cli.main(["iso", "--form", "structured", "f", "g"]) == 0
     assert built == ["qhopf iso"]
+
+
+def test_exact_command_line_loads_no_argparse():
+    """A fresh interpreter runs an exact command line (its files do not
+    exist, so it stops at the input error) without importing argparse."""
+    probe = (
+        "import sys, qhopf.cli\n"
+        "code = qhopf.cli.main(['iso', '--window', '2', 'no/such/a.json', 'b'])\n"
+        "print(code, sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+        check=True,
+    )
+    assert done.stdout == "2 []\n"
+
+
+# every flag of any subcommand, with spellings argparse alone reads
+FLAGS = sorted(
+    {flag for flag, _ in cli.COMMON_OPTIONS}
+    | {flag for *_, options in cli.COMMANDS.values() for flag, _ in options}
+)
+ODD_FLAGS = [
+    "--win", "--form", "--se", "--j", "--quot", "--window=2",
+    "--format=structured", "-h", "--help", "--", "-", "--version", "-w",
+]
+# numbers signed, padded, underscored and in non-ASCII digits, the empty
+# word, and valid and invalid --format and --quotient values
+VALUES = [
+    "1", "2", "0", "-1", "+2", "-0", " 3", "4 ", "1_0", "\u0663", "\uff12",
+    "", "x", "2.0", "human", "structured", "xml", "HUMAN", "default", "other",
+]
+POSITIONALS = ["f", "g", "no/such.json", "", "iso", "a b"]
+
+PIECES = st.one_of(
+    st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES + ODD_FLAGS)).map(list),
+    st.tuples(st.sampled_from(ODD_FLAGS), st.sampled_from(VALUES)).map(list),
+    st.sampled_from(FLAGS + ODD_FLAGS + VALUES + POSITIONALS).map(lambda w: [w]),
+)
+WORDS = st.lists(PIECES, max_size=7).map(lambda pieces: sum(pieces, []))
+
+
+@settings(max_examples=600, deadline=None)
+@given(name=st.sampled_from(sorted(cli.COMMANDS)), words=WORDS)
+@example(name="iso", words=["f", "--format", "structured", "g"])
+@example(name="comodule", words=["--quotient", "", "--seed", " 3", "\u0663"])
+@example(name="verify", words=["--jobs", "1_0", "--window", "+2", "f"])
+@example(name="comodule", words=["--quotient", "-h", "f"])
+def test_exact_loop_agrees_with_argparse(name, words):
+    """Whenever the loop takes a command line, the subcommand's parser
+    takes it too, with no word left over and the same values."""
+    exact = cli._parse_exact(name, words)
+    if exact is None:
+        return
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            parsed, extra = cli._command_parser(name).parse_known_args(words)
+    except SystemExit:
+        pytest.fail(f"argparse rejects {words!r}: {sink.getvalue()}")
+    assert extra == []
+    assert vars(exact) == vars(parsed)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "verify --win 2 f",
+        "verify --window=2 f",
+        "verify --window -1 f",
+        "verify --jobs 2 --jobs 1 f",
+        "verify --window x f",
+        "verify --format xml f",
+        "verify --seed",
+        "verify -- f",
+        "verify - f",
+        "verify -h",
+        "verify f g",
+        "iso f",
+        "comodule --quotient -x f",
+    ],
+)
+def test_exact_loop_leaves_other_lines_to_argparse(line):
+    name, *words = line.split()
+    assert cli._parse_exact(name, words) is None
 
 
 def test_handler_is_looked_up_at_call_time(monkeypatch):

@@ -91,10 +91,26 @@ def test_parallel_scan_caps_workers_at_the_core_count(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr("os.cpu_count", lambda: 3)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     alg = build(parse_params({"family": "A", "n": 2, "q": {"order": 3, "power": 1}}))
     capped = verify_axioms(alg, window=2, jobs=10**6)
     assert requested == [3]
     assert capped.to_json() == verify_axioms(alg, window=2).to_json()
+
+
+def test_parallel_scan_counts_only_cores_the_process_may_use(monkeypatch):
+    """Under an affinity mask of one core, --jobs 2 scans serially, with
+    the same report, however many cores the host has."""
+    import qhopf.verify
+
+    def no_pool(*args):
+        raise AssertionError("a pool was started for one usable core")
+
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(qhopf.verify, "_scan_pairs_parallel", no_pool)
+    alg = build(parse_params({"family": "A", "n": 2, "q": {"order": 3, "power": 1}}))
+    serial = verify_axioms(alg, window=2)
+    assert verify_axioms(alg, window=2, jobs=2).to_json() == serial.to_json()
 
 
 class _BrokenCoproduct(FamilyA):
