@@ -15,15 +15,19 @@ uncaught exception: a bug in qhopf, reported with its traceback).
 
 The subcommands and their arguments are stated once, in `COMMANDS`.
 A command line that names a subcommand is first read by a plain loop
-over the same table, which takes it only when every later word is an
-exact flag of that subcommand followed by a value its type and choices
-accept, or a positional, with each flag at most once, no word but a
-flag starting with "-" and exactly the subcommand's positionals.  Any
-other line goes to that subcommand's argparse parser, so argparse
-alone writes help, version and usage-error text; the top-level parser,
-which lists all five, is built only for -h, --version and usage
-errors.  Every subcommand rejects `--window` or `--jobs` below 1 with
-exit 2 before its handler runs.
+over that table (`_parse_exact`).  It takes the line only when
+
+  - every later word is an exact flag of the subcommand, the value
+    after it, or a positional,
+  - no flag appears twice, and no value or positional starts with "-",
+  - each value passes its option's type and choices, and
+  - there are exactly as many positionals as the subcommand has.
+
+Any other line goes to the subcommand's own argparse parser, so
+argparse alone writes help, version and usage-error text.  The
+top-level parser, which lists all five, is built only for -h,
+--version and usage errors.  Every subcommand rejects `--window` or
+`--jobs` below 1 with exit 2 before its handler runs.
 
 `--format structured` emits a JSON document with sorted keys and no
 timing data, so repeated runs are byte-identical; the human format
@@ -372,9 +376,9 @@ def _top_parser():
 
 
 def _parse_exact(name: str, words: list[str]):
-    """The namespace subcommand `name`'s parser gives `words`, read
-    without building it; None where the loop leaves the line to argparse
-    (see the module docstring)."""
+    """The namespace that subcommand `name`'s parser would give
+    `words`, read without building the parser; None for a line the
+    loop leaves to argparse (see the module docstring)."""
     _, _, positionals, options = COMMANDS[name]
     options = dict(COMMON_OPTIONS + options)
     given, found = {}, []
@@ -398,7 +402,7 @@ def _parse_exact(name: str, words: list[str]):
         return None
     values = dict(zip(positionals, found))
     for flag, keywords in options.items():
-        values[flag[2:].replace("-", "_")] = given.get(flag, keywords.get("default"))
+        values[flag[2:]] = given.get(flag, keywords.get("default"))
     return SimpleNamespace(**values)
 
 

@@ -171,11 +171,13 @@ def test_exact_command_line_loads_no_argparse():
     assert done.stdout == "2 []\n"
 
 
-# every flag of any subcommand, with spellings argparse alone reads
+# every flag of any subcommand
 FLAGS = sorted(
     {flag for flag, _ in cli.COMMON_OPTIONS}
     | {flag for *_, options in cli.COMMANDS.values() for flag, _ in options}
 )
+# words only argparse reads: abbreviations, --opt=value, help, version,
+# "--" and a lone "-"
 ODD_FLAGS = [
     "--win", "--form", "--se", "--j", "--quot", "--window=2",
     "--format=structured", "-h", "--help", "--", "-", "--version", "-w",
