@@ -72,7 +72,9 @@ from `_coproduct_raw` whose form is not the reduced coefficients' (the
 A and B families use the Gauss polynomials of `qhopf.qcombinat`); any
 other Lin is converted once, at its fill.  Negating a FormLin negates
 each rational of its form, so a negated coproduct keeps its form.  A
-Lin always holds reduced, nonzero Cyclos.
+Lin always holds reduced, nonzero Cyclos.  `coproduct_residues` reads
+a coproduct's form once more, through the level's zero map, for the
+zero-only bialgebra pass of `qhopf.verify`.
 """
 
 from __future__ import annotations
@@ -90,6 +92,7 @@ from qhopf.scalars import (
     reduce_exponents,
     reduce_forms,
     roots_of_unity,
+    zero_map,
 )
 
 
@@ -166,6 +169,7 @@ class HopfProvider(ABC):
         self._mul_cache: dict[tuple[Index, Index], Lin] = {}
         self._product_cache: dict[tuple[Index, Index], tuple] = {}
         self._cop_cache: dict[Index, FormLin] = {}
+        self._residue_cache: dict[Index, tuple] = {}
         self._anti_cache: dict[Index, Lin] = {}
 
     # -- family-specific structure constants ---------------------------
@@ -278,6 +282,30 @@ class HopfProvider(ABC):
         if hit is None:
             hit = self._cop_cache[i] = self.as_form_lin(self._coproduct_raw(i))
         return hit
+
+    def coproduct_residues(self, i: Index) -> tuple | None:
+        """Delta(e_i) through the zero map of the level (`zero_map`):
+        ((key, h(coefficient), L1 of its form) per term, the sum of the
+        L1s), or None when some term's form has a non-integer rational
+        at a level above 2.  Kept per index beside the form it was read
+        from, and read again if that form is replaced."""
+        form = self.coproduct_basis(i).form
+        hit = self._residue_cache.get(i)
+        if hit is not None and hit[0] is form:
+            return hit[1]
+        residue = zero_map(self.level).residue
+        terms: list | None = []
+        total = 0
+        for key, pairs in form:
+            hl = residue(pairs)
+            if hl is None:
+                terms = None
+                break
+            terms.append((key, *hl))
+            total += hl[1]
+        view = None if terms is None else (tuple(terms), total)
+        self._residue_cache[i] = form, view
+        return view
 
     def antipode_basis(self, i: Index) -> Lin:
         hit = self._anti_cache.get(i)

@@ -49,6 +49,22 @@ coefficient as its Gauss polynomial over the roots of unity
 (`qhopf.qcombinat`), so that most terms of an axiom residual cancel in
 Q[C_N] before any reduction.  Every value handed out is a reduced
 `Cyclo`.
+
+A sum whose only question is "zero?" can skip the reduction:
+`zero_map(level)` is one ring map h: Z[C_N] -> Z/P.  With phi =
+phi(level), it sends zeta to z = 2^s, s = max(11, 64 // phi), so omega
+goes to g = z for even levels and to -z^((level+1)/2) for odd ones, and
+P = Phi_level(z).  P need not be prime: Z[zeta]/(P, zeta - z) is Z/P
+because Phi_level(z) = 0 mod P, and that, with g^(N / level) = z and
+g^N = 1, is checked once per level.  If h(x) = 0 for x = sum r omega^e
+with integer r, then x lies in an ideal of norm P, so P divides the
+norm N(x).  Every embedding sends omega to a root of unity, so |N(x)|
+<= L1^phi with L1 = sum |r|, and P >= (z - 1)^phi (also checked, as P
+> (z - 2)^phi).  So h(x) = 0 and L1 <= cap = z - 2 prove x = 0.  The
+map only proves zero: it declines a sum with a non-integer rational,
+one with L1 above the cap, and one whose image is not 0, and the caller
+then reduces exactly.  At levels 1 and 2 h is omega -> -1 into Q, the
+exact value, with no bound.
 """
 
 from __future__ import annotations
@@ -56,6 +72,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 
 class ScalarError(ValueError):
@@ -606,3 +623,71 @@ def reduce_forms(level: int, table: dict) -> list[tuple]:
                 folded[e] = folded.get(e, 0) + r
         out.append((key, value, tuple((e, r) for e, r in folded.items() if r)))
     return out
+
+
+# -- zero-only map ----------------------------------------------------
+
+
+class ZeroMap(NamedTuple):
+    """The ring map h: Z[C_N] -> Z/P of one level, see the module
+    docstring.  `powers[e]` is h(omega^e) for e in [0, 2N); `cap` is the
+    largest L1 norm at which h(x) = 0 proves x = 0.  At levels 1 and 2,
+    h is omega -> -1 into Q, the exact value: `modulus` is 0 and `cap`
+    None."""
+
+    modulus: int
+    cap: int | None
+    powers: tuple
+
+    def residue(self, pairs) -> tuple[int, int] | None:
+        """(h(x), L1(x)) for x = sum r * omega^e given as (e, r) pairs;
+        None when some r is not an integer at a level above 2."""
+        p, powers = self.modulus, self.powers
+        n = len(powers) // 2
+        h = l1 = 0
+        for e, r in pairs:
+            if p and r.__class__ is not int:
+                if r.denominator != 1:
+                    return None
+                r = r.numerator
+            h += r * powers[e % n]
+            l1 += abs(r)
+        return (h % p if p else h), l1
+
+    def proves_zero(self, values, l1) -> bool:
+        """Whether the sums x whose images h(x) are `values`, with integer
+        coefficients and L1 norms summing to at most `l1`, are all zero.
+        An image that is not an int (a Fraction reached it) is no proof."""
+        p = self.modulus
+        if not p:
+            return not any(values)
+        return l1 <= self.cap and all(v.__class__ is int and not v % p for v in values)
+
+
+@lru_cache(maxsize=None)
+def zero_map(level: int) -> ZeroMap:
+    """h: Z[C_N] -> Z/P with zeta -> z = 2^s and P = Phi_level(z), s =
+    max(11, 64 // phi(level)), checked once here; omega -> -1 into Q at
+    levels 1 and 2."""
+    n = len(_units(level)[2])
+    phi = euler_phi(level)
+    if phi == 1:
+        return ZeroMap(0, None, (1, -1) * 2)
+    z = 1 << max(11, 64 // phi)
+    poly = cyclotomic_polynomial(level)
+    p = sum(c * z**t for t, c in enumerate(poly))
+    g = z if level % 2 == 0 else -pow(z, (level + 1) // 2, p) % p
+    # the certificate: zeta -> z is a ring map Z[zeta] -> Z/P (Phi(z) = 0
+    # mod P), omega -> g is its restriction (g^(N / level) = z, g^N = 1),
+    # and P exceeds the norm of any nonzero x with L1(x) <= cap
+    if (
+        sum(c * pow(z, t, p) for t, c in enumerate(poly)) % p
+        or pow(g, n // level, p) != z
+        or pow(g, n, p) != 1
+        or p <= (z - 2) ** phi
+    ):
+        raise ScalarError(f"no zero map at level {level}")
+    powers = [1]
+    for _ in range(2 * n - 1):
+        powers.append(powers[-1] * g % p)
+    return ZeroMap(p, z - 2, tuple(powers))

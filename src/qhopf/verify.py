@@ -16,17 +16,29 @@ Each residual is accumulated as lhs - rhs in one table.  The
 coassociativity, antipode and bialgebra residuals go through the
 provider's kernels with `into=table`, in the exponent form of
 `qhopf.scalars` (terms of Q[C_N]): one side as is, the other with one
-operand negated.  The bialgebra table holds rhs - lhs, with the product
-(usually one term) negated rather than a copy of Delta(e_j), and its
-finished residual is negated back: each term r omega^e e_k of the
-provider's `_product(i, j)` enters as -r omega^e Delta(e_k).  Each
-table is finished once: each key is reduced modulo the cyclotomic
-polynomial, and only then tested for zero, so finishing the table of a
-check that holds builds no scalar.  The counit residual is one pass
-over Delta(e) and adds Cyclos with `acc`.  The bialgebra law's counit
-residual is the sum of the r omega^e whose e_k has counit 1, minus 1
-when e_i and e_j both have counit 1, in exponent form; it is reduced
-only when it has a term, and a pair is named only when it fails.
+operand negated.  Each table is finished once: each key is reduced
+modulo the cyclotomic polynomial, and only then tested for zero.  The
+counit residual is one pass over Delta(e) and adds Cyclos with `acc`.
+
+The bialgebra pair scan asks of almost every pair only whether its
+residual is zero, so it runs in two passes.  The zero-only pass
+(`bialgebra_vanishes`) sends the residual through the level's ring map
+h: Z[C_N] -> Z/P (`qhopf.scalars.zero_map`).  It reads each coproduct
+as its per-index residue view (`coproduct_residues`: h of each
+coefficient and the L1 norm of its form), multiplies through
+`_product`, and adds one integer per tensor key, plus one L1 bound for
+the whole pair.  It proves the pair zero only when every key's image is
+0 mod P and the bound is within the map's cap; a pair with a
+non-integer rational, a bound above the cap or a nonzero image gets no
+verdict.  Every such pair is recomputed by the exact route
+(`exact_bialgebra_residual`), whose table holds rhs - lhs, with the
+product (usually one term) negated rather than a copy of Delta(e_j),
+and whose finished residual is negated back: each term r omega^e e_k of
+`_product(i, j)` enters as -r omega^e Delta(e_k).  So a failure is
+always the exact residual's text.  The bialgebra law's counit residual
+is the sum of the r omega^e whose e_k has counit 1, minus 1 when e_i
+and e_j both have counit 1, in exponent form; it is reduced only when
+it has a term, and a pair is named only when it fails.
 """
 
 from __future__ import annotations
@@ -37,7 +49,7 @@ from dataclasses import dataclass, field
 from qhopf.elements import Lin, acc
 from qhopf.families.base import HopfProvider
 from qhopf.linalg import kernel_of_map
-from qhopf.scalars import Cyclo, reduce_exponents
+from qhopf.scalars import Cyclo, reduce_exponents, zero_map
 
 
 @dataclass
@@ -101,10 +113,53 @@ def antipode_residuals(alg: HopfProvider, idx) -> tuple[Lin, Lin]:
 
 
 def bialgebra_residuals(alg: HopfProvider, i, j) -> tuple[Lin, Cyclo]:
+    """Delta(e_i e_j) - Delta(e_i) Delta(e_j) and the counit residual.
+    The tensor residual is zero when `bialgebra_vanishes` proves it so;
+    any other pair gets `exact_bialgebra_residual`."""
+    t = Lin() if bialgebra_vanishes(alg, i, j) else exact_bialgebra_residual(alg, i, j)
+    return t, _counit_residual(alg, i, j)
+
+
+def bialgebra_vanishes(alg: HopfProvider, i, j) -> bool:
+    """Whether the zero-only pass proves Delta(e_i e_j) = Delta(e_i)
+    Delta(e_j): each key's sum, sent through the level's `zero_map`, is
+    0, and the L1 norms of all the terms add up to at most its cap.
+    False is no verdict."""
+    view = alg.coproduct_residues
+    left, right = view(i), view(j)
+    if left is None or right is None:
+        return False
+    zmap = zero_map(alg.level)
+    powers = zmap.powers
+    product = alg._product
+    table: dict = {}
+    bound = 0
+    for k, e, r in product(i, j):
+        # -r omega^e Delta(e_k), term by term
+        middle = view(k)
+        if middle is None:
+            return False
+        f = r * powers[e]
+        for key, h, _ in middle[0]:
+            table[key] = table.get(key, 0) - f * h
+        bound += abs(r) * middle[1]
+    # Delta(e_i) Delta(e_j), as `t2_mul` forms it
+    for (a, b), hc, lc in left[0]:
+        for (c, d), hd, ld in right[0]:
+            w, l1 = hc * hd, lc * ld
+            ends = product(b, d)
+            for x, ex, rx in product(a, c):
+                for y, ey, ry in ends:
+                    r = rx * ry
+                    key = x, y
+                    table[key] = table.get(key, 0) + r * w * powers[ex + ey]
+                    bound += abs(r) * l1
+    return zmap.proves_zero(table.values(), bound)
+
+
+def exact_bialgebra_residual(alg: HopfProvider, i, j) -> Lin:
+    """Delta(e_i e_j) - Delta(e_i) Delta(e_j), each key reduced."""
     table = alg.table()
-    # eps(e_i e_j) - eps(e_i) eps(e_j) in exponent form, eps being 0 or 1
-    counit = alg.counit_basis
-    units = {} if counit(i).is_zero() or counit(j).is_zero() else {0: -1}
     for k, e, r in alg._product(i, j):
         # -r omega^e Delta(e_k), term by term
         for kl, pairs in alg.coproduct_basis(k).form:
@@ -112,12 +167,19 @@ def bialgebra_residuals(alg: HopfProvider, i, j) -> tuple[Lin, Cyclo]:
             for ed, rd in pairs:
                 x = e + ed
                 slot[x] = slot.get(x, 0) - r * rd
+    alg.t2_mul(alg.coproduct_basis(i), alg.coproduct_basis(j), into=table)
+    return -alg.finish(table)
+
+
+def _counit_residual(alg: HopfProvider, i, j) -> Cyclo:
+    # eps(e_i e_j) - eps(e_i) eps(e_j) in exponent form, eps being 0 or 1
+    counit = alg.counit_basis
+    units = {} if counit(i).is_zero() or counit(j).is_zero() else {0: -1}
+    for k, e, r in alg._product(i, j):
         if not counit(k).is_zero():
             units[e] = units.get(e, 0) + r
-    alg.t2_mul(alg.coproduct_basis(i), alg.coproduct_basis(j), into=table)
     zero = Cyclo.zero(alg.level)
-    eps = reduce_exponents(alg.level, {0: units}).get(0, zero) if units else zero
-    return -alg.finish(table), eps
+    return reduce_exponents(alg.level, {0: units}).get(0, zero) if units else zero
 
 
 def verify_axioms(

@@ -1,7 +1,9 @@
 """Axiom verification: green on the real families, red on corrupted
 structure maps, plus grouplike and skew-primitive searches."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,8 @@ from qhopf.linalg import Echelon
 from qhopf.params import parse_params
 from qhopf.verify import (
     _tensor_residual,
+    bialgebra_vanishes,
+    exact_bialgebra_residual,
     find_grouplikes,
     find_skew_primitives,
     verify_axioms,
@@ -156,6 +160,144 @@ def test_corrupted_product_is_caught():
         "(y*x^-2, y*x^-2)",
         "1 residual tensor terms: [y*x^-2 ox y*x^-4] -2 - z3",
     )
+
+
+class _BrokenB105Coproduct(FamilyB):
+    """B(7, 1, 3, 5, z105) with a stray x ox 1 in Delta(y1)."""
+
+    def _coproduct_raw(self, i):
+        t = super()._coproduct_raw(i)
+        if i == (1, 0, 0):
+            return t + Lin.basis(((0, 0, 1), (0, 0, 0)), self.one_scalar())
+        return t
+
+
+def test_corrupted_coproduct_at_level_105_reads_as_the_exact_route(monkeypatch):
+    """The zero-only pass proves no failing pair zero, so every failure
+    text is the exact route's, byte for byte."""
+    import qhopf.verify
+
+    params = parse_params(
+        {"family": "B", "n": 7, "p": [1, 3, 5], "q": {"order": 105, "power": 1}}
+    )
+    alg = _BrokenB105Coproduct(params)
+    box = alg.basis_box(1)
+    declined = {
+        (alg.index_str(i), alg.index_str(j))
+        for i in box
+        for j in box
+        if not bialgebra_vanishes(alg, i, j)
+    }
+    report = verify_axioms(alg, window=1, axioms=("bialgebra",), max_failures=200)
+    assert not report.passed
+    assert {f.where for f in report.failures} == {f"({a}, {b})" for a, b in declined}
+    monkeypatch.setattr(qhopf.verify, "bialgebra_vanishes", lambda alg, i, j: False)
+    exact = verify_axioms(
+        _BrokenB105Coproduct(params), window=1, axioms=("bialgebra",), max_failures=200
+    )
+    assert exact.to_json() == report.to_json()
+
+
+INSTANCES = Path(__file__).resolve().parents[1] / "instances"
+VALID_CORPUS = sorted(
+    p.stem for p in INSTANCES.glob("*.json") if not p.stem.startswith("bad_")
+)
+# the verify-cyclo benchmark ops: instance and window
+VERIFY_CYCLO_OPS = [
+    ("b_2_123_z12", 3),
+    ("a_3_z5", 3),
+    ("a_2_z3", 3),
+    ("a_2_z4p3", 3),
+    ("b_7_135_z105", 2),
+]
+
+
+def _instance(name):
+    return build(parse_params(json.loads((INSTANCES / f"{name}.json").read_text())))
+
+
+@pytest.mark.parametrize("name", VALID_CORPUS)
+def test_zero_only_pass_proves_zero_where_the_exact_residual_is_zero(name):
+    alg = _instance(name)
+    box = alg.basis_box(2)
+    for i in box:
+        for j in box:
+            exact = exact_bialgebra_residual(alg, i, j).is_zero()
+            assert bialgebra_vanishes(alg, i, j) == exact, (i, j)
+
+
+@pytest.mark.parametrize("name,window", VERIFY_CYCLO_OPS)
+def test_zero_only_pass_leaves_no_fallback_on_the_verify_cyclo_ops(name, window):
+    """A fallback is a pair the pass does not prove zero whose exact
+    residual is zero: correct, but paid for twice."""
+    alg = _instance(name)
+    box = alg.basis_box(window)
+    fallbacks = sum(
+        1
+        for i in box
+        for j in box
+        if not bialgebra_vanishes(alg, i, j)
+        and exact_bialgebra_residual(alg, i, j).is_zero()
+    )
+    assert fallbacks == 0, f"{fallbacks} fallback pairs"
+
+
+def test_zero_only_pass_declines_every_pair_above_a_lowered_cap(monkeypatch):
+    """With the cap at 0 no pair with a term is proved zero, and the exact
+    route gives the same report."""
+    import qhopf.verify
+    from qhopf.scalars import zero_map
+
+    alg = _instance("a_2_z3")
+    want = verify_axioms(alg, window=2, axioms=("bialgebra",)).to_json()
+    monkeypatch.setattr(
+        qhopf.verify, "zero_map", lambda level: zero_map(level)._replace(cap=0)
+    )
+    box = alg.basis_box(2)
+    assert not any(bialgebra_vanishes(alg, i, j) for i in box for j in box)
+    assert verify_axioms(alg, window=2, axioms=("bialgebra",)).to_json() == want
+
+
+def _l1(pairs):
+    return sum(abs(r) for _, r in pairs)
+
+
+def _pair_l1(alg, i, j):
+    """The L1 norm of every term of Delta(e_i e_j) and Delta(e_i) Delta(e_j),
+    summed, from the forms and products themselves."""
+    form = {k: alg.coproduct_basis(k).form for k in (i, j)}
+    total = 0
+    for k, _, r in alg._product(i, j):
+        total += abs(r) * sum(_l1(p) for _, p in alg.coproduct_basis(k).form)
+    for (a, b), cp in form[i]:
+        for (c, d), dp in form[j]:
+            left = sum(abs(r) for _, _, r in alg._product(a, c))
+            right = sum(abs(r) for _, _, r in alg._product(b, d))
+            total += _l1(cp) * _l1(dp) * left * right
+    return total
+
+
+@pytest.mark.parametrize("name", ["b_2_123_z12", "clift_3_z4", "a_2_z3"])
+def test_zero_only_pass_bounds_each_pair_by_its_l1_norm(name, monkeypatch):
+    import qhopf.verify
+    from qhopf.scalars import zero_map
+
+    bounds = []
+
+    class Spy:
+        def __init__(self, level):
+            self.zmap = zero_map(level)
+            self.powers = self.zmap.powers
+
+        def proves_zero(self, values, l1):
+            bounds.append(l1)
+            return self.zmap.proves_zero(values, l1)
+
+    monkeypatch.setattr(qhopf.verify, "zero_map", Spy)
+    alg = _instance(name)
+    box = alg.basis_box(1)
+    assert all(bialgebra_vanishes(alg, i, j) for i in box for j in box)
+    assert bounds == [_pair_l1(alg, i, j) for i in box for j in box]
 
 
 class _OffByOneOmega(FamilyB):

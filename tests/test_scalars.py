@@ -19,6 +19,7 @@ from qhopf.scalars import (
     exponent_form,
     reduce_exponents,
     reduce_forms,
+    zero_map,
 )
 
 
@@ -429,3 +430,114 @@ def test_lift_matches_sympy(low, high):
     z = Cyclo.zeta(low)
     assert z.lift(high) == Cyclo.zeta(high, step)
     assert z.lift(high).unit is not None
+
+
+# -- the zero-only map --------------------------------------------------
+
+ZERO_MAP_LEVELS = (3, 4, 12, 105)
+
+
+def _zeta_pairs(level, coeffs, shift=0):
+    """sum_k coeffs[k] zeta^k times omega^shift, as (e, r) pairs of Q[C_N]."""
+    return [
+        (Cyclo.zeta(level, k).unit + shift, a) for k, a in enumerate(coeffs) if a
+    ]
+
+
+@pytest.mark.parametrize("level", ZERO_MAP_LEVELS)
+def test_zero_map_is_a_checked_ring_map(level):
+    zmap = zero_map(level)
+    n = len(zmap.powers) // 2
+    assert n == (level if level % 2 == 0 else 2 * level)
+    z = zmap.cap + 2
+    assert zmap.modulus == sum(c * z**t for t, c in enumerate(cyclotomic_polynomial(level)))
+    assert zmap.modulus > zmap.cap ** euler_phi(level)
+    # zeta -> z, omega^N -> 1, and the table holds omega^e for e in [0, 2N)
+    assert zmap.powers[Cyclo.zeta(level).unit] == z
+    assert zmap.powers[n] == 1
+    assert zero_map(1).powers == zero_map(2).powers == (1, -1, 1, -1)
+
+
+@pytest.mark.parametrize("level", ZERO_MAP_LEVELS)
+def test_zeta_minus_z_maps_to_zero_and_is_not_called_zero(level):
+    zmap = zero_map(level)
+    z = zmap.cap + 2
+    pairs = [(Cyclo.zeta(level).unit, 1), (0, -z)]
+    h, l1 = zmap.residue(pairs)
+    assert (h, l1) == (0, z + 1)
+    assert reduce_exponents(level, {0: dict(pairs)})  # zeta - z is not zero
+    assert not zmap.proves_zero([h], l1)
+
+
+@pytest.mark.parametrize("level", ZERO_MAP_LEVELS)
+def test_a_vanishing_sum_at_the_cap_is_proved_zero(level):
+    """k Phi_level(zeta) plus m (1 + omega^(N/2)): zero in Q(zeta), not
+    in Q[C_N], with L1 exactly the cap; two more and the pass declines."""
+    zmap = zero_map(level)
+    n = len(zmap.powers) // 2
+    coeffs = cyclotomic_polynomial(level)
+    weight = sum(abs(a) for a in coeffs)
+    k = 1 if weight % 2 == 0 else 2
+    m = (zmap.cap - k * weight) // 2
+    for extra, proved in ((0, True), (1, False)):
+        pairs = _zeta_pairs(level, [k * a for a in coeffs], shift=3)
+        pairs += [(5, m + extra), (5 + n // 2, m + extra)]
+        table: dict = {}
+        for e, r in pairs:
+            table[e % n] = table.get(e % n, 0) + r
+        assert not reduce_exponents(level, {0: table})
+        h, l1 = zmap.residue(pairs)
+        assert h == 0 and l1 == zmap.cap + 2 * extra
+        assert zmap.proves_zero([h], l1) is proved
+
+
+@pytest.mark.parametrize("level", ZERO_MAP_LEVELS)
+def test_zero_map_agrees_with_reduction_and_sympy(level):
+    """Random integer sums, half of them made to vanish by adding a
+    rotated multiple of Phi_level(zeta) and pairs omega^e, -omega^(e+N/2)
+    to the negation of a rewritten copy: the map proves zero exactly when
+    `reduce_exponents` and sympy's remainder mod Phi_level read zero, and
+    h of a sum is h of its reduced value."""
+    zmap = zero_map(level)
+    n = len(zmap.powers) // 2
+    p, z = zmap.modulus, zmap.cap + 2
+    x = sympy.Symbol("x")
+    phi = sympy.Poly(sympy.cyclotomic_poly(level, x), x)
+    rng = random.Random(level)
+    coeffs = cyclotomic_polynomial(level)
+    for trial in range(12):
+        pairs = [(rng.randrange(n), rng.randint(-4, 4)) for _ in range(rng.randint(1, 6))]
+        if trial % 2:
+            # minus the same sum with each omega^e written as -omega^(e+N/2)
+            pairs += [((e + n // 2) % n, r) for e, r in pairs]
+            c = rng.randint(-2, 2)
+            pairs += _zeta_pairs(level, [c * a for a in coeffs], shift=rng.randrange(n))
+        table: dict = {}
+        for e, r in pairs:
+            table[e % n] = table.get(e % n, 0) + r
+        reduced = reduce_exponents(level, {0: table})
+        poly = 0
+        for e, r in pairs:
+            k = e if level % 2 == 0 else e * (level + 1) // 2
+            poly += r * (-1) ** (e * (level % 2)) * x ** (k % level)
+        oracle = sympy.Poly(poly, x) % phi
+        h, l1 = zmap.residue(pairs)
+        assert l1 <= zmap.cap
+        assert zmap.proves_zero([h], l1) is (not reduced) is oracle.is_zero
+        if trial % 2:
+            assert not reduced
+        if reduced:
+            value = reduced[0]
+            assert value.den == 1
+            assert h == sum(c * z**t for t, c in enumerate(value.num)) % p
+
+
+def test_zero_map_declines_non_integer_rationals():
+    zmap = zero_map(12)
+    assert zmap.residue([(0, Fraction(1, 2))]) is None
+    assert zmap.residue([(0, Fraction(4, 2))]) == (2, 2)
+    assert not zmap.proves_zero([Fraction(0)], 0)
+    # levels 1 and 2 map into Q exactly: no bound, and Fractions are values
+    assert zero_map(1).residue([(1, Fraction(1, 2)), (0, 3)]) == (Fraction(5, 2), Fraction(7, 2))
+    assert zero_map(1).proves_zero([0, Fraction(0)], 10**100)
+    assert not zero_map(2).proves_zero([Fraction(1, 3)], 0)
