@@ -16,7 +16,9 @@ provider states:
     oracle_rules()         the defining relations, oriented for rewriting
 
 A family states one of `_product` and `_multiply_raw`; the base class
-derives the other (below).  A stated `_product` has one term.
+derives the other (below).  A stated `_product` has one term.  A
+`LatticeProvider` states neither: its `_product` is derived from a
+lattice point per index and a twist.
 
 Derived here from `letters`, never restated per family:
 
@@ -56,11 +58,12 @@ The kernels (`mul`, `t2_mul`, and the bialgebra residual of
 (k, e, r) with e reduced mod N = lcm(2, level) and r a nonzero int or
 Fraction.  Five families are skew-Laurent monomial algebras (GroupZ2,
 GroupZSemiZ, EnvAbelian, A and B): two basis monomials multiply to one
-monomial times a scalar, which is a root of unity omega^e except for A
-at a rational q != +-1, where it is the rational r = q^(bc).  Such a
-family states `_product` as its one term, from a closed form with no
-per-pair memo, and `_multiply_raw` is derived from it (the reduced
-r * omega^e: a shared root of unity when r = 1).  C, CLift and
+monomial times a scalar, and `_multiply_raw` is derived from that one
+term (the reduced r * omega^e: a shared root of unity when r = 1).
+Four of them are twisted monoid algebras on a lattice
+(`LatticeProvider`): GroupZ2, EnvAbelian, A and B state a lattice point
+(u, v) per index and a twist q, and their `_product` is derived from
+that statement.  GroupZSemiZ states its one term itself.  C, CLift and
 EnvNonabelian multiply into polynomials and state `_multiply_raw`;
 their `_product` is its exponent form, memoized per pair.
 
@@ -74,7 +77,8 @@ other Lin is converted once, at its fill.  Negating a FormLin negates
 each rational of its form, so a negated coproduct keeps its form.  A
 Lin always holds reduced, nonzero Cyclos.  `coproduct_residues` reads
 a coproduct's form once more, through the level's zero map, for the
-zero-only bialgebra pass of `qhopf.verify`.
+zero-only bialgebra pass of `qhopf.verify`; a lattice family with a
+root-of-unity twist keys that view by lattice points.
 """
 
 from __future__ import annotations
@@ -293,19 +297,27 @@ class HopfProvider(ABC):
         hit = self._residue_cache.get(i)
         if hit is not None and hit[0] is form:
             return hit[1]
+        view = self._residue_view(form)
+        self._residue_cache[i] = form, view
+        return view
+
+    def _residue_view(self, form) -> tuple | None:
         residue = zero_map(self.level).residue
-        terms: list | None = []
+        terms = []
         total = 0
         for key, pairs in form:
             hl = residue(pairs)
             if hl is None:
-                terms = None
-                break
+                return None
             terms.append((key, *hl))
             total += hl[1]
-        view = None if terms is None else (tuple(terms), total)
-        self._residue_cache[i] = form, view
-        return view
+        return tuple(terms), total
+
+    def lattice_exponent(self) -> int | None:
+        """qe when e_i e_j = omega^(qe v_i u_j) e_k is read off lattice
+        points (`LatticeProvider`), so that `coproduct_residues` keys
+        its terms by lattice points; None here."""
+        return None
 
     def antipode_basis(self, i: Index) -> Lin:
         hit = self._anti_cache.get(i)
@@ -480,3 +492,96 @@ class HopfProvider(ABC):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} level={self.level}>"
+
+
+class LatticeProvider(HopfProvider):
+    """A twisted monoid algebra on a lattice.
+
+    Each basis index i has a lattice point lattice(i) = (u, v), one to
+    one on the indices, and two monomials multiply by
+
+        e_i e_j = q^(v_i u_j) e_k,   k = lattice_index(u_i + u_j, v_i + v_j).
+
+    A family states `lattice` (by default the index (a, b) itself), its
+    inverse `lattice_index` on the points of indices, and `twist`: an
+    int qe for q = omega^qe, or a rational q (a Fraction) other than
+    +-1.  `_product` is derived here from that statement, once for every
+    such family, and `_multiply_raw` from `_product` as for any one-term
+    product.
+
+    With an int twist the zero-only pass of `qhopf.verify` reads the
+    statement itself (`lattice_exponent`): `coproduct_residues` keeps
+    each term as (u_a, v_a, u_b, v_b, h, L1), its legs' lattice points
+    in place of the index pair.  Every leg a coded there is checked to
+    satisfy lattice_index(*lattice(a)) == a, and a leg that fails leaves
+    the view None, so the pass declines every pair that reads it.
+    """
+
+    twist: int | Fraction
+
+    def __init__(self, level: int):
+        super().__init__(level)
+        cls = type(self)
+        # the default lattice (the index is its point) is read inline;
+        # any other is memoized per index that `_product` meets
+        self._plain = (
+            cls.lattice is LatticeProvider.lattice
+            and cls.lattice_index is LatticeProvider.lattice_index
+        )
+        self._points: dict[Index, tuple[int, int]] = {}
+        self._twist_powers: dict[int, int | Fraction] = {}
+
+    def lattice(self, i: Index) -> tuple[int, int]:
+        return i
+
+    def lattice_index(self, u: int, v: int) -> Index:
+        return (u, v)
+
+    def _product(self, i: Index, j: Index) -> tuple:
+        if self._plain:
+            (ui, vi), (uj, vj) = i, j
+            k = (ui + uj, vi + vj)
+        else:
+            points = self._points
+            ui, vi = points.get(i) or self._point(i)
+            uj, vj = points.get(j) or self._point(j)
+            k = self.lattice_index(ui + uj, vi + vj)
+        twist = self.twist
+        if twist.__class__ is int:
+            return ((k, twist * vi * uj % self.omega_order, 1),)
+        return ((k, 0, self._rational_power(vi * uj)),)
+
+    def _point(self, i: Index) -> tuple[int, int]:
+        hit = self._points[i] = self.lattice(i)
+        return hit
+
+    def _rational_power(self, m: int) -> int | Fraction:
+        # q^m for a rational twist, an int when it is one, per exponent
+        hit = self._twist_powers.get(m)
+        if hit is None:
+            hit = self.twist**m
+            if hit.denominator == 1:
+                hit = hit.numerator
+            self._twist_powers[m] = hit
+        return hit
+
+    def lattice_exponent(self) -> int | None:
+        """The twist's omega exponent, unless the twist is rational or a
+        subclass states its own `_product` (which the pass then reads)."""
+        twist = self.twist
+        if twist.__class__ is int and type(self)._product is LatticeProvider._product:
+            return twist
+        return None
+
+    def _residue_view(self, form) -> tuple | None:
+        view = super()._residue_view(form)
+        if view is None or self.lattice_exponent() is None:
+            return view
+        lattice, index = self.lattice, self.lattice_index
+        terms = []
+        for (a, b), h, l1 in view[0]:
+            pa, pb = lattice(a), lattice(b)
+            if index(*pa) != a or index(*pb) != b:
+                return None
+            terms.append((*pa, *pb, h, l1))
+        return tuple(terms), view[1]

@@ -2,8 +2,10 @@
 
 Both have PBW basis y^a x^b (a, b >= 0), keyed by the index (a, b),
 with x and y primitive.  The abelian case is the polynomial Hopf
-algebra; the nonabelian one has [x, y] = y, so x y^a = y^a (x + a) and
-monomials straighten through ordinary binomials.
+algebra, a lattice family (`LatticeProvider`) whose lattice point is
+the index (a, b) itself, with no twist (q = 1).  The nonabelian one has
+[x, y] = y, so x y^a = y^a (x + a) and monomials straighten through
+ordinary binomials.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from math import comb
 
 from qhopf.elements import Lin, lin_from_pairs
-from qhopf.families.base import HopfProvider
+from qhopf.families.base import HopfProvider, LatticeProvider
 
 
 class _Enveloping(HopfProvider):
@@ -31,10 +33,8 @@ class _Enveloping(HopfProvider):
         return lin_from_pairs(pairs)
 
 
-class EnvAbelian(_Enveloping):
-    def _product(self, i, j):
-        (a, b), (c, d) = i, j
-        return (((a + c, b + d), 0, 1),)
+class EnvAbelian(_Enveloping, LatticeProvider):
+    twist = 0
 
     def _antipode_raw(self, i):
         a, b = i

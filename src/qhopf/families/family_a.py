@@ -4,11 +4,16 @@ x is grouplike, y is skew primitive with Delta(y) = y ox 1 + x^n ox y.
 Basis monomials are y^a x^b (a >= 0, b in Z), keyed by the index
 (a, b), and multiply by
 
-    (y^a x^b)(y^c x^d) = q^(b c) y^(a+c) x^(b+d),
+    (y^a x^b)(y^c x^d) = q^(b c) y^(a+c) x^(b+d).
 
-stated as the one term of `_product`: q^(b c) is omega^(e_q b c) for a root of unity
-q = omega^(e_q) (q = +-1 included), and the rational q^(b c), memoized
-per exponent b c, for any other q.
+So A is a twisted monoid algebra on a lattice (`LatticeProvider`): the
+lattice point of y^a x^b is its index (a, b) itself, and the twist is
+q: its omega exponent e_q for a root of unity q = omega^(e_q) (q = +-1
+included), else the rational q, whose powers q^(b c) are memoized per
+exponent b c.  `_product` is derived from that statement.  The point
+is the index, so it is one to one and the zero-only bialgebra pass's
+lattice keys at a root of unity are the index keys themselves; at a
+rational q the pass reads A by index.
 
 Coproducts of powers of y run through the skew binomial theorem with
 ratio q^n, since (x^n ox y)(y ox 1) = q^n (y ox 1)(x^n ox y):
@@ -22,12 +27,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from qhopf.families.base import FormLin, HopfProvider, PowCache
+from qhopf.families.base import FormLin, LatticeProvider, PowCache
 from qhopf.params import AParams
 from qhopf.qcombinat import skew_binomial_forms
 
 
-class FamilyA(HopfProvider):
+class FamilyA(LatticeProvider):
     letters = (("y", False, None), ("x", True, None))
 
     def __init__(self, params: AParams):
@@ -37,9 +42,10 @@ class FamilyA(HopfProvider):
         self.q = params.q.to_cyclo(self.level)
         self.qpow = PowCache(self.q)
         self._skew_cache: dict[int, list] = {}
-        # q = omega^qe, or qe None for a rational q other than +-1
-        self._qe = self._roots.index(self.q) if self.q in self._roots else None
-        self._qr_cache: dict[int, int | Fraction] = {}
+        if self.q in self._roots:
+            self.twist = self._roots.index(self.q)
+        else:
+            self.twist = Fraction(params.q.rational)
 
     def _skew(self, a: int) -> list:
         hit = self._skew_cache.get(a)
@@ -47,19 +53,6 @@ class FamilyA(HopfProvider):
             hit = skew_binomial_forms(a, self.qpow(self.n))
             self._skew_cache[a] = hit
         return hit
-
-    def _product(self, i, j):
-        (a, b), (c, d) = i, j
-        m = b * c
-        if self._qe is not None:
-            return (((a + c, b + d), self._qe * m % self.omega_order, 1),)
-        hit = self._qr_cache.get(m)
-        if hit is None:
-            hit = self.params.q.rational**m
-            if hit.denominator == 1:
-                hit = hit.numerator
-            self._qr_cache[m] = hit
-        return (((a + c, b + d), 0, hit),)
 
     def _coproduct_raw(self, i):
         a, b = i

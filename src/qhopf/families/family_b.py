@@ -20,11 +20,17 @@ y^mu(d) and x^b y^mu = q^(b mu) y^mu x^b:
 
     (y^d x^b)(y^d' x^b') = q^(b mu(d')) y^(d+d') x^(b+b').
 
-So mu and b alone fix the product: its scalar is q^(b mu(d')), and its
-index is the one canonical y-tuple of degree mu(d) + mu(d') followed by
-the x-exponent b + b'.  `_product` keeps (mu, b) per index and the
-canonical y-tuple per degree, so its memory grows with the indices it
-meets, not with the pairs of them.
+So B is a twisted monoid algebra on a lattice (`LatticeProvider`): the
+lattice point of y^d x^b is (mu(d), b), and the twist is q = omega^qe.
+`lattice_index` inverts it: the canonical y-tuple of degree mu has
+d_i = mu m_i^-1 mod p_i for i >= 2 (every other m_j is 0 mod p_i, and
+m_i is a unit mod p_i since the p_i are pairwise coprime), and then
+d_1 = (mu - sum_(i >= 2) m_i d_i) / m_1.  This is the one canonical
+tuple of degree mu, which is what makes mu injective on canonical
+tuples; `canon` reads it too.  The zero-only bialgebra pass checks
+lattice_index(*lattice(i)) == i on every index it codes.  The tuple is
+memoized per degree, so the memory grows with the degrees met, not
+with the indices or their pairs.
 
 The coproduct of a monomial is assembled by tensor multiplication of
 the closed forms for Delta(y_i)^(d_i); each of those is a skew
@@ -40,13 +46,15 @@ vanishes.
 
 from __future__ import annotations
 
-from qhopf.elements import Index, Lin
-from qhopf.families.base import FormLin, HopfProvider, PowCache
+from operator import mul
+
+from qhopf.elements import Lin
+from qhopf.families.base import FormLin, LatticeProvider, PowCache
 from qhopf.params import BParams
 from qhopf.qcombinat import skew_binomial_forms
 
 
-class FamilyB(HopfProvider):
+class FamilyB(LatticeProvider):
     def __init__(self, params: BParams):
         ell = params.root_target()
         super().__init__(level=ell)
@@ -65,9 +73,9 @@ class FamilyB(HopfProvider):
         # skew ratio for Delta(y_i) powers
         self._ratios = tuple(self.qpow(self.mm[i] ** 2 * self.n) for i in range(self.s))
         self._ypow_cop_cache: dict[tuple[int, int], FormLin] = {}
-        # q = omega^qe; index -> (mu, b, qe * b), and mu -> canonical d
-        self._qe = self.q.unit
-        self._mu_b: dict[Index, tuple[int, int, int]] = {}
+        self.twist = self.q.unit  # q = omega^twist
+        # m_i^-1 mod p_i for i >= 2, and mu -> canonical y-tuple
+        self._inverses = tuple(pow(m, -1, p) for m, p in zip(self.mm, self.pp))
         self._canon_d: dict[int, tuple[int, ...]] = {}
         self.letters = tuple(
             (f"y{i + 1}", False, None if i == 0 else cap - 1)
@@ -77,19 +85,29 @@ class FamilyB(HopfProvider):
     # -- index bookkeeping ----------------------------------------------
 
     def canon(self, d) -> tuple[int, ...]:
-        """Carry the y-exponents of d into canonical range; entries past
-        the s-th (the x-exponent of an index) pass through."""
-        d = list(d)
-        for i in range(1, self.s):
-            cap = self.pp[i]
-            if d[i] >= cap:
-                k, d[i] = divmod(d[i], cap)
-                d[0] += k * self.pp[0]
-        return tuple(d)
+        """The canonical y-exponents of d's degree; entries past the s-th
+        (the x-exponent of an index) pass through."""
+        d = tuple(d)
+        return self.lattice_index(self.mu(d), 0)[:-1] + d[self.s :]
 
     def mu(self, d) -> int:
         """Total y-degree; an index's x-exponent is ignored."""
-        return sum(m * e for m, e in zip(self.mm, d))
+        return sum(map(mul, self.mm, d))
+
+    def lattice(self, i):
+        return self.mu(i), i[-1]
+
+    def lattice_index(self, u, v):
+        d = self._canon_d.get(u)
+        if d is None:
+            d = [0] * self.s
+            rest = u
+            for k in range(1, self.s):
+                d[k] = u * self._inverses[k] % self.pp[k]
+                rest -= self.mm[k] * d[k]
+            d[0] = rest // self.mm[0]
+            d = self._canon_d[u] = tuple(d)
+        return d + (v,)
 
     def _yi_index(self, i: int, k: int):
         d = [0] * (self.s + 1)
@@ -100,21 +118,6 @@ class FamilyB(HopfProvider):
         return (0,) * self.s + (e,)
 
     # -- structure constants ---------------------------------------------
-
-    def _product(self, i, j):
-        mu_b = self._mu_b
-        mi, bi, ei = mu_b.get(i) or self._fill_mu_b(i)
-        mj, bj, _ = mu_b.get(j) or self._fill_mu_b(j)
-        mu = mi + mj
-        d = self._canon_d.get(mu)
-        if d is None:
-            d = self._canon_d[mu] = self.canon(x + y for x, y in zip(i[:-1], j))
-        return ((d + (bi + bj,), ei * mj % self.omega_order, 1),)
-
-    def _fill_mu_b(self, i):
-        b = i[-1]
-        hit = self._mu_b[i] = (self.mu(i), b, self._qe * b)
-        return hit
 
     def _cop_ypow(self, i: int, k: int) -> FormLin:
         """Delta(y_i)^k = sum_r (k choose r)_(ratio_i) y_i^(k-r) x^(m_i n r) ox y_i^r."""

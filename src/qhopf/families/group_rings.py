@@ -1,9 +1,11 @@
 """Group algebras of the two infinite groups of rank two.
 
-GroupZ2 is the Laurent polynomial ring on two commuting grouplikes.
-GroupZSemiZ is the group algebra of <x, y | x y x^-1 = y^-1>; its
-monomials y^a x^b multiply by (y^a x^b)(y^c x^d) = y^(a + (-1)^b c)
-x^(b+d), and every monomial is grouplike.
+GroupZ2 is the Laurent polynomial ring on two commuting grouplikes: a
+lattice family (`LatticeProvider`) whose lattice point is the index
+(a, b) itself, with no twist (q = 1).  GroupZSemiZ is the group algebra
+of <x, y | x y x^-1 = y^-1>; its monomials y^a x^b multiply by
+(y^a x^b)(y^c x^d) = y^(a + (-1)^b c) x^(b+d), and every monomial is
+grouplike.
 
 Indices are pairs (a, b) for y^a x^b with a, b in Z: both letters are
 units.
@@ -12,7 +14,7 @@ units.
 from __future__ import annotations
 
 from qhopf.elements import Lin
-from qhopf.families.base import HopfProvider
+from qhopf.families.base import HopfProvider, LatticeProvider
 
 
 class _GroupRing(HopfProvider):
@@ -28,10 +30,8 @@ class _GroupRing(HopfProvider):
         return Lin.basis((i, i), self.one_scalar())
 
 
-class GroupZ2(_GroupRing):
-    def _product(self, i, j):
-        (a, b), (c, d) = i, j
-        return (((a + c, b + d), 0, 1),)
+class GroupZ2(_GroupRing, LatticeProvider):
+    twist = 0
 
     def _antipode_raw(self, i):
         a, b = i

@@ -25,20 +25,44 @@ residual is zero, so it runs in two passes.  The zero-only pass
 (`bialgebra_vanishes`) sends the residual through the level's ring map
 h: Z[C_N] -> Z/P (`qhopf.scalars.zero_map`).  It reads each coproduct
 as its per-index residue view (`coproduct_residues`: h of each
-coefficient and the L1 norm of its form), multiplies through
-`_product`, and adds one integer per tensor key, plus one L1 bound for
-the whole pair.  It proves the pair zero only when every key's image is
-0 mod P and the bound is within the map's cap; a pair with a
-non-integer rational, a bound above the cap or a nonzero image gets no
-verdict.  Every such pair is recomputed by the exact route
-(`exact_bialgebra_residual`), whose table holds rhs - lhs, with the
-product (usually one term) negated rather than a copy of Delta(e_j),
-and whose finished residual is negated back: each term r omega^e e_k of
-`_product(i, j)` enters as -r omega^e Delta(e_k).  So a failure is
-always the exact residual's text.  The bialgebra law's counit residual
-is the sum of the r omega^e whose e_k has counit 1, minus 1 when e_i
-and e_j both have counit 1, in exponent form; it is reduced only when
-it has a term, and a pair is named only when it fails.
+coefficient and the L1 norm of its form), multiplies the legs, and adds
+one integer per tensor key, plus one L1 bound for the whole pair.  It
+proves the pair zero only when every key's image is 0 mod P and the
+bound is within the map's cap; a pair with a non-integer rational, a
+bound above the cap or a nonzero image gets no verdict.  Every such
+pair is recomputed by the exact route (`exact_bialgebra_residual`),
+whose table holds rhs - lhs, with the product (usually one term)
+negated rather than a copy of Delta(e_j), and whose finished residual
+is negated back: each term r omega^e e_k of `_product(i, j)` enters as
+-r omega^e Delta(e_k).  So a failure is always the exact residual's
+text.  `bialgebra_residuals` computes `_product(i, j)` once per pair
+and hands it to the pass, the exact route and the counit residual.
+
+The pass has two kernels, picked by the provider's `lattice_exponent`.
+The index kernel keys the table by index pairs and multiplies legs
+through `_product`; C, CLift, EnvNonabelian, GroupZSemiZ and A at a
+rational q get it, and it is the tests' reference for the other.  The
+lattice kernel serves the twisted monoid algebras on a lattice with a
+root-of-unity twist q = omega^qe (`LatticeProvider`: GroupZ2,
+EnvAbelian, A and B), where e_a e_c = omega^(qe v_a u_c) e at the
+point (u_a + u_c, v_a + v_c).  Their residue views key each term by its
+legs' lattice points (u_a, v_a, u_b, v_b), so the kernel adds
+Delta(e_i) Delta(e_j) with plain int arithmetic: key (u_a + u_c,
+v_a + v_c, u_b + u_d, v_b + v_d), twist exponent qe (v_a u_c +
+v_b u_d) mod N, one L1 bound per left term, and no `_product` call.
+Its keys are faithful: every leg a that a view codes is checked to
+satisfy lattice_index(*lattice(a)) == a, and the index product of two
+legs is by definition lattice_index of their point sum.  So each
+index-pair key of the exact residual is one function (lattice_index on
+each leg) of its lattice key, each index key's sum is a sum of lattice
+keys' sums, and a pair proved zero on lattice keys is zero on index
+keys.  A leg that fails the check makes its view None, and the pass
+declines every pair that reads it.
+
+The bialgebra law's counit residual is the sum of the r omega^e whose
+e_k has counit 1, minus 1 when e_i and e_j both have counit 1, in
+exponent form; it is reduced only when it has a term, and a pair is
+named only when it fails.
 """
 
 from __future__ import annotations
@@ -115,16 +139,32 @@ def antipode_residuals(alg: HopfProvider, idx) -> tuple[Lin, Lin]:
 def bialgebra_residuals(alg: HopfProvider, i, j) -> tuple[Lin, Cyclo]:
     """Delta(e_i e_j) - Delta(e_i) Delta(e_j) and the counit residual.
     The tensor residual is zero when `bialgebra_vanishes` proves it so;
-    any other pair gets `exact_bialgebra_residual`."""
-    t = Lin() if bialgebra_vanishes(alg, i, j) else exact_bialgebra_residual(alg, i, j)
-    return t, _counit_residual(alg, i, j)
+    any other pair gets `exact_bialgebra_residual`.  All three read the
+    one `_product(i, j)` computed here."""
+    terms = alg._product(i, j)
+    if bialgebra_vanishes(alg, i, j, terms):
+        t = Lin()
+    else:
+        t = exact_bialgebra_residual(alg, i, j, terms)
+    return t, _counit_residual(alg, i, j, terms)
 
 
-def bialgebra_vanishes(alg: HopfProvider, i, j) -> bool:
+def bialgebra_vanishes(alg: HopfProvider, i, j, terms=None) -> bool:
     """Whether the zero-only pass proves Delta(e_i e_j) = Delta(e_i)
     Delta(e_j): each key's sum, sent through the level's `zero_map`, is
     0, and the L1 norms of all the terms add up to at most its cap.
-    False is no verdict."""
+    False is no verdict.  `terms` is `_product(i, j)`, computed here if
+    not given.  A provider with a `lattice_exponent` gets the lattice
+    kernel, any other the index kernel."""
+    if terms is None:
+        terms = alg._product(i, j)
+    qe = alg.lattice_exponent()
+    if qe is None:
+        return _index_vanishes(alg, i, j, terms)
+    return _lattice_vanishes(alg, i, j, terms, qe)
+
+
+def _index_vanishes(alg: HopfProvider, i, j, terms) -> bool:
     view = alg.coproduct_residues
     left, right = view(i), view(j)
     if left is None or right is None:
@@ -134,7 +174,7 @@ def bialgebra_vanishes(alg: HopfProvider, i, j) -> bool:
     product = alg._product
     table: dict = {}
     bound = 0
-    for k, e, r in product(i, j):
+    for k, e, r in terms:
         # -r omega^e Delta(e_k), term by term
         middle = view(k)
         if middle is None:
@@ -157,10 +197,44 @@ def bialgebra_vanishes(alg: HopfProvider, i, j) -> bool:
     return zmap.proves_zero(table.values(), bound)
 
 
-def exact_bialgebra_residual(alg: HopfProvider, i, j) -> Lin:
-    """Delta(e_i e_j) - Delta(e_i) Delta(e_j), each key reduced."""
+def _lattice_vanishes(alg: HopfProvider, i, j, terms, qe: int) -> bool:
+    # `_index_vanishes` keyed by lattice points: the leg product e_a e_c
+    # is omega^(qe v_a u_c) e_k with k at (u_a + u_c, v_a + v_c), read
+    # off the coded views with no `_product` call; every twist has
+    # |r| = 1, so the L1 bound is one product per left term
+    view = alg.coproduct_residues
+    left, right = view(i), view(j)
+    if left is None or right is None:
+        return False
+    zmap = zero_map(alg.level)
+    powers = zmap.powers
+    n = alg.omega_order
+    table: dict = {}
+    bound = 0
+    for k, e, r in terms:
+        middle = view(k)
+        if middle is None:
+            return False
+        f = r * powers[e]
+        for ua, va, ub, vb, h, _ in middle[0]:
+            key = ua, va, ub, vb
+            table[key] = table.get(key, 0) - f * h
+        bound += abs(r) * middle[1]
+    rterms, rl1 = right
+    for ua, va, ub, vb, hc, lc in left[0]:
+        for uc, vc, ud, vd, hd, _ in rterms:
+            key = ua + uc, va + vc, ub + ud, vb + vd
+            w = hc * hd * powers[qe * (va * uc + vb * ud) % n]
+            table[key] = table.get(key, 0) + w
+        bound += lc * rl1
+    return zmap.proves_zero(table.values(), bound)
+
+
+def exact_bialgebra_residual(alg: HopfProvider, i, j, terms=None) -> Lin:
+    """Delta(e_i e_j) - Delta(e_i) Delta(e_j), each key reduced; `terms`
+    is `_product(i, j)`, computed here if not given."""
     table = alg.table()
-    for k, e, r in alg._product(i, j):
+    for k, e, r in alg._product(i, j) if terms is None else terms:
         # -r omega^e Delta(e_k), term by term
         for kl, pairs in alg.coproduct_basis(k).form:
             slot = table[kl]
@@ -171,11 +245,12 @@ def exact_bialgebra_residual(alg: HopfProvider, i, j) -> Lin:
     return -alg.finish(table)
 
 
-def _counit_residual(alg: HopfProvider, i, j) -> Cyclo:
-    # eps(e_i e_j) - eps(e_i) eps(e_j) in exponent form, eps being 0 or 1
+def _counit_residual(alg: HopfProvider, i, j, terms) -> Cyclo:
+    # eps(e_i e_j) - eps(e_i) eps(e_j) in exponent form, eps being 0 or
+    # 1, from the terms of `_product(i, j)`
     counit = alg.counit_basis
     units = {} if counit(i).is_zero() or counit(j).is_zero() else {0: -1}
-    for k, e, r in alg._product(i, j):
+    for k, e, r in terms:
         if not counit(k).is_zero():
             units[e] = units.get(e, 0) + r
     zero = Cyclo.zero(alg.level)

@@ -191,7 +191,9 @@ def test_corrupted_coproduct_at_level_105_reads_as_the_exact_route(monkeypatch):
     report = verify_axioms(alg, window=1, axioms=("bialgebra",), max_failures=200)
     assert not report.passed
     assert {f.where for f in report.failures} == {f"({a}, {b})" for a, b in declined}
-    monkeypatch.setattr(qhopf.verify, "bialgebra_vanishes", lambda alg, i, j: False)
+    monkeypatch.setattr(
+        qhopf.verify, "bialgebra_vanishes", lambda alg, i, j, terms: False
+    )
     exact = verify_axioms(
         _BrokenB105Coproduct(params), window=1, axioms=("bialgebra",), max_failures=200
     )
@@ -322,6 +324,83 @@ def test_off_by_one_omega_in_the_closed_form_is_caught():
     rng = random.Random(2024)
     pairs = [(rng.choice(box), rng.choice(box)) for _ in range(60)]
     assert not any(agree_on_product(alg, i, j) for i, j in pairs)
+
+
+class _OffByOneTwistA(FamilyA):
+    """A's lattice statement with the twist exponent moved by 1."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.twist += 1
+
+
+class _OffByOneTwistB(FamilyB):
+    """B's lattice statement with the twist exponent moved by 1."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.twist += 1
+
+
+@pytest.mark.parametrize(
+    "cls,spec",
+    [
+        (_OffByOneTwistA, {"family": "A", "n": 2, "q": {"order": 3, "power": 1}}),
+        (
+            _OffByOneTwistB,
+            {"family": "B", "n": 2, "p": [1, 2, 3], "q": {"order": 12, "power": 1}},
+        ),
+    ],
+)
+def test_off_by_one_twist_in_the_lattice_statement_is_caught(cls, spec, monkeypatch):
+    """`_product` is derived from the lattice statement, which the
+    bialgebra pass also reads: a wrong twist fails the bialgebra check,
+    with the exact route's report, and `multiply_basis` disagrees with
+    the rewriting oracle."""
+    import qhopf.verify
+
+    alg = cls(parse_params(spec))
+    assert alg.lattice_exponent() == alg.twist
+    report = verify_axioms(alg, window=1, axioms=("bialgebra",), max_failures=200)
+    assert report.failures
+    monkeypatch.setattr(
+        qhopf.verify, "bialgebra_vanishes", lambda alg, i, j, terms: False
+    )
+    exact = verify_axioms(
+        cls(parse_params(spec)), window=1, axioms=("bialgebra",), max_failures=200
+    )
+    assert exact.to_json() == report.to_json()
+    box = alg.basis_box(2)
+    assert not all(agree_on_product(alg, i, j) for i in box for j in box)
+
+
+class _MergedLattice(FamilyA):
+    """A(2, z3) whose lattice reads y^a x^b at the point of y^a x^(b-6)
+    for b >= 6, so two indices share a point.  The twist omega^(2 v u)
+    has period 6 in v, so the merged legs even carry the same twists."""
+
+    def lattice(self, i):
+        a, b = i
+        return (a, b - 6) if b >= 6 else i
+
+
+def test_a_merged_lattice_is_declined_never_proved():
+    """The residue view checks lattice_index(*lattice(a)) == a on every
+    leg it codes, so a pair whose exact residual is nonzero is never
+    proved zero by the lattice kernel.  (Without that check, four such
+    pairs of box(2) read as zero.)"""
+    spec = {"family": "A", "n": 2, "q": {"order": 3, "power": 1}}
+    alg = _MergedLattice(parse_params(spec))
+    assert alg.lattice_exponent() is not None
+    box = alg.basis_box(2)
+    failing = [
+        (i, j)
+        for i in box
+        for j in box
+        if not exact_bialgebra_residual(alg, i, j).is_zero()
+    ]
+    assert failing
+    assert not any(bialgebra_vanishes(alg, i, j) for i, j in failing)
 
 
 class _BrokenOreCoproduct(FamilyC):

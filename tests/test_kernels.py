@@ -17,11 +17,11 @@ import pytest
 
 from qhopf.elements import Lin, acc
 from qhopf.families import build
-from qhopf.families.base import FormLin
+from qhopf.families.base import FormLin, LatticeProvider
 from qhopf.families.family_a import FamilyA
 from qhopf.params import AParams, ScalarSpec, parse_params
 from qhopf.scalars import Cyclo, euler_phi, reduce_exponents
-from qhopf.verify import verify_axioms
+from qhopf.verify import bialgebra_vanishes, verify_axioms
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 
@@ -305,8 +305,83 @@ def test_verify_caches_no_kernel_product():
     alg = _build("b_2_123_z12")
     assert verify_axioms(alg, window=3).passed
     assert not alg._mul_cache and not alg._product_cache
-    assert len(alg._mu_b) + len(alg._canon_d) <= 2 * len(alg.basis_box(6))
+    memos = (alg._points, alg._canon_d, alg._twist_powers)
+    assert sum(map(len, memos)) <= 2 * len(alg.basis_box(6))
     for name in ["group_z2", "group_zsemiz", "env_abelian", "a_2_z3"] + ORE:
         alg = _build(name)
         assert verify_axioms(alg, window=2).passed, name
         assert not alg._mul_cache and (name in ORE or not alg._product_cache), name
+
+
+# -- the zero-only bialgebra pass: lattice kernel and index kernel --------
+
+VALID_CORPUS = sorted(
+    p.stem for p in INSTANCES.glob("*.json") if not p.stem.startswith("bad_")
+)
+LATTICE_CORPUS = [
+    name for name in VALID_CORPUS if isinstance(_build(name), LatticeProvider)
+]
+# the verify-cyclo benchmark ops: instance and window
+VERIFY_CYCLO_OPS = [
+    ("b_2_123_z12", 3),
+    ("a_3_z5", 3),
+    ("a_2_z3", 3),
+    ("a_2_z4p3", 3),
+    ("b_7_135_z105", 2),
+]
+
+
+def _index_keyed(alg):
+    """The same provider with index-keyed residue views, so that the
+    pass reads it through the index kernel and `_product`."""
+    cls = type(alg)
+    twin = type("Indexed", (cls,), {"lattice_exponent": lambda self: None})
+    return twin(alg.params)
+
+
+def _raise(i, j):
+    raise AssertionError("the lattice kernel called _product")
+
+
+@pytest.mark.parametrize("name", LATTICE_CORPUS)
+def test_lattice_kernel_agrees_with_the_index_kernel(name):
+    """On every pair of box(2), the lattice kernel and the index kernel
+    reach the same verdict, and the lattice kernel reads no `_product`
+    once the pair's views are filled.  A rational twist (A at level 1,
+    q != +-1) has no lattice kernel: the pass reads it by index."""
+    alg = _build(name)
+    if alg.lattice_exponent() is None:
+        assert alg.twist.__class__ is Fraction, name
+        return
+    reference = _index_keyed(alg)
+    box = alg.basis_box(2)
+    for i in box:
+        for j in box:
+            terms = alg._product(i, j)
+            want = bialgebra_vanishes(reference, i, j)
+            assert bialgebra_vanishes(alg, i, j, terms) == want, (i, j)
+            alg._product = _raise
+            assert bialgebra_vanishes(alg, i, j, terms) == want, (i, j)
+            del alg._product
+
+
+@pytest.mark.parametrize("name,window", VERIFY_CYCLO_OPS)
+def test_verify_cyclo_ops_prove_every_pair_with_no_exact_recompute(
+    name, window, monkeypatch
+):
+    import qhopf.verify
+
+    alg = _build(name)
+    assert alg.lattice_exponent() is not None
+    recomputes = []
+    exact = qhopf.verify.exact_bialgebra_residual
+
+    def counted(*args):
+        recomputes.append(args[1:3])
+        return exact(*args)
+
+    monkeypatch.setattr(qhopf.verify, "exact_bialgebra_residual", counted)
+    report = verify_axioms(alg, window=window, axioms=("bialgebra",))
+    assert report.passed
+    assert report.checked["bialgebra"] == len(alg.basis_box(window)) ** 2
+    assert recomputes == []
