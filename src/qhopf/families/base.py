@@ -521,14 +521,6 @@ class LatticeProvider(HopfProvider):
 
     def __init__(self, level: int):
         super().__init__(level)
-        cls = type(self)
-        # the default lattice (the index is its point) is read inline;
-        # any other is memoized per index that `_product` meets
-        self._plain = (
-            cls.lattice is LatticeProvider.lattice
-            and cls.lattice_index is LatticeProvider.lattice_index
-        )
-        self._points: dict[Index, tuple[int, int]] = {}
         self._twist_powers: dict[int, int | Fraction] = {}
 
     def lattice(self, i: Index) -> tuple[int, int]:
@@ -538,22 +530,13 @@ class LatticeProvider(HopfProvider):
         return (u, v)
 
     def _product(self, i: Index, j: Index) -> tuple:
-        if self._plain:
-            (ui, vi), (uj, vj) = i, j
-            k = (ui + uj, vi + vj)
-        else:
-            points = self._points
-            ui, vi = points.get(i) or self._point(i)
-            uj, vj = points.get(j) or self._point(j)
-            k = self.lattice_index(ui + uj, vi + vj)
+        ui, vi = self.lattice(i)
+        uj, vj = self.lattice(j)
+        k = self.lattice_index(ui + uj, vi + vj)
         twist = self.twist
         if twist.__class__ is int:
             return ((k, twist * vi * uj % self.omega_order, 1),)
         return ((k, 0, self._rational_power(vi * uj)),)
-
-    def _point(self, i: Index) -> tuple[int, int]:
-        hit = self._points[i] = self.lattice(i)
-        return hit
 
     def _rational_power(self, m: int) -> int | Fraction:
         # q^m for a rational twist, an int when it is one, per exponent

@@ -16,25 +16,30 @@ from qhopf.elements import Lin, lin_from_pairs
 from qhopf.families.base import HopfProvider, LatticeProvider
 
 
-class _Enveloping(HopfProvider):
-    letters = (("y", False, None), ("x", False, None))
+_LETTERS = (("y", False, None), ("x", False, None))
+
+
+def _primitive_coproduct(i) -> Lin:
+    # Delta(y^a x^b) = sum (a choose r)(b choose k) y^(a-r) x^(b-k) ox y^r x^k
+    a, b = i
+    pairs = []
+    for r in range(a + 1):
+        ca = comb(a, r)
+        for k in range(b + 1):
+            pairs.append((((a - r, b - k), (r, k)), ca * comb(b, k)))
+    return lin_from_pairs(pairs)
+
+
+class EnvAbelian(LatticeProvider):
+    letters = _LETTERS
+    twist = 0
 
     def __init__(self, params):
         super().__init__(level=1)
         self.params = params
 
     def _coproduct_raw(self, i):
-        a, b = i
-        pairs = []
-        for r in range(a + 1):
-            ca = comb(a, r)
-            for k in range(b + 1):
-                pairs.append((((a - r, b - k), (r, k)), ca * comb(b, k)))
-        return lin_from_pairs(pairs)
-
-
-class EnvAbelian(_Enveloping, LatticeProvider):
-    twist = 0
+        return _primitive_coproduct(i)
 
     def _antipode_raw(self, i):
         a, b = i
@@ -44,7 +49,16 @@ class EnvAbelian(_Enveloping, LatticeProvider):
         return [(("x", "y"), [(self.one_scalar(), ("y", "x"))])]
 
 
-class EnvNonabelian(_Enveloping):
+class EnvNonabelian(HopfProvider):
+    letters = _LETTERS
+
+    def __init__(self, params):
+        super().__init__(level=1)
+        self.params = params
+
+    def _coproduct_raw(self, i):
+        return _primitive_coproduct(i)
+
     def _multiply_raw(self, i, j):
         # x^b y^c = y^c (x + c)^b
         (a, b), (c, d) = i, j

@@ -17,10 +17,13 @@ from qhopf.elements import Lin
 from qhopf.families.base import HopfProvider, LatticeProvider
 
 
-class _GroupRing(HopfProvider):
-    """Shared shape: all basis monomials are grouplike units."""
+# both letters are grouplike units, and so is every basis monomial
+_LETTERS = (("y", True, None), ("x", True, None))
 
-    letters = (("y", True, None), ("x", True, None))
+
+class GroupZ2(LatticeProvider):
+    letters = _LETTERS
+    twist = 0
 
     def __init__(self, params):
         super().__init__(level=1)
@@ -28,10 +31,6 @@ class _GroupRing(HopfProvider):
 
     def _coproduct_raw(self, i):
         return Lin.basis((i, i), self.one_scalar())
-
-
-class GroupZ2(_GroupRing, LatticeProvider):
-    twist = 0
 
     def _antipode_raw(self, i):
         a, b = i
@@ -52,7 +51,16 @@ class GroupZ2(_GroupRing, LatticeProvider):
         return rules
 
 
-class GroupZSemiZ(_GroupRing):
+class GroupZSemiZ(HopfProvider):
+    letters = _LETTERS
+
+    def __init__(self, params):
+        super().__init__(level=1)
+        self.params = params
+
+    def _coproduct_raw(self, i):
+        return Lin.basis((i, i), self.one_scalar())
+
     def _product(self, i, j):
         (a, b), (c, d) = i, j
         c = c if b % 2 == 0 else -c

@@ -149,15 +149,13 @@ def bialgebra_residuals(alg: HopfProvider, i, j) -> tuple[Lin, Cyclo]:
     return t, _counit_residual(alg, i, j, terms)
 
 
-def bialgebra_vanishes(alg: HopfProvider, i, j, terms=None) -> bool:
+def bialgebra_vanishes(alg: HopfProvider, i, j, terms) -> bool:
     """Whether the zero-only pass proves Delta(e_i e_j) = Delta(e_i)
     Delta(e_j): each key's sum, sent through the level's `zero_map`, is
     0, and the L1 norms of all the terms add up to at most its cap.
-    False is no verdict.  `terms` is `_product(i, j)`, computed here if
-    not given.  A provider with a `lattice_exponent` gets the lattice
-    kernel, any other the index kernel."""
-    if terms is None:
-        terms = alg._product(i, j)
+    False is no verdict.  `terms` is `_product(i, j)`.  A provider with
+    a `lattice_exponent` gets the lattice kernel, any other the index
+    kernel."""
     qe = alg.lattice_exponent()
     if qe is None:
         return _index_vanishes(alg, i, j, terms)
@@ -230,11 +228,11 @@ def _lattice_vanishes(alg: HopfProvider, i, j, terms, qe: int) -> bool:
     return zmap.proves_zero(table.values(), bound)
 
 
-def exact_bialgebra_residual(alg: HopfProvider, i, j, terms=None) -> Lin:
+def exact_bialgebra_residual(alg: HopfProvider, i, j, terms) -> Lin:
     """Delta(e_i e_j) - Delta(e_i) Delta(e_j), each key reduced; `terms`
-    is `_product(i, j)`, computed here if not given."""
+    is `_product(i, j)`."""
     table = alg.table()
-    for k, e, r in alg._product(i, j) if terms is None else terms:
+    for k, e, r in terms:
         # -r omega^e Delta(e_k), term by term
         for kl, pairs in alg.coproduct_basis(k).form:
             slot = table[kl]

@@ -162,6 +162,14 @@ def test_corrupted_product_is_caught():
     )
 
 
+def _proved(alg, i, j):
+    return bialgebra_vanishes(alg, i, j, alg._product(i, j))
+
+
+def _exact(alg, i, j):
+    return exact_bialgebra_residual(alg, i, j, alg._product(i, j))
+
+
 class _BrokenB105Coproduct(FamilyB):
     """B(7, 1, 3, 5, z105) with a stray x ox 1 in Delta(y1)."""
 
@@ -186,7 +194,7 @@ def test_corrupted_coproduct_at_level_105_reads_as_the_exact_route(monkeypatch):
         (alg.index_str(i), alg.index_str(j))
         for i in box
         for j in box
-        if not bialgebra_vanishes(alg, i, j)
+        if not _proved(alg, i, j)
     }
     report = verify_axioms(alg, window=1, axioms=("bialgebra",), max_failures=200)
     assert not report.passed
@@ -224,8 +232,8 @@ def test_zero_only_pass_proves_zero_where_the_exact_residual_is_zero(name):
     box = alg.basis_box(2)
     for i in box:
         for j in box:
-            exact = exact_bialgebra_residual(alg, i, j).is_zero()
-            assert bialgebra_vanishes(alg, i, j) == exact, (i, j)
+            exact = _exact(alg, i, j).is_zero()
+            assert _proved(alg, i, j) == exact, (i, j)
 
 
 @pytest.mark.parametrize("name,window", VERIFY_CYCLO_OPS)
@@ -238,8 +246,8 @@ def test_zero_only_pass_leaves_no_fallback_on_the_verify_cyclo_ops(name, window)
         1
         for i in box
         for j in box
-        if not bialgebra_vanishes(alg, i, j)
-        and exact_bialgebra_residual(alg, i, j).is_zero()
+        if not _proved(alg, i, j)
+        and _exact(alg, i, j).is_zero()
     )
     assert fallbacks == 0, f"{fallbacks} fallback pairs"
 
@@ -256,7 +264,7 @@ def test_zero_only_pass_declines_every_pair_above_a_lowered_cap(monkeypatch):
         qhopf.verify, "zero_map", lambda level: zero_map(level)._replace(cap=0)
     )
     box = alg.basis_box(2)
-    assert not any(bialgebra_vanishes(alg, i, j) for i in box for j in box)
+    assert not any(_proved(alg, i, j) for i in box for j in box)
     assert verify_axioms(alg, window=2, axioms=("bialgebra",)).to_json() == want
 
 
@@ -298,7 +306,7 @@ def test_zero_only_pass_bounds_each_pair_by_its_l1_norm(name, monkeypatch):
     monkeypatch.setattr(qhopf.verify, "zero_map", Spy)
     alg = _instance(name)
     box = alg.basis_box(1)
-    assert all(bialgebra_vanishes(alg, i, j) for i in box for j in box)
+    assert all(_proved(alg, i, j) for i in box for j in box)
     assert bounds == [_pair_l1(alg, i, j) for i in box for j in box]
 
 
@@ -397,10 +405,10 @@ def test_a_merged_lattice_is_declined_never_proved():
         (i, j)
         for i in box
         for j in box
-        if not exact_bialgebra_residual(alg, i, j).is_zero()
+        if not _exact(alg, i, j).is_zero()
     ]
     assert failing
-    assert not any(bialgebra_vanishes(alg, i, j) for i, j in failing)
+    assert not any(_proved(alg, i, j) for i, j in failing)
 
 
 class _BrokenOreCoproduct(FamilyC):
