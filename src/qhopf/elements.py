@@ -11,8 +11,8 @@ need structure constants; everything here is provider-free.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Iterator
 from fractions import Fraction
-from typing import Callable, Hashable, Iterator
 
 from qhopf.scalars import Cyclo
 

@@ -85,7 +85,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -100,7 +99,6 @@ from qhopf.scalars import (
 )
 
 
-@dataclass
 class Presentation:
     """Generators and defining relations, for tangent-space work.
 
@@ -108,9 +106,17 @@ class Presentation:
     w_t (tuples of generator names) with scalar coefficients c_t.
     """
 
-    gens: tuple[str, ...]
-    counit: dict[str, Cyclo]
-    relations: list[list[tuple[Cyclo, tuple[str, ...]]]] = field(default_factory=list)
+    __slots__ = ("gens", "counit", "relations")
+
+    def __init__(
+        self,
+        gens: tuple[str, ...],
+        counit: dict[str, Cyclo],
+        relations: list[list[tuple[Cyclo, tuple[str, ...]]]] | None = None,
+    ):
+        self.gens = gens
+        self.counit = counit
+        self.relations = [] if relations is None else relations
 
 
 def _spell(word: tuple[str, ...]) -> tuple[str, ...]:

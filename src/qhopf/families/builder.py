@@ -10,8 +10,7 @@ by every row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from qhopf.families.base import HopfProvider
 from qhopf.families.enveloping import EnvAbelian, EnvNonabelian
@@ -34,7 +33,6 @@ from qhopf.params import (
 )
 
 
-@dataclass(frozen=True)
 class Facts:
     """Parameter-level invariants, read off the classification.
 
@@ -45,25 +43,46 @@ class Facts:
     monomial curve, every other family extends a smooth ring.
     """
 
-    cocommutative: bool
-    grouplike_rank: int
-    grouplike_abelian: bool
-    abelianization: tuple
-    gldim: str = "finite_2"
+    __slots__ = ("cocommutative", "grouplike_rank", "grouplike_abelian",
+                 "abelianization", "gldim")
+
+    def __init__(self, cocommutative: bool, grouplike_rank: int,
+                 grouplike_abelian: bool, abelianization: tuple,
+                 gldim: str = "finite_2"):
+        self.cocommutative = cocommutative
+        self.grouplike_rank = grouplike_rank
+        self.grouplike_abelian = grouplike_abelian
+        self.abelianization = abelianization
+        self.gldim = gldim
 
 
-@dataclass(frozen=True)
+def _unfolded(params) -> tuple:
+    return params, ()
+
+
+def _no_pi(params) -> None:
+    return None
+
+
 class Family:
-    provider: type  # what `build` instantiates
-    facts: Callable  # params -> Facts
-    # params -> (kind, {generator: t-exponent, None for 0}) of the default
-    # quotient onto k[t^(pm 1)] ("laurent") or k[t] ("poly"), or None
-    quotient: Callable
-    # params -> (canonical iso key, texts of the coincidence rules that fired)
-    fold: Callable = lambda p: (p, ())
-    # params -> PI data for the report: exact numbers, "infinite" where no
-    # polynomial identity holds, None (omitted) otherwise
-    pi: Callable = lambda p: None
+    """One row of the family table."""
+
+    __slots__ = ("provider", "facts", "quotient", "fold", "pi")
+
+    def __init__(self, provider: type, facts: Callable, quotient: Callable,
+                 fold: Callable = _unfolded, pi: Callable = _no_pi):
+        # what `build` instantiates
+        self.provider = provider
+        # params -> Facts
+        self.facts = facts
+        # params -> (kind, {generator: t-exponent, None for 0}) of the default
+        # quotient onto k[t^(pm 1)] ("laurent") or k[t] ("poly"), or None
+        self.quotient = quotient
+        # params -> (canonical iso key, texts of the coincidence rules that fired)
+        self.fold = fold
+        # params -> PI data for the report: exact numbers, "infinite" where no
+        # polynomial identity holds, None (omitted) otherwise
+        self.pi = pi
 
 
 def pi_degree_and_io(params: FamilyParams) -> tuple[int, int]:

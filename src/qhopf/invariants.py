@@ -31,7 +31,6 @@ discrepancy stays visible.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 from qhopf.elements import flip2
@@ -203,19 +202,52 @@ def isomorphic(p1: FamilyParams, p2: FamilyParams) -> tuple[bool, str]:
 # -- instance-level invariant vector -----------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
 class InvariantVector:
-    is_commutative: bool
-    is_cocommutative: bool
-    grouplike_rank: int
-    grouplike_abelian: bool
-    ext1_dim: int
-    gldim_finite: bool
-    abelianization_goldie_rank: tuple
-    family_tag: str
+    """The invariants in a fixed order: `fields()` lists them, equality
+    compares them in that order."""
+
+    __slots__ = (
+        "is_commutative",
+        "is_cocommutative",
+        "grouplike_rank",
+        "grouplike_abelian",
+        "ext1_dim",
+        "gldim_finite",
+        "abelianization_goldie_rank",
+        "family_tag",
+    )
+
+    def __init__(
+        self,
+        is_commutative: bool,
+        is_cocommutative: bool,
+        grouplike_rank: int,
+        grouplike_abelian: bool,
+        ext1_dim: int,
+        gldim_finite: bool,
+        abelianization_goldie_rank: tuple,
+        family_tag: str,
+    ):
+        self.is_commutative = is_commutative
+        self.is_cocommutative = is_cocommutative
+        self.grouplike_rank = grouplike_rank
+        self.grouplike_abelian = grouplike_abelian
+        self.ext1_dim = ext1_dim
+        self.gldim_finite = gldim_finite
+        self.abelianization_goldie_rank = abelianization_goldie_rank
+        self.family_tag = family_tag
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.fields() == other.fields()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={value!r}" for name, value in self.fields())
+        return f"InvariantVector({args})"
 
     def fields(self):
-        return [(f.name, getattr(self, f.name)) for f in dataclasses.fields(self)]
+        return [(name, getattr(self, name)) for name in self.__slots__]
 
     def to_json(self):
         rank, quotient = self.abelianization_goldie_rank
@@ -228,13 +260,16 @@ def invariant_vector(alg: HopfProvider, bound: int = 3) -> InvariantVector:
     # gldim, abelianization and family tag come from the family table;
     # every other entry is computed on the window
     rank, abelian = grouplike_profile(alg, bound)
-    return dataclasses.replace(
-        _param_invariants(alg.params),
+    table = _param_invariants(alg.params)
+    return InvariantVector(
         is_commutative=is_commutative(alg, bound),
         is_cocommutative=is_cocommutative(alg, bound),
         grouplike_rank=rank,
         grouplike_abelian=abelian,
         ext1_dim=ext1_from_instance(alg),
+        gldim_finite=table.gldim_finite,
+        abelianization_goldie_rank=table.abelianization_goldie_rank,
+        family_tag=table.family_tag,
     )
 
 

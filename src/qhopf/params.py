@@ -14,28 +14,68 @@ root of unity given by (order, power).  Root specs normalize to a
 coprime pair, so {"order": 6, "power": 2} and {"order": 3, "power": 1}
 denote the same scalar and parse identically; orders 1 and 2 collapse
 to the rationals 1 and -1.
+
+The records are immutable value types: equal exactly when they are of
+the same class with equal fields, hashed on their fields, rebuilt from
+their fields when unpickled.  Each class writes its `__init__`,
+`__eq__` and `__hash__` out in place, since `isomorphic` builds,
+compares and folds them on every query.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from qhopf.scalars import Cyclo
+
+# writes a field past the records' read-only __setattr__
+_set = object.__setattr__
 
 
 class ParamError(ValueError):
     """Invalid instance parameters or malformed instance spec."""
 
 
-@dataclass(frozen=True)
-class ScalarSpec:
+class _Record:
+    """Read-only fields, named by `__slots__`; repr and pickling read
+    them in that order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({args})"
+
+
+class ScalarSpec(_Record):
     """A nonzero scalar parameter: rational, or root of unity zeta_d^e."""
 
-    rational: Fraction | None
-    order: int
-    power: int
+    __slots__ = ("rational", "order", "power")
+
+    def __init__(self, rational: Fraction | None, order: int, power: int):
+        _set(self, "rational", rational)
+        _set(self, "order", order)
+        _set(self, "power", power)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rational, self.order, self.power) == (
+                other.rational, other.order, other.power
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rational, self.order, self.power))
 
     @staticmethod
     def from_rational(value) -> ScalarSpec:
@@ -128,48 +168,69 @@ class ScalarSpec:
         return f"z{self.order}^{self.power}"
 
 
-@dataclass(frozen=True)
-class GroupZ2Params:
+class _Bare(_Record):
+    """A family with no parameters: one instance up to equality."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
+
+class GroupZ2Params(_Bare):
+    __slots__ = ()
     family = "GroupZ2"
 
 
-@dataclass(frozen=True)
-class GroupZSemiZParams:
+class GroupZSemiZParams(_Bare):
+    __slots__ = ()
     family = "GroupZSemiZ"
 
 
-@dataclass(frozen=True)
-class EnvAbelianParams:
+class EnvAbelianParams(_Bare):
+    __slots__ = ()
     family = "EnvAbelian"
 
 
-@dataclass(frozen=True)
-class EnvNonabelianParams:
+class EnvNonabelianParams(_Bare):
+    __slots__ = ()
     family = "EnvNonabelian"
 
 
-@dataclass(frozen=True)
-class AParams:
-    n: int
-    q: ScalarSpec
+class AParams(_Record):
+    __slots__ = ("n", "q")
     family = "A"
 
-    def __post_init__(self):
-        if not isinstance(self.n, int):
-            raise ParamError(f"A needs integer n, got {self.n!r}")
+    def __init__(self, n: int, q: ScalarSpec):
+        _set(self, "n", n)
+        _set(self, "q", q)
+        if not isinstance(n, int):
+            raise ParamError(f"A needs integer n, got {n!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.q) == (other.n, other.q)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.q))
 
 
-@dataclass(frozen=True)
-class BParams:
-    n: int
-    p: tuple[int, ...]
-    q: ScalarSpec
+class BParams(_Record):
+    __slots__ = ("n", "p", "q")
     family = "B"
 
-    def __post_init__(self):
-        p = self.p
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ParamError(f"B needs a positive integer n, got {self.n!r}")
+    def __init__(self, n: int, p: tuple[int, ...], q: ScalarSpec):
+        _set(self, "n", n)
+        _set(self, "p", p)
+        _set(self, "q", q)
+        if not isinstance(n, int) or n < 1:
+            raise ParamError(f"B needs a positive integer n, got {n!r}")
         if len(p) < 3:
             raise ParamError("B needs p = (p0, p1, ..., ps) with s >= 2")
         if any(not _is_int(x) or x < 1 for x in p):
@@ -183,13 +244,21 @@ class BParams:
                     raise ParamError(
                         f"p not pairwise coprime: gcd({p[i]}, {p[j]}) > 1"
                     )
-        if self.n % p[0]:
-            raise ParamError(f"B needs p0 | n, got p0={p[0]}, n={self.n}")
+        if n % p[0]:
+            raise ParamError(f"B needs p0 | n, got p0={p[0]}, n={n}")
         ell = self.root_target()
-        if self.q.root_order() != ell:
+        if q.root_order() != ell:
             raise ParamError(
-                f"B needs q of multiplicative order exactly {ell}, got {self.q}"
+                f"B needs q of multiplicative order exactly {ell}, got {q}"
             )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.p, self.q) == (other.n, other.p, other.q)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.p, self.q))
 
     def root_target(self) -> int:
         out = self.n // self.p[0]
@@ -198,16 +267,24 @@ class BParams:
         return out
 
 
-@dataclass(frozen=True)
-class CParams:
-    n: int
+class CParams(_Record):
+    __slots__ = ("n",)
     family = "C"
 
-    def __post_init__(self):
+    def __init__(self, n: int):
+        _set(self, "n", n)
         # n = 1 has zero derivation; the classifier folds it onto the
         # skew-Laurent family, but the instance itself is valid.
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ParamError(f"C needs an integer n >= 1, got {self.n!r}")
+        if not isinstance(n, int) or n < 1:
+            raise ParamError(f"C needs an integer n >= 1, got {n!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n,))
 
     @property
     def q(self) -> ScalarSpec:
@@ -215,15 +292,23 @@ class CParams:
         return ScalarSpec.from_rational(1)
 
 
-@dataclass(frozen=True)
-class CLiftParams:
-    n: int
-    q: ScalarSpec
+class CLiftParams(_Record):
+    __slots__ = ("n", "q")
     family = "CLift"
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ParamError(f"CLift needs an integer n >= 2, got {self.n!r}")
+    def __init__(self, n: int, q: ScalarSpec):
+        _set(self, "n", n)
+        _set(self, "q", q)
+        if not isinstance(n, int) or n < 2:
+            raise ParamError(f"CLift needs an integer n >= 2, got {n!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.q) == (other.n, other.q)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.q))
 
 
 FamilyParams = (

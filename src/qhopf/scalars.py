@@ -69,10 +69,10 @@ exact value, with no bound.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import NamedTuple
 
 
 class ScalarError(ValueError):
@@ -628,16 +628,14 @@ def reduce_forms(level: int, table: dict) -> list[tuple]:
 # -- zero-only map ----------------------------------------------------
 
 
-class ZeroMap(NamedTuple):
+class ZeroMap(namedtuple("ZeroMap", ("modulus", "cap", "powers"))):
     """The ring map h: Z[C_N] -> Z/P of one level, see the module
     docstring.  `powers[e]` is h(omega^e) for e in [0, 2N); `cap` is the
     largest L1 norm at which h(x) = 0 proves x = 0.  At levels 1 and 2,
     h is omega -> -1 into Q, the exact value: `modulus` is 0 and `cap`
     None."""
 
-    modulus: int
-    cap: int | None
-    powers: tuple
+    __slots__ = ()
 
     def residue(self, pairs) -> tuple[int, int] | None:
         """(h(x), L1(x)) for x = sum r * omega^e given as (e, r) pairs;

@@ -68,7 +68,6 @@ named only when it fails.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 from qhopf.elements import Lin, acc
 from qhopf.families.base import HopfProvider
@@ -76,21 +75,33 @@ from qhopf.linalg import kernel_of_map
 from qhopf.scalars import Cyclo, reduce_exponents, zero_map
 
 
-@dataclass
 class Failure:
-    axiom: str
-    where: str
-    residual: str
+    __slots__ = ("axiom", "where", "residual")
+
+    def __init__(self, axiom: str, where: str, residual: str):
+        self.axiom = axiom
+        self.where = where
+        self.residual = residual
+
+    def __repr__(self) -> str:
+        return f"Failure({self.axiom!r}, {self.where!r}, {self.residual!r})"
 
     def to_json(self):
         return {"axiom": self.axiom, "where": self.where, "residual": self.residual}
 
 
-@dataclass
 class AxiomReport:
-    window: int
-    checked: dict[str, int] = field(default_factory=dict)
-    failures: list[Failure] = field(default_factory=list)
+    __slots__ = ("window", "checked", "failures")
+
+    def __init__(
+        self,
+        window: int,
+        checked: dict[str, int] | None = None,
+        failures: list[Failure] | None = None,
+    ):
+        self.window = window
+        self.checked = {} if checked is None else checked
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

@@ -171,6 +171,32 @@ def test_exact_command_line_loads_no_argparse():
     assert done.stdout == "2 []\n"
 
 
+def test_cli_import_loads_every_engine_module_and_no_heavy_stdlib():
+    """`import qhopf.cli` in a fresh interpreter, with no site packages,
+    loads every engine module (a lazy import would leave its caches out
+    of reach of whoever clears them after that import) and none of the
+    standard modules that dataclasses, typing or argparse bring in."""
+    package = Path(cli.__file__).resolve().parent
+    skip = {"qhopf.__main__", "qhopf.families.rewriter"}
+    engine = set()
+    for path in package.rglob("*.py"):
+        name = ".".join(("qhopf",) + path.relative_to(package).with_suffix("").parts)
+        engine.add(name.removesuffix(".__init__"))
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(package.parent)!r})\n"
+        "import qhopf.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'qhopf'))\n"
+        "print(sorted({'argparse', 'gettext', 'dataclasses', 'inspect', 'typing'}"
+        " & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", probe], capture_output=True, text=True,
+        check=True,
+    )
+    assert done.stdout == f"{sorted(engine - skip)}\n[]\n"
+
+
 # every flag of any subcommand
 FLAGS = sorted(
     {flag for flag, _ in cli.COMMON_OPTIONS}
