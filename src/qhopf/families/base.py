@@ -63,22 +63,26 @@ term (the reduced r * omega^e: a shared root of unity when r = 1).
 Four of them are twisted monoid algebras on a lattice
 (`LatticeProvider`): GroupZ2, EnvAbelian, A and B state a lattice point
 (u, v) per index and a twist q, and their `_product` is derived from
-that statement.  GroupZSemiZ states its one term itself.  C, CLift and
-EnvNonabelian multiply into polynomials and state `_multiply_raw`;
-their `_product` is its exponent form, memoized per pair.
+that statement.  A and B also share their coproduct, antipode and
+rewriting rules (`SkewPrimitiveProvider`): every y-letter is skew
+primitive over the grouplike x, and A is the one-y-letter case.
+GroupZSemiZ states its one term itself.  C, CLift and EnvNonabelian
+multiply into polynomials and state `_multiply_raw`; their `_product`
+is its exponent form, memoized per pair.
 
 Structure constants are cached once per index.  `multiply_basis` is a
 memo of the Lins `_multiply_raw` returns, which the kernels never read.
 A coproduct entry is a `FormLin`: the Lin that `coproduct_basis` hands
 out, plus the form the kernels read.  A family may return a FormLin
-from `_coproduct_raw` whose form is not the reduced coefficients' (the
-A and B families use the Gauss polynomials of `qhopf.qcombinat`); any
-other Lin is converted once, at its fill.  Negating a FormLin negates
-each rational of its form, so a negated coproduct keeps its form.  A
-Lin always holds reduced, nonzero Cyclos.  `coproduct_residues` reads
-a coproduct's form once more, through the level's zero map, for the
-zero-only bialgebra pass of `qhopf.verify`; a lattice family with a
-root-of-unity twist keys that view by lattice points.
+from `_coproduct_raw` whose form is not the reduced coefficients'
+(`SkewPrimitiveProvider` keeps the products of the Gauss polynomials
+of `qhopf.qcombinat`); any other Lin is converted once, at its fill.
+Negating a FormLin negates each rational of its form, so a negated
+coproduct keeps its form.  A Lin always holds reduced, nonzero Cyclos.
+`coproduct_residues` reads a coproduct's form once more, through the
+level's zero map, for the zero-only bialgebra pass of `qhopf.verify`;
+a lattice family with a root-of-unity twist keys that view by lattice
+points.
 """
 
 from __future__ import annotations
@@ -89,6 +93,7 @@ from fractions import Fraction
 from itertools import product
 
 from qhopf.elements import Index, Lin
+from qhopf.qcombinat import skew_binomial_forms
 from qhopf.scalars import (
     Cyclo,
     exponent_form,
@@ -574,3 +579,117 @@ class LatticeProvider(HopfProvider):
                 return None
             terms.append((*pa, *pb, h, l1))
         return tuple(terms), view[1]
+
+
+class SkewPrimitiveProvider(LatticeProvider):
+    """The Hopf structure the A and B families share.
+
+    Both live in the skew Laurent extension k[y][x^(pm 1); sigma] with
+    sigma(y) = q y: their letters are y-letters y_1, ..., y_s, each a
+    power y_i = y^(m_i), then the grouplike unit x, and every basis
+    monomial is y^d x^b = y_1^(d_1) ... y_s^(d_s) x^b with index
+    (d_1, ..., d_s, b).  A is the case s = 1, m = (1,).  On lattice
+    points y_i^k x^e is at (m_i k, e), so lattice_index(m_i k, e) is its
+    canonical index.  Each y-letter is skew primitive,
+
+        Delta(y_i) = y_i ox 1 + x^(m_i n) ox y_i,
+
+    and since (x^(m_i n) ox y_i)(y_i ox 1) equals
+    q^(m_i^2 n) (y_i ox 1)(x^(m_i n) ox y_i), the skew binomial theorem
+    gives
+
+        Delta(y_i)^k = sum_r (k choose r)_(q^(m_i^2 n))
+                             y_i^(k-r) x^(m_i n r) ox y_i^r,
+
+    each coefficient kept in its Gauss-polynomial form
+    (`skew_binomial_forms`).  Delta(y^d) is Delta(y_1)^(d_1) ...
+    Delta(y_s)^(d_s), memoized per y-part d: with one nonzero letter it
+    is that letter's power itself, else one `t2_mul` of its first
+    letter's power and the rest, whose form keeps the products of the
+    Gauss forms (`form_lin`).  x^b is grouplike and
+    last in normal order, so Delta(y^d x^b) is Delta(y^d) with b added
+    to the x-exponent of both legs, coefficients and forms unchanged.
+
+    A family states `letters` (the y-letters, then x), `mm`, the level,
+    the lattice and the twist; here `params` gives n and q.
+    """
+
+    mm: tuple[int, ...]
+
+    def __init__(self, params, level: int):
+        super().__init__(level)
+        self.params = params
+        self.n = params.n
+        self.q = params.q.to_cyclo(level)
+        self.qpow = PowCache(self.q)
+        self._cop_y: dict[tuple[int, ...], FormLin] = {}
+
+    def _coproduct_y(self, d: tuple[int, ...]) -> FormLin:
+        """Delta(y^d) for a y-part d, memoized: Delta of its first
+        letter's power times Delta of the rest."""
+        hit = self._cop_y.get(d)
+        if hit is not None:
+            return hit
+        used = [pos for pos, k in enumerate(d) if k]
+        if len(used) > 1:
+            cut = used[0] + 1
+            head = d[:cut] + (0,) * (len(d) - cut)
+            rest = (0,) * cut + d[cut:]
+            table = self.table()
+            self.t2_mul(self._coproduct_y(head), self._coproduct_y(rest), into=table)
+            hit = self.form_lin(table)
+        else:
+            pos = used[0] if used else 0
+            k, m = d[pos], self.mm[pos]
+            at = self.lattice_index
+            hit = FormLin.of(
+                ((at(m * (k - r), m * self.n * r), at(m * r, 0)), c, pairs)
+                for r, c, pairs in skew_binomial_forms(k, self.qpow(m * m * self.n))
+            )
+        self._cop_y[d] = hit
+        return hit
+
+    def _coproduct_raw(self, i):
+        cop = self._coproduct_y(i[:-1])
+        b = i[-1]
+        if not b:
+            return cop
+        return FormLin.of(
+            ((l[:-1] + (l[-1] + b,), r[:-1] + (r[-1] + b,)), cop.terms[l, r], pairs)
+            for (l, r), pairs in cop.form
+        )
+
+    def _antipode_raw(self, i):
+        # S(y^d x^b) = x^(-b) S(y_s)^(d_s) ... S(y_1)^(d_1),
+        # with S(y_i) = -x^(-m_i n) y_i
+        at = self.lattice_index
+        out = self.basis_el(at(0, -i[-1]))
+        for pos in range(len(self.mm) - 1, -1, -1):
+            if i[pos]:
+                m = self.mm[pos]
+                s_y = self.mul(
+                    self.basis_el(at(0, -m * self.n)), self.basis_el(at(m, 0))
+                ).scale(self.scalar(-1))
+                out = self.mul(out, self.el_pow(s_y, i[pos]))
+        return out
+
+    def oracle_rules(self):
+        # x y_i = q^(m_i) y_i x, the y-letters commute, and a capped
+        # letter's power y_i^(cap + 1) is rewritten to its canonical word
+        one = self.one_scalar()
+        ys = tuple(zip(self.letters[:-1], self.mm))
+        rules = [
+            (("x", "X"), [(one, ())]),
+            (("X", "x"), [(one, ())]),
+        ]
+        for (name, _, _), m in ys:
+            rules.append((("x", name), [(self.qpow(m), (name, "x"))]))
+            rules.append((("X", name), [(self.qpow(-m), (name, "X"))]))
+        for pos, ((low, _, _), _) in enumerate(ys):
+            for (high, _, _), _ in ys[pos + 1 :]:
+                rules.append(((high, low), [(one, (low, high))]))
+        for (name, _, cap), m in ys:
+            if cap is not None:
+                word = self.index_to_word(self.lattice_index(m * (cap + 1), 0))
+                rules.append(((name,) * (cap + 1), [(one, word)]))
+        return rules

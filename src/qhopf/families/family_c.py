@@ -6,8 +6,12 @@ Basis monomials are y^a x^b with a in Z, b >= 0, keyed by the index
     x y = q y x + y^n - y,
 
 i.e. sigma(y) = q y and delta(y) = y^n - y.  C(n) is the case q = 1;
-the lift keeps q free (and is isomorphic to A(n-1, q^-1) when q != 1,
-which the classification layer knows about).
+the lift keeps q free.  The classifier's fold (`builder._fold_lift`)
+sends CLift(n, 1) to C(n) and, for q != 1, CLift(n, q) to
+A(n-1, q^-1), so `isomorphic` calls those pairs isomorphic.  The
+instances contradict the inverse scalar: their skew-primitive spectra
+match A(n-1, q), not A(n-1, q^-1) (ROADMAP defect A, item 10; for
+example CLift(3, z4) is called isomorphic to A(2, z4^3)).
 
 Hopf structure: y is grouplike, Delta(x) = x ox y^(n-1) + 1 ox x,
 eps(x) = 0, S(y) = y^-1, S(x) = -x y^(1-n).

@@ -11,9 +11,10 @@ with vu = q uv,
 
     (u + v)^a  =  sum_r  (a choose r)_q  u^(a-r) v^r.
 
-Every coproduct power in the family modules goes through
-`skew_binomial_forms`, so the convention cannot drift between
-families.  It hands the coefficients out in the exponent form of
+Every coproduct power Delta(y_i)^k of the A and B families goes through
+`skew_binomial_forms`, from the one statement of their Hopf structure
+(`families.base.SkewPrimitiveProvider`), so the convention cannot
+drift between them.  It hands the coefficients out in the exponent form of
 `qhopf.scalars`: at a ratio omega^u, a root of unity,
 
     (a choose r)_(omega^u)  =  sum_j  g_j omega^(u j)    in Q[C_N],

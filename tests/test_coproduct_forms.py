@@ -6,10 +6,14 @@ as a sum of roots of unity in Q[C_N], and the kernels read that form,
 not the reduced coefficients that `coproduct_basis` hands out.  Here
 each form is reduced and compared with the coefficients rebuilt by
 Horner evaluation of the Gauss polynomials and plain `Cyclo` products,
-and a form that drifts from its Lin view must fail the axiom check.
+from the parameters and `multiply_basis` alone; each form is checked
+to be, per key, the product of its letters' Gauss polynomials; and a
+form that drifts from its Lin view must fail the axiom check.
 """
 
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -36,6 +40,28 @@ def skew_binomial_coeffs(a: int, q: Cyclo) -> list[Cyclo]:
     return [qp_eval(gauss_binomial(a, r), q) for r in range(a + 1)]
 
 
+def _times(alg, s, t):
+    """The product of two elements (dicts index -> Cyclo), through
+    `multiply_basis` only."""
+    out = {}
+    for i, c in s.items():
+        for j, d in t.items():
+            for k, v in alg.multiply_basis(i, j).terms.items():
+                acc(out, k, v * (c * d))
+    return out
+
+
+def _power(alg, s, e):
+    out = {alg.unit_index(): alg.one_scalar()}
+    for _ in range(e):
+        out = _times(alg, out, s)
+    return out
+
+
+def _tensor(s, t):
+    return {(i, j): c * d for i, c in s.items() for j, d in t.items()}
+
+
 def _ref_t2_mul(alg, s, t):
     out = {}
     for (i, j), c in s.items():
@@ -46,28 +72,47 @@ def _ref_t2_mul(alg, s, t):
     return out
 
 
+def _heads(params):
+    """(p_1, ..., p_s) of B; A is the one-letter case, y_1 = y."""
+    return params.p[1:] if params.family == "B" else (1,)
+
+
 def oracle_coproduct(alg, idx) -> dict:
-    """Delta(e_idx) from the closed form, in plain Cyclo arithmetic."""
-    if type(alg).__name__ == "FamilyA":
-        a, b = idx
-        coeffs = skew_binomial_coeffs(a, alg.qpow(alg.n))
-        out = {}
-        for r in range(a + 1):
-            acc(out, ((a - r, alg.n * r + b), (r, b)), coeffs[r])
-        return out
-    # B: Delta(y_1)^(d_1) ... Delta(y_s)^(d_s) (x^b ox x^b)
+    """Delta(e_idx) in plain Cyclo arithmetic, from the closed forms
+
+        Delta(y_i)^k = sum_r (k choose r)_(q^(m_i^2 n))
+                             y_i^(k-r) x^(m_i n r) ox y_i^r,
+        Delta(y^d x^b) = Delta(y_1)^(d_1) ... Delta(y_s)^(d_s) (x^b ox x^b),
+
+    with m_i = (p_1 ... p_s) / p_i, n and q read from the parameters,
+    and every monomial a product of generators through `multiply_basis`.
+    """
+    params = alg.params
+    heads = _heads(params)
+    s, n = len(heads), params.n
+    q = params.q.to_cyclo(alg.level)
+    one = alg.one_scalar()
+
+    def letter(pos, e=1):
+        return {tuple(e if k == pos else 0 for k in range(s + 1)): one}
+
+    def x_power(e):
+        return _power(alg, letter(s, 1 if e > 0 else -1), abs(e))
+
     d, b = idx[:-1], idx[-1]
-    out = {(alg._x_index(b), alg._x_index(b)): alg.one_scalar()}
-    for pos in range(alg.s - 1, -1, -1):
+    out = _tensor(x_power(b), x_power(b))
+    for pos in range(s - 1, -1, -1):
         k = d[pos]
         if not k:
             continue
-        step = alg.mm[pos] * alg.n
+        m = math.prod(heads) // heads[pos]
+        y = letter(pos)
+        x_step = x_power(m * n)
         power = {}
-        for r, c in enumerate(skew_binomial_coeffs(k, alg._ratios[pos])):
-            left = alg.multiply_basis(alg._yi_index(pos, k - r), alg._x_index(step * r))
-            for li, lc in left.terms.items():
-                acc(power, (li, alg._yi_index(pos, r)), c * lc)
+        for r, c in enumerate(skew_binomial_coeffs(k, q ** (m * m * n))):
+            left = _times(alg, _power(alg, y, k - r), _power(alg, x_step, r))
+            for key, v in _tensor(left, _power(alg, y, r)).items():
+                acc(power, key, c * v)
         out = _ref_t2_mul(alg, power, out)
     return out
 
@@ -83,6 +128,66 @@ def test_coproduct_forms_reduce_to_horner_coefficients(name):
         reduced = reduce_exponents(alg.level, {k: dict(p) for k, p in cop.form})
         assert reduced == cop.terms, idx
         assert cop.terms == oracle_coproduct(alg, idx), idx
+
+
+def _times_forms(s, t):
+    out = {}
+    for e, r in s.items():
+        for f, v in t.items():
+            out[e + f] = out.get(e + f, 0) + r * v
+    return out
+
+
+def _gauss_form(a, r, ratio):
+    """(a choose r) at ratio as {e: rational}: the Gauss polynomial on
+    the powers of ratio = omega^u, or at levels 1 and 2, where no
+    ratio is tagged as a root of unity, its value."""
+    g = gauss_binomial(a, r)
+    if ratio.unit is None:
+        value = qp_eval(g, ratio)
+        return {0: Fraction(value.num[0], value.den)}
+    out = {}
+    for j, c in enumerate(g):
+        out[ratio.unit * j] = out.get(ratio.unit * j, 0) + c
+    return out
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_coproduct_forms_are_products_of_gauss_polynomials(name):
+    """The term of Delta(y^d x^b) whose right leg is y^r x^b picks
+    (d_i choose r_i) from each Delta(y_i)^(d_i).  Its form is, per key,
+    the product of those Gauss polynomials at q^(m_i^2 n), times the
+    power of q that the products of the left legs y_i^(d_i - r_i)
+    x^(m_i n r_i) pick up, folded mod N = lcm(2, level): never the
+    shorter reduced coefficient.  The zero-only bialgebra pass bounds
+    its L1 norms from these forms."""
+    alg = _build(name)
+    params = alg.params
+    heads = _heads(params)
+    s, n = len(heads), params.n
+    ms = [math.prod(heads) // h for h in heads]
+    q = params.q.to_cyclo(alg.level)
+    modulus = math.lcm(2, alg.level)
+    for idx in alg.basis_box(3):
+        d = idx[:-1]
+        for (left, right), pairs in alg.coproduct_basis(idx).form:
+            r = right[:-1]
+            want = {0: 1}
+            for i in range(s):
+                want = _times_forms(
+                    want, _gauss_form(d[i], r[i], q ** (ms[i] ** 2 * n))
+                )
+            twist = sum(
+                ms[i] * n * r[i] * ms[j] * (d[j] - r[j])
+                for i in range(s)
+                for j in range(i + 1, s)
+            )
+            if twist:
+                want = {e + q.unit * twist: v for e, v in want.items()}
+            folded = {}
+            for e, v in want.items():
+                folded[e % modulus] = folded.get(e % modulus, 0) + v
+            assert dict(pairs) == {e: v for e, v in folded.items() if v}, (idx, left)
 
 
 def test_b_gauss_forms_are_not_the_reduced_coefficients():
