@@ -422,14 +422,6 @@ class HopfProvider(ABC):
     def coproduct(self, el: Lin, *, into: dict | None = None):
         return self._delta_into(el, lambda i: ((), i, ()), into)
 
-    def counit(self, el: Lin) -> Cyclo:
-        out = self._zero
-        for i, c in el.terms.items():
-            e = self.counit_basis(i)
-            if not e.is_zero():
-                out = out + c * e
-        return out
-
     # -- tensors ------------------------------------------------------------
 
     def tensor2(self, a: Lin, b: Lin) -> Lin:
@@ -623,6 +615,7 @@ class SkewPrimitiveProvider(LatticeProvider):
         self.q = params.q.to_cyclo(level)
         self.qpow = PowCache(self.q)
         self._cop_y: dict[tuple[int, ...], FormLin] = {}
+        self._s_y: dict[tuple[int, ...], Lin] = {}
 
     def _coproduct_y(self, d: tuple[int, ...]) -> FormLin:
         """Delta(y^d) for a y-part d, memoized: Delta of its first
@@ -659,19 +652,28 @@ class SkewPrimitiveProvider(LatticeProvider):
             for (l, r), pairs in cop.form
         )
 
-    def _antipode_raw(self, i):
-        # S(y^d x^b) = x^(-b) S(y_s)^(d_s) ... S(y_1)^(d_1),
-        # with S(y_i) = -x^(-m_i n) y_i
+    def _antipode_y(self, d: tuple[int, ...]) -> Lin:
+        """S(y^d) = S(y_s)^(d_s) ... S(y_1)^(d_1) for a y-part d,
+        memoized, with S(y_i) = -x^(-m_i n) y_i."""
+        hit = self._s_y.get(d)
+        if hit is not None:
+            return hit
         at = self.lattice_index
-        out = self.basis_el(at(0, -i[-1]))
+        hit = self.one_el()
         for pos in range(len(self.mm) - 1, -1, -1):
-            if i[pos]:
+            if d[pos]:
                 m = self.mm[pos]
                 s_y = self.mul(
                     self.basis_el(at(0, -m * self.n)), self.basis_el(at(m, 0))
                 ).scale(self.scalar(-1))
-                out = self.mul(out, self.el_pow(s_y, i[pos]))
-        return out
+                hit = self.mul(hit, self.el_pow(s_y, d[pos]))
+        self._s_y[d] = hit
+        return hit
+
+    def _antipode_raw(self, i):
+        # S is an anti-homomorphism: S(y^d x^b) = x^(-b) S(y^d)
+        x_neg_b = self.basis_el(self.lattice_index(0, -i[-1]))
+        return self.mul(x_neg_b, self._antipode_y(i[:-1]))
 
     def oracle_rules(self):
         # x y_i = q^(m_i) y_i x, the y-letters commute, and a capped

@@ -10,7 +10,6 @@ by every row.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 
 from qhopf.families.base import HopfProvider
 from qhopf.families.enveloping import EnvAbelian, EnvNonabelian
@@ -29,11 +28,12 @@ from qhopf.params import (
     GroupZ2Params,
     GroupZSemiZParams,
     ParamError,
+    Record,
     ScalarSpec,
 )
 
 
-class Facts:
+class Facts(Record):
     """Parameter-level invariants, read off the classification.
 
     abelianization is (Goldie rank, label) of the commutator quotient,
@@ -45,15 +45,7 @@ class Facts:
 
     __slots__ = ("cocommutative", "grouplike_rank", "grouplike_abelian",
                  "abelianization", "gldim")
-
-    def __init__(self, cocommutative: bool, grouplike_rank: int,
-                 grouplike_abelian: bool, abelianization: tuple,
-                 gldim: str = "finite_2"):
-        self.cocommutative = cocommutative
-        self.grouplike_rank = grouplike_rank
-        self.grouplike_abelian = grouplike_abelian
-        self.abelianization = abelianization
-        self.gldim = gldim
+    _defaults = ("finite_2",)
 
 
 def _unfolded(params) -> tuple:
@@ -64,25 +56,20 @@ def _no_pi(params) -> None:
     return None
 
 
-class Family:
-    """One row of the family table."""
+class Family(Record):
+    """One row of the family table.
+
+    provider: the class `build` instantiates
+    facts: params -> Facts
+    quotient: params -> (kind, {generator: t-exponent, None for 0}) of the
+        default quotient onto k[t^(pm 1)] ("laurent") or k[t] ("poly"), or None
+    fold: params -> (canonical iso key, texts of the coincidence rules that fired)
+    pi: params -> PI data for the report: exact numbers, "infinite" where no
+        polynomial identity holds, None (omitted) otherwise
+    """
 
     __slots__ = ("provider", "facts", "quotient", "fold", "pi")
-
-    def __init__(self, provider: type, facts: Callable, quotient: Callable,
-                 fold: Callable = _unfolded, pi: Callable = _no_pi):
-        # what `build` instantiates
-        self.provider = provider
-        # params -> Facts
-        self.facts = facts
-        # params -> (kind, {generator: t-exponent, None for 0}) of the default
-        # quotient onto k[t^(pm 1)] ("laurent") or k[t] ("poly"), or None
-        self.quotient = quotient
-        # params -> (canonical iso key, texts of the coincidence rules that fired)
-        self.fold = fold
-        # params -> PI data for the report: exact numbers, "infinite" where no
-        # polynomial identity holds, None (omitted) otherwise
-        self.pi = pi
+    _defaults = (_unfolded, _no_pi)
 
 
 def pi_degree_and_io(params: FamilyParams) -> tuple[int, int]:

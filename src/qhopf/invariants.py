@@ -36,9 +36,10 @@ from fractions import Fraction
 from qhopf.elements import flip2
 from qhopf.families import HopfProvider
 from qhopf.families.builder import facts, fold
-from qhopf.families.builder import pi_degree_and_io  # noqa: F401  (re-export)
+# bench/tracer.py wraps qhopf.invariants.pi_degree_and_io by this name
+from qhopf.families.builder import pi_degree_and_io  # noqa: F401
 from qhopf.linalg import span_rank
-from qhopf.params import FamilyParams, params_str
+from qhopf.params import FamilyParams, Record, params_str
 from qhopf.scalars import Cyclo
 from qhopf.verify import find_grouplikes
 
@@ -202,56 +203,20 @@ def isomorphic(p1: FamilyParams, p2: FamilyParams) -> tuple[bool, str]:
 # -- instance-level invariant vector -----------------------------------
 
 
-class InvariantVector:
+class InvariantVector(Record):
     """The invariants in a fixed order: `fields()` lists them, equality
     compares them in that order."""
 
-    __slots__ = (
-        "is_commutative",
-        "is_cocommutative",
-        "grouplike_rank",
-        "grouplike_abelian",
-        "ext1_dim",
-        "gldim_finite",
-        "abelianization_goldie_rank",
-        "family_tag",
-    )
-
-    def __init__(
-        self,
-        is_commutative: bool,
-        is_cocommutative: bool,
-        grouplike_rank: int,
-        grouplike_abelian: bool,
-        ext1_dim: int,
-        gldim_finite: bool,
-        abelianization_goldie_rank: tuple,
-        family_tag: str,
-    ):
-        self.is_commutative = is_commutative
-        self.is_cocommutative = is_cocommutative
-        self.grouplike_rank = grouplike_rank
-        self.grouplike_abelian = grouplike_abelian
-        self.ext1_dim = ext1_dim
-        self.gldim_finite = gldim_finite
-        self.abelianization_goldie_rank = abelianization_goldie_rank
-        self.family_tag = family_tag
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.fields() == other.fields()
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{name}={value!r}" for name, value in self.fields())
-        return f"InvariantVector({args})"
+    __slots__ = ("is_commutative", "is_cocommutative", "grouplike_rank",
+                 "grouplike_abelian", "ext1_dim", "gldim_finite",
+                 "abelianization_goldie_rank", "family_tag")
 
     def fields(self):
-        return [(name, getattr(self, name)) for name in self.__slots__]
+        return list(zip(self.__slots__, self._values))
 
     def to_json(self):
         rank, quotient = self.abelianization_goldie_rank
-        out = {name: value for name, value in self.fields()}
+        out = dict(self.fields())
         out["abelianization_goldie_rank"] = {"rank": rank, "quotient": quotient}
         return out
 

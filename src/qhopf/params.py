@@ -15,11 +15,11 @@ coprime pair, so {"order": 6, "power": 2} and {"order": 3, "power": 1}
 denote the same scalar and parse identically; orders 1 and 2 collapse
 to the rationals 1 and -1.
 
-The records are immutable value types: equal exactly when they are of
-the same class with equal fields, hashed on their fields, rebuilt from
-their fields when unpickled.  Each class writes its `__init__`,
-`__eq__` and `__hash__` out in place, since `isomorphic` builds,
-compares and folds them on every query.
+The records are immutable value types built on `Record`: a class names
+its fields in `__slots__`, and the base builds, compares, hashes, shows
+and pickles them from that one statement.  A params class is therefore
+the whole statement of its family's parameter shape: `params_to_json`
+and `params_str` read the fields off it too.
 """
 
 from __future__ import annotations
@@ -29,19 +29,33 @@ from math import gcd
 
 from qhopf.scalars import Cyclo
 
-# writes a field past the records' read-only __setattr__
-_set = object.__setattr__
-
 
 class ParamError(ValueError):
     """Invalid instance parameters or malformed instance spec."""
 
 
-class _Record:
-    """Read-only fields, named by `__slots__`; repr and pickling read
-    them in that order."""
+class Record:
+    """An immutable value type whose fields are its class's `__slots__`.
 
-    __slots__ = ()
+    A record class derives from it directly and is built from its
+    fields, positional or keyword; `_defaults` holds the values of the
+    trailing fields that may be left out, and `_check` validates a built
+    record, also on unpickling.  The field tuple is kept as `_values`:
+    records are equal when of the same class with equal field tuples,
+    hashed and pickled on it, and shown field by field.
+    """
+
+    __slots__ = ("_values",)
+    _defaults: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        # the first record of a class compiles the class's own __init__
+        cls = self.__class__
+        cls.__init__ = _compiled_init(cls)
+        cls.__init__(self, *args, **kwargs)
+
+    def _check(self) -> None:
+        """Raise if the fields do not make a valid record."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -49,33 +63,53 @@ class _Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+        return self.__class__, self._values
 
     def __repr__(self) -> str:
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({args})"
 
 
-class ScalarSpec(_Record):
+def _compiled_init(cls: type):
+    """The `__init__` a record class would write by hand: its fields are
+    the parameters, so Python binds them and raises the TypeErrors; each
+    is written through its slot's descriptor, past the read-only
+    `__setattr__`, and `_check` runs where the class defines one.  A
+    constructor binding `*args, **kwargs` in Python took two to four times
+    as long per record; compiling at class creation instead of at the
+    first record would add about a millisecond to every start-up."""
+    names = cls.__slots__
+    required = len(names) - len(cls._defaults)
+    params = [*names[:required],
+              *(f"{name}=_defaults[{pos}]" for pos, name in enumerate(names[required:]))]
+    source = "\n    ".join([
+        f"def __init__(self, {', '.join(params)}):",
+        *(f"_put_{name}(self, {name})" for name in names),
+        f"_put__values(self, ({''.join(name + ', ' for name in names)}))",
+        "self._check()" if cls._check is not Record._check else "",
+    ])
+    scope = {f"_put_{name}": getattr(cls, name).__set__ for name in ("_values", *names)}
+    scope["_defaults"] = cls._defaults
+    exec(source, scope)
+    init = scope["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
+class ScalarSpec(Record):
     """A nonzero scalar parameter: rational, or root of unity zeta_d^e."""
 
+    # rational is a nonzero Fraction, or None for zeta_order^power
     __slots__ = ("rational", "order", "power")
-
-    def __init__(self, rational: Fraction | None, order: int, power: int):
-        _set(self, "rational", rational)
-        _set(self, "order", order)
-        _set(self, "power", power)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rational, self.order, self.power) == (
-                other.rational, other.order, other.power
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rational, self.order, self.power))
 
     @staticmethod
     def from_rational(value) -> ScalarSpec:
@@ -168,67 +202,41 @@ class ScalarSpec(_Record):
         return f"z{self.order}^{self.power}"
 
 
-class _Bare(_Record):
-    """A family with no parameters: one instance up to equality."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return True
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(())
-
-
-class GroupZ2Params(_Bare):
+class GroupZ2Params(Record):
     __slots__ = ()
     family = "GroupZ2"
 
 
-class GroupZSemiZParams(_Bare):
+class GroupZSemiZParams(Record):
     __slots__ = ()
     family = "GroupZSemiZ"
 
 
-class EnvAbelianParams(_Bare):
+class EnvAbelianParams(Record):
     __slots__ = ()
     family = "EnvAbelian"
 
 
-class EnvNonabelianParams(_Bare):
+class EnvNonabelianParams(Record):
     __slots__ = ()
     family = "EnvNonabelian"
 
 
-class AParams(_Record):
+class AParams(Record):
     __slots__ = ("n", "q")
     family = "A"
 
-    def __init__(self, n: int, q: ScalarSpec):
-        _set(self, "n", n)
-        _set(self, "q", q)
-        if not isinstance(n, int):
-            raise ParamError(f"A needs integer n, got {n!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.q) == (other.n, other.q)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.q))
+    def _check(self):
+        if not isinstance(self.n, int):
+            raise ParamError(f"A needs integer n, got {self.n!r}")
 
 
-class BParams(_Record):
+class BParams(Record):
     __slots__ = ("n", "p", "q")
     family = "B"
 
-    def __init__(self, n: int, p: tuple[int, ...], q: ScalarSpec):
-        _set(self, "n", n)
-        _set(self, "p", p)
-        _set(self, "q", q)
+    def _check(self):
+        n, p, q = self.n, self.p, self.q
         if not isinstance(n, int) or n < 1:
             raise ParamError(f"B needs a positive integer n, got {n!r}")
         if len(p) < 3:
@@ -252,14 +260,6 @@ class BParams(_Record):
                 f"B needs q of multiplicative order exactly {ell}, got {q}"
             )
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.p, self.q) == (other.n, other.p, other.q)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.p, self.q))
-
     def root_target(self) -> int:
         out = self.n // self.p[0]
         for x in self.p[1:]:
@@ -267,24 +267,15 @@ class BParams(_Record):
         return out
 
 
-class CParams(_Record):
+class CParams(Record):
     __slots__ = ("n",)
     family = "C"
 
-    def __init__(self, n: int):
-        _set(self, "n", n)
+    def _check(self):
         # n = 1 has zero derivation; the classifier folds it onto the
         # skew-Laurent family, but the instance itself is valid.
-        if not isinstance(n, int) or n < 1:
-            raise ParamError(f"C needs an integer n >= 1, got {n!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.n == other.n
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n,))
+        if not isinstance(self.n, int) or self.n < 1:
+            raise ParamError(f"C needs an integer n >= 1, got {self.n!r}")
 
     @property
     def q(self) -> ScalarSpec:
@@ -292,41 +283,23 @@ class CParams(_Record):
         return ScalarSpec.from_rational(1)
 
 
-class CLiftParams(_Record):
+class CLiftParams(Record):
     __slots__ = ("n", "q")
     family = "CLift"
 
-    def __init__(self, n: int, q: ScalarSpec):
-        _set(self, "n", n)
-        _set(self, "q", q)
-        if not isinstance(n, int) or n < 2:
-            raise ParamError(f"CLift needs an integer n >= 2, got {n!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.q) == (other.n, other.q)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.q))
+    def _check(self):
+        if not isinstance(self.n, int) or self.n < 2:
+            raise ParamError(f"CLift needs an integer n >= 2, got {self.n!r}")
 
 
 FamilyParams = (
-    GroupZ2Params
-    | GroupZSemiZParams
-    | EnvAbelianParams
-    | EnvNonabelianParams
-    | AParams
-    | BParams
-    | CParams
-    | CLiftParams
+    GroupZ2Params | GroupZSemiZParams | EnvAbelianParams | EnvNonabelianParams
+    | AParams | BParams | CParams | CLiftParams
 )
 
 _BARE = {
-    "GroupZ2": GroupZ2Params,
-    "GroupZSemiZ": GroupZSemiZParams,
-    "EnvAbelian": EnvAbelianParams,
-    "EnvNonabelian": EnvNonabelianParams,
+    cls.family: cls
+    for cls in (GroupZ2Params, GroupZSemiZParams, EnvAbelianParams, EnvNonabelianParams)
 }
 
 
@@ -356,28 +329,22 @@ def parse_params(obj) -> FamilyParams:
 
 def params_to_json(params: FamilyParams) -> dict:
     out: dict = {"family": params.family}
-    if isinstance(params, (AParams, CLiftParams)):
-        out["n"] = params.n
-        out["q"] = params.q.to_json()
-    elif isinstance(params, BParams):
-        out["n"] = params.n
-        out["p"] = list(params.p)
-        out["q"] = params.q.to_json()
-    elif isinstance(params, CParams):
-        out["n"] = params.n
+    for name, value in zip(params.__slots__, params._values):
+        if isinstance(value, ScalarSpec):
+            value = value.to_json()
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[name] = value
     return out
 
 
 def params_str(params: FamilyParams) -> str:
-    if isinstance(params, AParams):
-        return f"A({params.n}, {params.q})"
-    if isinstance(params, BParams):
-        return f"B({params.n}, {', '.join(map(str, params.p))}, {params.q})"
-    if isinstance(params, CParams):
-        return f"C({params.n})"
-    if isinstance(params, CLiftParams):
-        return f"CLift({params.n}, {params.q})"
-    return params.family
+    if not params.__slots__:
+        return params.family
+    texts = []
+    for value in params._values:
+        texts.extend(map(str, value) if isinstance(value, tuple) else (str(value),))
+    return f"{params.family}({', '.join(texts)})"
 
 
 def _want(obj: dict, key: str):

@@ -72,19 +72,12 @@ import os
 from qhopf.elements import Lin, acc
 from qhopf.families.base import HopfProvider
 from qhopf.linalg import kernel_of_map
+from qhopf.params import Record
 from qhopf.scalars import Cyclo, reduce_exponents, zero_map
 
 
-class Failure:
+class Failure(Record):
     __slots__ = ("axiom", "where", "residual")
-
-    def __init__(self, axiom: str, where: str, residual: str):
-        self.axiom = axiom
-        self.where = where
-        self.residual = residual
-
-    def __repr__(self) -> str:
-        return f"Failure({self.axiom!r}, {self.where!r}, {self.residual!r})"
 
     def to_json(self):
         return {"axiom": self.axiom, "where": self.where, "residual": self.residual}
