@@ -80,9 +80,13 @@ of `qhopf.qcombinat`); any other Lin is converted once, at its fill.
 Negating a FormLin negates each rational of its form, so a negated
 coproduct keeps its form.  A Lin always holds reduced, nonzero Cyclos.
 `coproduct_residues` reads a coproduct's form once more, through the
-level's zero map, for the zero-only bialgebra pass of `qhopf.verify`;
-a lattice family with a root-of-unity twist keys that view by lattice
-points.
+level's zero map, for the zero-only bialgebra pass of `qhopf.verify`,
+and keeps that view per index beside the form it was read from.  A
+lattice family with a root-of-unity twist keys the view by packed
+lattice points and reads it as a shift class and a shift beta: the
+terms with both legs' v moved by -beta, interned per provider by their
+content (`ShiftClass`), so that the pass builds one product table per
+pair of classes rather than one per pair of indices.
 """
 
 from __future__ import annotations
@@ -90,6 +94,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import defaultdict
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from qhopf.elements import Index, Lin
@@ -222,9 +227,14 @@ class HopfProvider(ABC):
     def unit_index(self) -> Index:
         return (0,) * len(self.letters)
 
+    @cached_property
+    def _counit_slots(self) -> tuple[int, ...]:
+        # the positions of the non-unit letters
+        return tuple(pos for pos, (_, unit, _) in enumerate(self.letters) if not unit)
+
     def counit_basis(self, i: Index) -> Cyclo:
-        for (_, unit, _), e in zip(self.letters, i):
-            if e and not unit:
+        for pos in self._counit_slots:
+            if i[pos]:
                 return self._zero
         return self._one
 
@@ -302,8 +312,9 @@ class HopfProvider(ABC):
         """Delta(e_i) through the zero map of the level (`zero_map`):
         ((key, h(coefficient), L1 of its form) per term, the sum of the
         L1s), or None when some term's form has a non-integer rational
-        at a level above 2.  Kept per index beside the form it was read
-        from, and read again if that form is replaced."""
+        at a level above 2; a lattice view is (`ShiftClass`, beta)
+        instead (`LatticeProvider`).  Kept per index beside the form it
+        was read from, and read again if that form is replaced."""
         form = self.coproduct_basis(i).form
         hit = self._residue_cache.get(i)
         if hit is not None and hit[0] is form:
@@ -497,6 +508,38 @@ class HopfProvider(ABC):
         return f"<{type(self).__name__} level={self.level}>"
 
 
+# A lattice view packs its legs' points (u_a, v_a, u_b, v_b) into one int
+# key ((u_a R + v_a) R + u_b) R + v_b, R = 2^32.  The packing is linear,
+# so a sum of points packs to the sum of their keys, and one to one on
+# points whose coordinates lie in (-R/2, R/2).  A view codes no
+# coordinate, and no shift, of size 2^28 or more, so every point the pass
+# forms (the sum of two coded points, one of them shifted, or a coded
+# point moved by one shift less two) stays there.
+_RADIX = 1 << 32
+_SPAN = 1 << 28
+V_STEP = _RADIX * _RADIX + 1  # the key of (0, 1, 0, 1): both legs' v moved by 1
+
+
+class ShiftClass:
+    """A lattice residue view up to a shift of both legs' v by one beta.
+
+    `legs` holds (key, u_a, v_a, u_b, v_b, h) per term, `keys` maps
+    each key to its h, `total` is the sum of the terms' L1 norms, and
+    `u` the one value of u_a + u_b on every term, or None when the terms
+    differ.  A provider interns its classes by content, one object per
+    content, so a class stands for its terms whichever view they were
+    read from."""
+
+    __slots__ = ("legs", "keys", "total", "u")
+
+    def __init__(self, legs: tuple, total: int):
+        self.legs = legs
+        self.keys = {key: h for key, _, _, _, _, h in legs}
+        self.total = total
+        us = {ua + ub for _, ua, _, ub, _, _ in legs}
+        self.u = us.pop() if len(us) == 1 else None
+
+
 class LatticeProvider(HopfProvider):
     """A twisted monoid algebra on a lattice.
 
@@ -513,11 +556,15 @@ class LatticeProvider(HopfProvider):
     product.
 
     With an int twist the zero-only pass of `qhopf.verify` reads the
-    statement itself (`lattice_exponent`): `coproduct_residues` keeps
-    each term as (u_a, v_a, u_b, v_b, h, L1), its legs' lattice points
-    in place of the index pair.  Every leg a coded there is checked to
-    satisfy lattice_index(*lattice(a)) == a, and a leg that fails leaves
-    the view None, so the pass declines every pair that reads it.
+    statement itself (`lattice_exponent`): `coproduct_residues` gives
+    (class, beta), where beta is the least v of a right leg and the
+    class (`ShiftClass`) holds the terms with both legs' v moved by
+    -beta, each keyed by its legs' lattice points in place of the index
+    pair.  Every leg a coded there is checked to satisfy
+    lattice_index(*lattice(a)) == a, and a leg that fails, or a point
+    too large to pack, leaves the view None, so the pass declines every
+    pair that reads it.  `_table_row` is the pass's memo: the left
+    class it was filled for, and its product tables by right class.
     """
 
     twist: int | Fraction
@@ -525,6 +572,9 @@ class LatticeProvider(HopfProvider):
     def __init__(self, level: int):
         super().__init__(level)
         self._twist_powers: dict[int, int | Fraction] = {}
+        self._points: dict[Index, tuple[int, int]] = {}
+        self._shift_classes: dict[tuple, ShiftClass] = {}
+        self._table_row: tuple = (None, {})
 
     def lattice(self, i: Index) -> tuple[int, int]:
         return i
@@ -533,8 +583,14 @@ class LatticeProvider(HopfProvider):
         return (u, v)
 
     def _product(self, i: Index, j: Index) -> tuple:
-        ui, vi = self.lattice(i)
-        uj, vj = self.lattice(j)
+        # the operands' lattice points are memoized per index
+        points = self._points
+        pi, pj = points.get(i), points.get(j)
+        if pi is None:
+            pi = points[i] = self.lattice(i)
+        if pj is None:
+            pj = points[j] = self.lattice(j)
+        (ui, vi), (uj, vj) = pi, pj
         k = self.lattice_index(ui + uj, vi + vj)
         twist = self.twist
         if twist.__class__ is int:
@@ -564,13 +620,29 @@ class LatticeProvider(HopfProvider):
         if view is None or self.lattice_exponent() is None:
             return view
         lattice, index = self.lattice, self.lattice_index
-        terms = []
+        points = []
         for (a, b), h, l1 in view[0]:
             pa, pb = lattice(a), lattice(b)
             if index(*pa) != a or index(*pb) != b:
                 return None
-            terms.append((*pa, *pb, h, l1))
-        return tuple(terms), view[1]
+            points.append((*pa, *pb, h, l1))
+        beta = min((vb for _, _, _, vb, _, _ in points), default=0)
+        if abs(beta) >= _SPAN:
+            return None
+        legs, content = [], []
+        for ua, va, ub, vb, h, l1 in points:
+            va, vb = va - beta, vb - beta
+            if max(abs(ua), abs(va), abs(ub), abs(vb)) >= _SPAN:
+                return None
+            key = ((ua * _RADIX + va) * _RADIX + ub) * _RADIX + vb
+            legs.append((key, ua, va, ub, vb, h))
+            content.append((key, h, l1))
+        content = tuple(content)
+        cls = self._shift_classes.get(content)
+        if cls is None:
+            cls = ShiftClass(tuple(legs), view[1])
+            self._shift_classes[content] = cls
+        return cls, beta
 
 
 class SkewPrimitiveProvider(LatticeProvider):

@@ -132,7 +132,7 @@ def ext1_from_instance(alg: HopfProvider) -> int:
 def ext1_dimension(params: FamilyParams) -> int:
     """Tangent-space dimension read off the table (2 iff commutative);
     `ext1_from_instance` computes it from the presentation."""
-    return _param_invariants(params).ext1_dim
+    return _param_invariants(params, iso_key(params)).ext1_dim
 
 
 def gldim_class(params: FamilyParams) -> str:
@@ -163,8 +163,9 @@ def family_tag(params: FamilyParams) -> str:
     return iso_key(params).family
 
 
-def _param_invariants(params: FamilyParams) -> InvariantVector:
-    """Invariant vector derived from parameters alone (for explanations)."""
+def _param_invariants(params: FamilyParams, key: FamilyParams) -> InvariantVector:
+    """Invariant vector derived from parameters alone (for explanations);
+    `key` is their `iso_key`, which a caller that has folded them has."""
     f = facts(params)
     commutative = f.abelianization[0] is None
     return InvariantVector(
@@ -175,7 +176,7 @@ def _param_invariants(params: FamilyParams) -> InvariantVector:
         ext1_dim=2 if commutative else 1,
         gldim_finite=f.gldim == "finite_2",
         abelianization_goldie_rank=f.abelianization,
-        family_tag=family_tag(params),
+        family_tag=key.family,
     )
 
 
@@ -190,7 +191,7 @@ def isomorphic(p1: FamilyParams, p2: FamilyParams) -> tuple[bool, str]:
     if k1 == k2:
         rules = list(dict.fromkeys(rules1 + rules2)) or ["identical canonical parameters"]
         return True, "; ".join(rules)
-    v1, v2 = _param_invariants(p1), _param_invariants(p2)
+    v1, v2 = _param_invariants(p1, k1), _param_invariants(p2, k2)
     for (name, a), (_, b) in zip(v1.fields(), v2.fields()):
         if a != b:
             return False, f"distinguished by {name}: {a} != {b}"
@@ -225,7 +226,7 @@ def invariant_vector(alg: HopfProvider, bound: int = 3) -> InvariantVector:
     # gldim, abelianization and family tag come from the family table;
     # every other entry is computed on the window
     rank, abelian = grouplike_profile(alg, bound)
-    table = _param_invariants(alg.params)
+    table = _param_invariants(alg.params, iso_key(alg.params))
     return InvariantVector(
         is_commutative=is_commutative(alg, bound),
         is_cocommutative=is_cocommutative(alg, bound),

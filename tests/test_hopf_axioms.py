@@ -10,6 +10,7 @@ import pytest
 from conftest import grid_specs, spec_label
 from qhopf.elements import Lin, lin_from_pairs
 from qhopf.families import build
+from qhopf.families.base import FormLin
 from qhopf.families.family_a import FamilyA
 from qhopf.families.family_b import FamilyB
 from qhopf.families.family_c import FamilyC
@@ -208,6 +209,47 @@ def test_corrupted_coproduct_at_level_105_reads_as_the_exact_route(monkeypatch):
     assert exact.to_json() == report.to_json()
 
 
+class _DriftedShiftedA(FamilyA):
+    """A(2, z3) with one Gauss-form rational of Delta(y x) moved by 1,
+    its Lin left as it is: Delta(y x) is no longer Delta(y) shifted."""
+
+    def _coproduct_raw(self, i):
+        t = super()._coproduct_raw(i)
+        if i != (1, 1):
+            return t
+        (key, ((e, r), *more)), *rest = t.form
+        return FormLin(dict(t.terms), ((key, ((e, r + 1), *more)), *rest))
+
+
+def test_drifted_shifted_coproduct_gets_its_own_class_and_reads_as_the_exact_route(
+    monkeypatch,
+):
+    """Delta(y x) drifted off Delta(y) shifted by x gets a shift class of
+    its own, the zero-only pass proves no pair whose exact residual is
+    nonzero, and the report is the exact route's, byte for byte."""
+    import qhopf.verify
+
+    params = parse_params({"family": "A", "n": 2, "q": {"order": 3, "power": 1}})
+    sound, alg = FamilyA(params), _DriftedShiftedA(params)
+    view = sound.coproduct_residues
+    assert view((1, 1))[0] is view((1, 0))[0]
+    assert alg.coproduct_residues((1, 1))[0] is not alg.coproduct_residues((1, 0))[0]
+    box = alg.basis_box(2)
+    for i in box:
+        for j in box:
+            if _proved(alg, i, j):
+                assert _exact(alg, i, j).is_zero(), (i, j)
+    report = verify_axioms(alg, window=2, axioms=("bialgebra",), max_failures=200)
+    assert not report.passed
+    monkeypatch.setattr(
+        qhopf.verify, "bialgebra_vanishes", lambda alg, i, j, terms: False
+    )
+    exact = verify_axioms(
+        _DriftedShiftedA(params), window=2, axioms=("bialgebra",), max_failures=200
+    )
+    assert exact.to_json() == report.to_json()
+
+
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 VALID_CORPUS = sorted(
     p.stem for p in INSTANCES.glob("*.json") if not p.stem.startswith("bad_")
@@ -298,6 +340,7 @@ def test_zero_only_pass_bounds_each_pair_by_its_l1_norm(name, monkeypatch):
         def __init__(self, level):
             self.zmap = zero_map(level)
             self.powers = self.zmap.powers
+            self.modulus = self.zmap.modulus
 
         def proves_zero(self, values, l1):
             bounds.append(l1)

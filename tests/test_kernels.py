@@ -305,7 +305,7 @@ def test_verify_caches_no_kernel_product():
     alg = _build("b_2_123_z12")
     assert verify_axioms(alg, window=3).passed
     assert not alg._mul_cache and not alg._product_cache
-    memos = (alg._canon_d, alg._twist_powers)
+    memos = (alg._canon_d, alg._twist_powers, alg._points)
     assert sum(map(len, memos)) <= 2 * len(alg.basis_box(6))
     for name in ["group_z2", "group_zsemiz", "env_abelian", "a_2_z3"] + ORE:
         alg = _build(name)
@@ -363,6 +363,38 @@ def test_lattice_kernel_agrees_with_the_index_kernel(name):
             alg._product = _raise
             assert bialgebra_vanishes(alg, i, j, terms) == want, (i, j)
             del alg._product
+
+
+@pytest.mark.parametrize(
+    "name,window,classes", [("b_2_123_z12", 3, 12), ("env_abelian", 2, 9)]
+)
+def test_lattice_kernel_builds_one_table_per_pair_of_shift_classes(
+    name, window, classes, monkeypatch
+):
+    """B(2, 1, 2, 3, z12) has 12 shift classes on box(3), one per y-part,
+    so its 7,056 pairs build 144 product tables; EnvAbelian has no
+    shift symmetry, one class per index.  The memo holds one row: the
+    tables of one left class, one per right class."""
+    import qhopf.verify
+
+    alg = _build(name)
+    box = alg.basis_box(window)
+    assert len({alg.coproduct_residues(i)[0] for i in box}) == classes
+    builds = []
+    build_table = qhopf.verify._class_table
+
+    def counted(zmap, qe, n, left, lift, right):
+        row_class, row = alg._table_row
+        assert row_class is left and right not in row
+        builds.append(len(row) + 1)
+        return build_table(zmap, qe, n, left, lift, right)
+
+    monkeypatch.setattr(qhopf.verify, "_class_table", counted)
+    report = verify_axioms(alg, window=window, axioms=("bialgebra",))
+    assert report.passed
+    assert report.checked["bialgebra"] == len(box) ** 2
+    assert len(builds) == classes**2
+    assert max(builds) == classes
 
 
 @pytest.mark.parametrize("name,window", VERIFY_CYCLO_OPS)
