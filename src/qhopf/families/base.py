@@ -53,10 +53,10 @@ one reduced Cyclo, and only then drops the keys that vanish.  With
 so an axiom residual lhs - rhs is one table: the caller passes a
 negated operand for the right side.
 
-The kernels (`mul`, `t2_mul`, and the bialgebra residual of
-`qhopf.verify`) read a product only through `_product(i, j)`, as terms
-(k, e, r) with e reduced mod N = lcm(2, level) and r a nonzero int or
-Fraction.  Five families are skew-Laurent monomial algebras (GroupZ2,
+The kernels (`mul`, `t2_mul`, and the bialgebra residuals of
+`qhopf.verify` but its lattice kernel) read a product only through
+`_product(i, j)`, as terms (k, e, r) with e reduced mod N =
+lcm(2, level) and r a nonzero int or Fraction.  Five families are skew-Laurent monomial algebras (GroupZ2,
 GroupZSemiZ, EnvAbelian, A and B): two basis monomials multiply to one
 monomial times a scalar, and `_multiply_raw` is derived from that one
 term (the reduced r * omega^e: a shared root of unity when r = 1).
@@ -79,14 +79,6 @@ from `_coproduct_raw` whose form is not the reduced coefficients'
 of `qhopf.qcombinat`); any other Lin is converted once, at its fill.
 Negating a FormLin negates each rational of its form, so a negated
 coproduct keeps its form.  A Lin always holds reduced, nonzero Cyclos.
-`coproduct_residues` reads a coproduct's form once more, through the
-level's zero map, for the zero-only bialgebra pass of `qhopf.verify`,
-and keeps that view per index beside the form it was read from.  A
-lattice family with a root-of-unity twist keys the view by packed
-lattice points and reads it as a shift class and a shift beta: the
-terms with both legs' v moved by -beta, interned per provider by their
-content (`ShiftClass`), so that the pass builds one product table per
-pair of classes rather than one per pair of indices.
 """
 
 from __future__ import annotations
@@ -105,7 +97,6 @@ from qhopf.scalars import (
     reduce_exponents,
     reduce_forms,
     roots_of_unity,
-    zero_map,
 )
 
 
@@ -189,7 +180,6 @@ class HopfProvider(ABC):
         self._mul_cache: dict[tuple[Index, Index], Lin] = {}
         self._product_cache: dict[tuple[Index, Index], tuple] = {}
         self._cop_cache: dict[Index, FormLin] = {}
-        self._residue_cache: dict[Index, tuple] = {}
         self._anti_cache: dict[Index, Lin] = {}
 
     # -- family-specific structure constants ---------------------------
@@ -307,39 +297,6 @@ class HopfProvider(ABC):
         if hit is None:
             hit = self._cop_cache[i] = self.as_form_lin(self._coproduct_raw(i))
         return hit
-
-    def coproduct_residues(self, i: Index) -> tuple | None:
-        """Delta(e_i) through the zero map of the level (`zero_map`):
-        ((key, h(coefficient), L1 of its form) per term, the sum of the
-        L1s), or None when some term's form has a non-integer rational
-        at a level above 2; a lattice view is (`ShiftClass`, beta)
-        instead (`LatticeProvider`).  Kept per index beside the form it
-        was read from, and read again if that form is replaced."""
-        form = self.coproduct_basis(i).form
-        hit = self._residue_cache.get(i)
-        if hit is not None and hit[0] is form:
-            return hit[1]
-        view = self._residue_view(form)
-        self._residue_cache[i] = form, view
-        return view
-
-    def _residue_view(self, form) -> tuple | None:
-        residue = zero_map(self.level).residue
-        terms = []
-        total = 0
-        for key, pairs in form:
-            hl = residue(pairs)
-            if hl is None:
-                return None
-            terms.append((key, *hl))
-            total += hl[1]
-        return tuple(terms), total
-
-    def lattice_exponent(self) -> int | None:
-        """qe when e_i e_j = omega^(qe v_i u_j) e_k is read off lattice
-        points (`LatticeProvider`), so that `coproduct_residues` keys
-        its terms by lattice points; None here."""
-        return None
 
     def antipode_basis(self, i: Index) -> Lin:
         hit = self._anti_cache.get(i)
@@ -508,38 +465,6 @@ class HopfProvider(ABC):
         return f"<{type(self).__name__} level={self.level}>"
 
 
-# A lattice view packs its legs' points (u_a, v_a, u_b, v_b) into one int
-# key ((u_a R + v_a) R + u_b) R + v_b, R = 2^32.  The packing is linear,
-# so a sum of points packs to the sum of their keys, and one to one on
-# points whose coordinates lie in (-R/2, R/2).  A view codes no
-# coordinate, and no shift, of size 2^28 or more, so every point the pass
-# forms (the sum of two coded points, one of them shifted, or a coded
-# point moved by one shift less two) stays there.
-_RADIX = 1 << 32
-_SPAN = 1 << 28
-V_STEP = _RADIX * _RADIX + 1  # the key of (0, 1, 0, 1): both legs' v moved by 1
-
-
-class ShiftClass:
-    """A lattice residue view up to a shift of both legs' v by one beta.
-
-    `legs` holds (key, u_a, v_a, u_b, v_b, h) per term, `keys` maps
-    each key to its h, `total` is the sum of the terms' L1 norms, and
-    `u` the one value of u_a + u_b on every term, or None when the terms
-    differ.  A provider interns its classes by content, one object per
-    content, so a class stands for its terms whichever view they were
-    read from."""
-
-    __slots__ = ("legs", "keys", "total", "u")
-
-    def __init__(self, legs: tuple, total: int):
-        self.legs = legs
-        self.keys = {key: h for key, _, _, _, _, h in legs}
-        self.total = total
-        us = {ua + ub for _, ua, _, ub, _, _ in legs}
-        self.u = us.pop() if len(us) == 1 else None
-
-
 class LatticeProvider(HopfProvider):
     """A twisted monoid algebra on a lattice.
 
@@ -553,18 +478,8 @@ class LatticeProvider(HopfProvider):
     int qe for q = omega^qe, or a rational q (a Fraction) other than
     +-1.  `_product` is derived here from that statement, once for every
     such family, and `_multiply_raw` from `_product` as for any one-term
-    product.
-
-    With an int twist the zero-only pass of `qhopf.verify` reads the
-    statement itself (`lattice_exponent`): `coproduct_residues` gives
-    (class, beta), where beta is the least v of a right leg and the
-    class (`ShiftClass`) holds the terms with both legs' v moved by
-    -beta, each keyed by its legs' lattice points in place of the index
-    pair.  Every leg a coded there is checked to satisfy
-    lattice_index(*lattice(a)) == a, and a leg that fails, or a point
-    too large to pack, leaves the view None, so the pass declines every
-    pair that reads it.  `_table_row` is the pass's memo: the left
-    class it was filled for, and its product tables by right class.
+    product.  `lattice_exponent` is qe when every product is read off
+    this statement with an int twist.
     """
 
     twist: int | Fraction
@@ -573,8 +488,6 @@ class LatticeProvider(HopfProvider):
         super().__init__(level)
         self._twist_powers: dict[int, int | Fraction] = {}
         self._points: dict[Index, tuple[int, int]] = {}
-        self._shift_classes: dict[tuple, ShiftClass] = {}
-        self._table_row: tuple = (None, {})
 
     def lattice(self, i: Index) -> tuple[int, int]:
         return i
@@ -614,35 +527,6 @@ class LatticeProvider(HopfProvider):
         if twist.__class__ is int and type(self)._product is LatticeProvider._product:
             return twist
         return None
-
-    def _residue_view(self, form) -> tuple | None:
-        view = super()._residue_view(form)
-        if view is None or self.lattice_exponent() is None:
-            return view
-        lattice, index = self.lattice, self.lattice_index
-        points = []
-        for (a, b), h, l1 in view[0]:
-            pa, pb = lattice(a), lattice(b)
-            if index(*pa) != a or index(*pb) != b:
-                return None
-            points.append((*pa, *pb, h, l1))
-        beta = min((vb for _, _, _, vb, _, _ in points), default=0)
-        if abs(beta) >= _SPAN:
-            return None
-        legs, content = [], []
-        for ua, va, ub, vb, h, l1 in points:
-            va, vb = va - beta, vb - beta
-            if max(abs(ua), abs(va), abs(ub), abs(vb)) >= _SPAN:
-                return None
-            key = ((ua * _RADIX + va) * _RADIX + ub) * _RADIX + vb
-            legs.append((key, ua, va, ub, vb, h))
-            content.append((key, h, l1))
-        content = tuple(content)
-        cls = self._shift_classes.get(content)
-        if cls is None:
-            cls = ShiftClass(tuple(legs), view[1])
-            self._shift_classes[content] = cls
-        return cls, beta
 
 
 class SkewPrimitiveProvider(LatticeProvider):

@@ -24,13 +24,12 @@ The bialgebra pair scan asks of almost every pair only whether its
 residual is zero, so it runs in two passes.  The zero-only pass
 (`bialgebra_vanishes`) sends the residual through the level's ring map
 h: Z[C_N] -> Z/P (`qhopf.scalars.zero_map`).  It reads each coproduct
-as its per-index residue view (`coproduct_residues`: h of each
-coefficient and the L1 norm of its form), multiplies the legs, and adds
-one integer per tensor key, plus one L1 bound for the whole pair.  It
-proves the pair zero only when every key's image is 0 mod P and the
-bound is within the map's cap; a pair with a non-integer rational, a
-bound above the cap or a nonzero image gets no verdict.  Every such
-pair is recomputed by the exact route (`exact_bialgebra_residual`),
+as its residue view (below), multiplies the legs, and adds one integer
+per tensor key, plus one L1 bound for the whole pair.  It proves the
+pair zero only when every key's image is 0 mod P and the bound is
+within the map's cap; a pair with a non-integer rational, a bound
+above the cap or a nonzero image gets no verdict.  Every such pair is
+recomputed by the exact route (`exact_bialgebra_residual`),
 whose table holds rhs - lhs, with the product (usually one term)
 negated rather than a copy of Delta(e_j), and whose finished residual
 is negated back: each term r omega^e e_k of `_product(i, j)` enters as
@@ -38,34 +37,59 @@ is negated back: each term r omega^e e_k of `_product(i, j)` enters as
 text.  `bialgebra_residuals` computes `_product(i, j)` once per pair
 and hands it to the pass, the exact route and the counit residual.
 
-The pass has two kernels, picked by the provider's `lattice_exponent`.
-The index kernel keys the table by index pairs and multiplies legs
-through `_product`; C, CLift, EnvNonabelian, GroupZSemiZ and A at a
-rational q get it, and it is the tests' reference for the other.  The
-lattice kernel serves the twisted monoid algebras on a lattice with a
-root-of-unity twist q = omega^qe (`LatticeProvider`: GroupZ2,
-EnvAbelian, A and B), where e_a e_c = omega^(qe v_a u_c) e at the
-point (u_a + u_c, v_a + v_c).  Their residue views key each term by its
-legs' lattice points (u_a, v_a, u_b, v_b), packed into one int, so the
-kernel adds Delta(e_i) Delta(e_j) with plain int arithmetic, one L1
-bound for all of it, and no `_product` call.  Its keys are faithful:
-every leg a that a view codes is checked to satisfy
-lattice_index(*lattice(a)) == a, the index product of two legs is by
-definition lattice_index of their point sum, and the packing is one to
-one on the points a view may code.  So each index-pair key of the exact
+The pass keeps what it reads in one `_ZeroPass` per provider, on the
+provider's `_zero_pass` attribute (`_zero_pass_of`): the kernel,
+picked once by `LatticeProvider.lattice_exponent`, the residue view of
+each index it has read, the shift classes and the table memo.  The
+providers know nothing of the pass.  A residue view is read from a
+coproduct's form once, and is one of:
+
+- an index view (terms, total): (key, h(coefficient), L1 norm of its
+  form) per term of Delta(e_i), keyed by index pairs, and the sum of
+  the L1 norms;
+- a lattice view (class, beta): a `ShiftClass` and a shift (below);
+- None, when some term's form has a non-integer rational at a level
+  above 2, or a lattice view cannot code a leg (below); the pass
+  declines every pair that reads it.
+
+Each view is kept with the FormLin and the form it was read from, so a
+hit is one dict lookup and one identity test, and a form assigned to
+that FormLin later is read again.
+
+The pass has two kernels.  The index kernel reads index views, keys the
+table by index pairs and multiplies legs through `_product`; C, CLift,
+EnvNonabelian, GroupZSemiZ and A at a rational q get it, and it is the
+tests' reference for the other.  The lattice kernel serves the twisted
+monoid algebras on a lattice with a root-of-unity twist q = omega^qe
+(`LatticeProvider`: GroupZ2, EnvAbelian, A and B), where e_a e_c =
+omega^(qe v_a u_c) e at the point (u_a + u_c, v_a + v_c), a product of
+one term.  Their lattice views key each term by its legs' lattice
+points (u_a, v_a, u_b, v_b), packed into one int ((u_a R + v_a) R +
+u_b) R + v_b, R = 2^32.  The packing is linear, so a sum of points
+packs to the sum of their keys, and it is one to one on points whose
+coordinates lie in (-R/2, R/2).  A view codes no coordinate, and no
+shift, of size 2^28 or more, so every point the pass forms (the sum of
+two coded points, one of them shifted, or a coded point moved by one
+shift less two) stays there.  So the kernel adds Delta(e_i) Delta(e_j)
+with plain int arithmetic, one L1 bound for all of it, and no
+`_product` call.  Its keys are faithful: every leg a that a view
+codes is checked to satisfy lattice_index(*lattice(a)) == a, the index
+product of two legs is by definition lattice_index of their point sum,
+and the packing is one to one on the points a view may code.  So each index-pair key of the exact
 residual is one function (lattice_index on each leg) of its lattice
 key, each index key's sum is a sum of lattice keys' sums, and a pair
 proved zero on lattice keys is zero on index keys.  A leg that fails
 the check makes its view None, and the pass declines every pair that
 reads it.
 
-A lattice view is a shift class and a shift beta (`ShiftClass`): its
-terms with both legs' v moved by -beta, and U = u_a + u_b when that is
-the same on every term.  In A and B, x is grouplike and last in normal
-order, so Delta(y^d x^b) is Delta(y^d) times x^b ox x^b, and every
-x-shift of an index falls in the class of its y-part: B(2, 1, 2, 3,
-z12) has 12 classes on the 84 indices of box(3).  Let T(L, R) be the
-product of the views of classes L and R at shift 0.  The views of L at
+A lattice view is a shift class and a shift beta, the least v of a
+right leg.  The class (`ShiftClass`) holds the view's terms with both
+legs' v moved by -beta, and U = u_a + u_b when that is the same on
+every term.  In A and B, x is grouplike and last in normal order, so
+Delta(y^d x^b) is Delta(y^d) times x^b ox x^b, and every x-shift of an
+index falls in the class of its y-part: B(2, 1, 2, 3, z12) has 12
+classes on the 84 indices of box(3).  Let T(L, R) be the product of
+the views of classes L and R at shift 0.  The views of L at
 beta_i and R at beta_j then multiply to
 
     T(L, R) moved by (0, beta_i + beta_j, 0, beta_i + beta_j), times
@@ -76,10 +100,12 @@ twist qe (v_a u_c + v_b u_d) by qe beta_i (u_c + u_d) = qe beta_i U_R,
 while a right shift has u = 0 and moves only v_c and v_d, which the
 twist does not read.  So the kernel builds T(L, R) once per pair of
 classes, as the images of its keys with the zeros mod P dropped.  Each
-pair then moves the keys of -r omega^e Delta(e_k) back by beta_i +
-beta_j, divides them by omega^(qe beta_i U_R) (the exponent e - qe
-beta_i U_R), and matches them against T(L, R), with the same per-pair
-L1 bound: its key sums are the true ones times a unit mod P.
+pair then moves the keys of -r omega^e Delta(e_k) (class M at beta_k)
+by beta_k - beta_i - beta_j, divides them by omega^(qe beta_i U_R) (the
+exponent e - qe beta_i U_R), and matches them against T(L, R), with
+the same per-pair L1 bound: its key sums are the true ones times a
+unit mod P.  In every engine family beta_k = beta_i + beta_j, so the
+keys of M are matched as they are.
 
 - The class id is a content key: classes are interned per provider by
   their terms, so a table built for a class holds for every view with
@@ -107,7 +133,7 @@ from __future__ import annotations
 import os
 
 from qhopf.elements import Lin, acc
-from qhopf.families.base import V_STEP, HopfProvider
+from qhopf.families.base import HopfProvider, LatticeProvider
 from qhopf.linalg import kernel_of_map
 from qhopf.params import Record
 from qhopf.scalars import Cyclo, reduce_exponents, zero_map
@@ -194,18 +220,120 @@ def bialgebra_vanishes(alg: HopfProvider, i, j, terms) -> bool:
     """Whether the zero-only pass proves Delta(e_i e_j) = Delta(e_i)
     Delta(e_j): each key's sum, sent through the level's `zero_map`, is
     0, and the L1 norms of all the terms add up to at most its cap.
-    False is no verdict.  `terms` is `_product(i, j)`.  A provider with
-    a `lattice_exponent` gets the lattice kernel, any other the index
-    kernel."""
-    qe = alg.lattice_exponent()
-    if qe is None:
-        return _index_vanishes(alg, i, j, terms)
-    return _lattice_vanishes(alg, i, j, terms, qe)
+    False is no verdict.  `terms` is `_product(i, j)`."""
+    zp = _zero_pass_of(alg)
+    if zp.qe is None:
+        return _index_vanishes(alg, zp, i, j, terms)
+    return _lattice_vanishes(alg, zp, i, j, terms)
 
 
-def _index_vanishes(alg: HopfProvider, i, j, terms) -> bool:
-    view = alg.coproduct_residues
-    left, right = view(i), view(j)
+# A lattice view's packed key of (u_a, v_a, u_b, v_b), and the bounds
+# of the module docstring: R, 2^28, and the key of (0, 1, 0, 1)
+_RADIX = 1 << 32
+_SPAN = 1 << 28
+_V_STEP = _RADIX * _RADIX + 1
+
+
+class ShiftClass:
+    """A lattice residue view up to a shift of both legs' v by one beta.
+
+    `legs` holds (key, u_a, v_a, u_b, v_b, h) per term, `keys` maps
+    each key to its h, `total` is the sum of the terms' L1 norms, and
+    `u` the one value of u_a + u_b on every term, or None when the terms
+    differ.  The pass interns its classes by content, one object per
+    content, so a class stands for its terms whichever view they were
+    read from."""
+
+    __slots__ = ("legs", "keys", "total", "u")
+
+    def __init__(self, legs: tuple, total: int):
+        self.legs = legs
+        self.keys = {key: h for key, _, _, _, _, h in legs}
+        self.total = total
+        us = {ua + ub for _, ua, _, ub, _, _ in legs}
+        self.u = us.pop() if len(us) == 1 else None
+
+
+class _ZeroPass:
+    """The zero-only pass's state for one provider: `qe` picks the
+    kernel and the view (None: index), `views` maps an index to (its
+    FormLin, the form read, the view), `classes` interns the shift
+    classes by content, and `row` is the table memo: a left class and
+    its tables by right class."""
+
+    __slots__ = ("qe", "views", "classes", "row")
+
+    def __init__(self, alg: HopfProvider):
+        lattice = isinstance(alg, LatticeProvider)
+        self.qe = alg.lattice_exponent() if lattice else None
+        self.views: dict = {}
+        self.classes: dict = {}
+        self.row: tuple = (None, {})
+
+    def view(self, alg: HopfProvider, i):
+        """The residue view of Delta(e_i) (module docstring)."""
+        hit = self.views.get(i)
+        if hit is not None and hit[0].form is hit[1]:
+            return hit[2]
+        cop = alg.coproduct_basis(i)
+        form = cop.form
+        view = _index_view(alg.level, form)
+        if view is not None and self.qe is not None:
+            view = self._lattice_view(alg, view)
+        self.views[i] = cop, form, view
+        return view
+
+    def _lattice_view(self, alg: LatticeProvider, view):
+        # (class, beta) of an index view, or None
+        lattice, index = alg.lattice, alg.lattice_index
+        points = []
+        for (a, b), h, l1 in view[0]:
+            pa, pb = lattice(a), lattice(b)
+            if index(*pa) != a or index(*pb) != b:
+                return None
+            points.append((*pa, *pb, h, l1))
+        beta = min((vb for _, _, _, vb, _, _ in points), default=0)
+        if abs(beta) >= _SPAN:
+            return None
+        legs, content = [], []
+        for ua, va, ub, vb, h, l1 in points:
+            va, vb = va - beta, vb - beta
+            if max(abs(ua), abs(va), abs(ub), abs(vb)) >= _SPAN:
+                return None
+            key = ((ua * _RADIX + va) * _RADIX + ub) * _RADIX + vb
+            legs.append((key, ua, va, ub, vb, h))
+            content.append((key, h, l1))
+        content = tuple(content)
+        cls = self.classes.get(content)
+        if cls is None:
+            cls = self.classes[content] = ShiftClass(tuple(legs), view[1])
+        return cls, beta
+
+
+def _zero_pass_of(alg: HopfProvider) -> _ZeroPass:
+    try:
+        return alg._zero_pass
+    except AttributeError:
+        zp = alg._zero_pass = _ZeroPass(alg)
+        return zp
+
+
+def _index_view(level: int, form) -> tuple | None:
+    residue = zero_map(level).residue
+    terms = []
+    total = 0
+    for key, pairs in form:
+        hl = residue(pairs)
+        if hl is None:
+            return None
+        terms.append((key, *hl))
+        total += hl[1]
+    return tuple(terms), total
+
+
+def _index_vanishes(alg: HopfProvider, zp: _ZeroPass, i, j, terms) -> bool:
+    view = zp.view
+    left, right = view(alg, i), view(alg, j)
     if left is None or right is None:
         return False
     zmap = zero_map(alg.level)
@@ -215,7 +343,7 @@ def _index_vanishes(alg: HopfProvider, i, j, terms) -> bool:
     bound = 0
     for k, e, r in terms:
         # -r omega^e Delta(e_k), term by term
-        middle = view(k)
+        middle = view(alg, k)
         if middle is None:
             return False
         f = r * powers[e]
@@ -236,56 +364,40 @@ def _index_vanishes(alg: HopfProvider, i, j, terms) -> bool:
     return zmap.proves_zero(table.values(), bound)
 
 
-def _lattice_vanishes(alg: HopfProvider, i, j, terms, qe: int) -> bool:
+def _lattice_vanishes(alg: HopfProvider, zp: _ZeroPass, i, j, terms) -> bool:
     # `_index_vanishes` on packed lattice points: Delta(e_i) Delta(e_j)
     # is T(L, R) of the module docstring, and the keys of -r omega^e
-    # Delta(e_k) are moved back by `shift` and divided by omega^twist
-    # to be matched against it; one term with no move (the product of
-    # every lattice family) is matched on its class's own key map
-    view = alg.coproduct_residues
-    left, right = view(i), view(j)
-    if left is None or right is None:
+    # Delta(e_k) are moved by `move` and divided by omega^twist to be
+    # matched against it
+    ((k, e, r),) = terms
+    view = zp.view
+    left, right, middle = view(alg, i), view(alg, j), view(alg, k)
+    if left is None or right is None or middle is None:
         return False
     zmap = zero_map(alg.level)
-    n = alg.omega_order
-    (lc, bi), (rc, bj) = left, right
+    qe, n = zp.qe, alg.omega_order
+    (lc, bi), (rc, bj), (mc, bk) = left, right, middle
     if rc.u is None:
         table = _class_table(zmap, qe, n, lc, bi, rc)
         shift, twist = bj, 0
     else:
-        row_class, row = alg._table_row
+        row_class, row = zp.row
         if row_class is not lc:
             row = {}
-            alg._table_row = lc, row
+            zp.row = lc, row
         table = row.get(rc)
         if table is None:
             table = row[rc] = _class_table(zmap, qe, n, lc, 0, rc)
         shift, twist = bi + bj, qe * bi * rc.u
-    powers = zmap.powers
-    bound = lc.total * rc.total
-    parts = []
-    for k, e, r in terms:
-        middle = view(k)
-        if middle is None:
-            return False
-        mc, bk = middle
-        parts.append((mc.keys, r * powers[(e - twist) % n], (bk - shift) * V_STEP))
-        bound += abs(r) * mc.total
+    f = r * zmap.powers[(e - twist) % n]
+    move = (bk - shift) * _V_STEP
+    sums = {key + move: h for key, h in mc.keys.items()} if move else mc.keys
     get = table.get
-    if len(parts) == 1 and not parts[0][2]:
-        ((sums, f, _),) = parts
-        values = [get(key, 0) - f * h for key, h in sums.items()]
-    else:
-        sums = {}
-        for keys, f, move in parts:
-            for key, h in keys.items():
-                key += move
-                sums[key] = sums.get(key, 0) + f * h
-        values = [get(key, 0) - v for key, v in sums.items()]
+    values = [get(key, 0) - f * h for key, h in sums.items()]
     if not table.keys() <= sums.keys():
         # a table key that no term of Delta(e_k) reaches sums to itself
         values += [v for key, v in table.items() if key not in sums]
-    return zmap.proves_zero(values, bound)
+    return zmap.proves_zero(values, lc.total * rc.total + abs(r) * mc.total)
 
 
 def _class_table(zmap, qe: int, n: int, left, lift: int, right) -> dict:
@@ -295,7 +407,7 @@ def _class_table(zmap, qe: int, n: int, left, lift: int, right) -> dict:
     only."""
     powers = zmap.powers
     out: dict = {}
-    move = lift * V_STEP
+    move = lift * _V_STEP
     for ka, _, va, _, vb, ha in left.legs:
         ka, va, vb = ka + move, va + lift, vb + lift
         for kc, uc, _, ud, _, hc in right.legs:

@@ -1,6 +1,23 @@
 """Shared instance lists for the test suite."""
 
+import json
+from pathlib import Path
+
+from qhopf.families import build
 from qhopf.params import parse_params
+
+INSTANCES = Path(__file__).resolve().parents[1] / "instances"
+VALID_CORPUS = sorted(
+    p.stem for p in INSTANCES.glob("*.json") if not p.stem.startswith("bad_")
+)
+# the verify-cyclo benchmark ops: instance and window
+VERIFY_CYCLO_OPS = [
+    ("b_2_123_z12", 3),
+    ("a_3_z5", 3),
+    ("a_2_z3", 3),
+    ("a_2_z4p3", 3),
+    ("b_7_135_z105", 2),
+]
 
 SCALAR_GRID = [1, -1, {"order": 3, "power": 1}, {"order": 5, "power": 1}, 2]
 
@@ -37,3 +54,8 @@ def spec_label(spec):
     from qhopf.params import params_str
 
     return params_str(parse_params(spec))
+
+
+def build_instance(name):
+    """The provider of instances/<name>.json."""
+    return build(parse_params(json.loads((INSTANCES / f"{name}.json").read_text())))

@@ -3,14 +3,12 @@
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import qhopf.cli as cli
+from conftest import INSTANCES
 from qhopf.verify import AxiomReport, Failure
-
-INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 
 
 def fixture(name):

@@ -11,28 +11,20 @@ to be, per key, the product of its letters' Gauss polynomials; and a
 form that drifts from its Lin view must fail the axiom check.
 """
 
-import json
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
+from conftest import INSTANCES, build_instance
 from qhopf.elements import Lin, acc
-from qhopf.families import build
-from qhopf.params import parse_params
 from qhopf.qcombinat import gauss_binomial, qp_eval
 from qhopf.scalars import Cyclo, reduce_exponents
 from qhopf.verify import verify_axioms
 
-INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 CORPUS = sorted(
     p.stem for p in INSTANCES.glob("*.json") if p.stem.startswith(("a_", "b_"))
 )
-
-
-def _build(name):
-    return build(parse_params(json.loads((INSTANCES / f"{name}.json").read_text())))
 
 
 def skew_binomial_coeffs(a: int, q: Cyclo) -> list[Cyclo]:
@@ -119,7 +111,7 @@ def oracle_coproduct(alg, idx) -> dict:
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_coproduct_forms_reduce_to_horner_coefficients(name):
-    alg = _build(name)
+    alg = build_instance(name)
     for idx in alg.basis_box(3):
         cop = alg.coproduct_basis(idx)
         keys = [k for k, _ in cop.form]
@@ -161,7 +153,7 @@ def test_coproduct_forms_are_products_of_gauss_polynomials(name):
     x^(m_i n r_i) pick up, folded mod N = lcm(2, level): never the
     shorter reduced coefficient.  The zero-only bialgebra pass bounds
     its L1 norms from these forms."""
-    alg = _build(name)
+    alg = build_instance(name)
     params = alg.params
     heads = _heads(params)
     s, n = len(heads), params.n
@@ -193,7 +185,7 @@ def test_coproduct_forms_are_products_of_gauss_polynomials(name):
 def test_b_gauss_forms_are_not_the_reduced_coefficients():
     """At level 105 the forms are the short sums of roots of unity, not
     the 24-31 coordinates of the reduced coefficients."""
-    alg = _build("b_7_135_z105")
+    alg = build_instance("b_7_135_z105")
     cop = alg.coproduct_basis((3, 3, 0))
     longest_form = max(len(p) for _, p in cop.form)
     longest_value = max(len(c.num) - c.num.count(0) for c in cop.terms.values())
@@ -203,7 +195,7 @@ def test_b_gauss_forms_are_not_the_reduced_coefficients():
 def test_drifted_b_form_fails_the_bialgebra_check():
     """Corrupt one term of one cached B coproduct form, leave its Lin
     view intact: the bialgebra scan reads the form and must fail."""
-    alg = _build("b_1_123_z6")
+    alg = build_instance("b_1_123_z6")
     assert verify_axioms(alg, window=1, axioms=("bialgebra",)).passed
     idx = (1, 0, 0)  # y1
     cop = alg.coproduct_basis(idx)
@@ -212,6 +204,6 @@ def test_drifted_b_form_fails_the_bialgebra_check():
     (e, r), *more = pairs
     cop.form = ((key, ((e, r + 1), *more)), *rest)
     assert alg.coproduct_basis(idx) == view
-    assert alg.coproduct_basis(idx) == _build("b_1_123_z6").coproduct_basis(idx)
+    assert alg.coproduct_basis(idx) == build_instance("b_1_123_z6").coproduct_basis(idx)
     report = verify_axioms(alg, window=1, axioms=("counit", "bialgebra"))
     assert {f.axiom for f in report.failures} == {"bialgebra"}

@@ -6,12 +6,11 @@ oriented defining relations), so agreement on random products is a
 genuine two-route check of every family's multiplication.  The same
 rules are the presentation, so they must also vanish in the algebra."""
 
-import json
 import random
-from pathlib import Path
 
 import pytest
 
+from conftest import VALID_CORPUS, build_instance
 from qhopf.elements import Lin
 from qhopf.families import build
 from qhopf.families.rewriter import agree_on_product, normal_form, oracle_multiply
@@ -83,16 +82,9 @@ def test_rewriting_is_confluent_on_a_hard_case():
     assert direct == staged
 
 
-CORPUS = sorted(
-    path
-    for path in (Path(__file__).resolve().parents[1] / "instances").glob("*.json")
-    if not path.name.startswith("bad_")
-)
-
-
-@pytest.mark.parametrize("path", CORPUS, ids=lambda path: path.stem)
-def test_presentation_relations_hold_in_the_algebra(path):
-    alg = build(parse_params(json.loads(path.read_text(encoding="utf-8"))))
+@pytest.mark.parametrize("name", VALID_CORPUS)
+def test_presentation_relations_hold_in_the_algebra(name):
+    alg = build_instance(name)
     pres = alg.presentation()
     index_of = dict(alg.generators())
     assert pres.gens == tuple(index_of)
@@ -111,12 +103,12 @@ def test_presentation_relations_hold_in_the_algebra(path):
         assert at_counit.is_zero(), rel
 
 
-@pytest.mark.parametrize("path", CORPUS, ids=lambda path: path.stem)
-def test_unit_letters_span_the_grouplikes(path):
+@pytest.mark.parametrize("name", VALID_CORPUS)
+def test_unit_letters_span_the_grouplikes(name):
     """The monomials in the unit letters are exactly the grouplike ones,
     which checks each letter's unit flag against the coproduct: no unit
     monomial fails to be grouplike, and no other box monomial is one."""
-    alg = build(parse_params(json.loads(path.read_text(encoding="utf-8"))))
+    alg = build_instance(name)
     units = alg.unit_monomials(2)
     assert find_grouplikes(alg, 2) == units
     one = alg.one_scalar()

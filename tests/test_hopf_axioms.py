@@ -1,13 +1,17 @@
 """Axiom verification: green on the real families, red on corrupted
 structure maps, plus grouplike and skew-primitive searches."""
 
-import json
 import random
-from pathlib import Path
 
 import pytest
 
-from conftest import grid_specs, spec_label
+from conftest import (
+    VALID_CORPUS,
+    VERIFY_CYCLO_OPS,
+    build_instance,
+    grid_specs,
+    spec_label,
+)
 from qhopf.elements import Lin, lin_from_pairs
 from qhopf.families import build
 from qhopf.families.base import FormLin
@@ -20,6 +24,7 @@ from qhopf.linalg import Echelon
 from qhopf.params import parse_params
 from qhopf.verify import (
     _tensor_residual,
+    _zero_pass_of,
     bialgebra_vanishes,
     exact_bialgebra_residual,
     find_grouplikes,
@@ -231,9 +236,10 @@ def test_drifted_shifted_coproduct_gets_its_own_class_and_reads_as_the_exact_rou
 
     params = parse_params({"family": "A", "n": 2, "q": {"order": 3, "power": 1}})
     sound, alg = FamilyA(params), _DriftedShiftedA(params)
-    view = sound.coproduct_residues
-    assert view((1, 1))[0] is view((1, 0))[0]
-    assert alg.coproduct_residues((1, 1))[0] is not alg.coproduct_residues((1, 0))[0]
+    view = _zero_pass_of(sound).view
+    assert view(sound, (1, 1))[0] is view(sound, (1, 0))[0]
+    view = _zero_pass_of(alg).view
+    assert view(alg, (1, 1))[0] is not view(alg, (1, 0))[0]
     box = alg.basis_box(2)
     for i in box:
         for j in box:
@@ -250,27 +256,47 @@ def test_drifted_shifted_coproduct_gets_its_own_class_and_reads_as_the_exact_rou
     assert exact.to_json() == report.to_json()
 
 
-INSTANCES = Path(__file__).resolve().parents[1] / "instances"
-VALID_CORPUS = sorted(
-    p.stem for p in INSTANCES.glob("*.json") if not p.stem.startswith("bad_")
-)
-# the verify-cyclo benchmark ops: instance and window
-VERIFY_CYCLO_OPS = [
-    ("b_2_123_z12", 3),
-    ("a_3_z5", 3),
-    ("a_2_z3", 3),
-    ("a_2_z4p3", 3),
-    ("b_7_135_z105", 2),
-]
+class _MisShiftedA(FamilyA):
+    """A(2, z3) whose Delta(y x^2) is Delta(y x^3): the class of y's
+    views, at a shift one too large."""
+
+    def _coproduct_raw(self, i):
+        return super()._coproduct_raw((1, 3) if i == (1, 2) else i)
 
 
-def _instance(name):
-    return build(parse_params(json.loads((INSTANCES / f"{name}.json").read_text())))
+def test_a_coproduct_at_the_wrong_shift_reads_as_the_exact_route(monkeypatch):
+    """Delta(y x) Delta(x) is read off the table of y's class and x's
+    class, and Delta(y x^2) has y's class too, but at shift 3, not 2:
+    its keys must be moved by the difference before they are matched,
+    so no pair whose exact residual is nonzero is proved zero, and the
+    report is the exact route's, byte for byte."""
+    import qhopf.verify
+
+    params = parse_params({"family": "A", "n": 2, "q": {"order": 3, "power": 1}})
+    alg = _MisShiftedA(params)
+    view = _zero_pass_of(alg).view
+    assert view(alg, (1, 2))[0] is view(alg, (1, 0))[0]
+    assert view(alg, (1, 2))[1] == 3
+    assert not _exact(alg, (1, 1), (0, 1)).is_zero()
+    box = alg.basis_box(2)
+    for i in box:
+        for j in box:
+            if _proved(alg, i, j):
+                assert _exact(alg, i, j).is_zero(), (i, j)
+    report = verify_axioms(alg, window=2, axioms=("bialgebra",), max_failures=200)
+    assert not report.passed
+    monkeypatch.setattr(
+        qhopf.verify, "bialgebra_vanishes", lambda alg, i, j, terms: False
+    )
+    exact = verify_axioms(
+        _MisShiftedA(params), window=2, axioms=("bialgebra",), max_failures=200
+    )
+    assert exact.to_json() == report.to_json()
 
 
 @pytest.mark.parametrize("name", VALID_CORPUS)
 def test_zero_only_pass_proves_zero_where_the_exact_residual_is_zero(name):
-    alg = _instance(name)
+    alg = build_instance(name)
     box = alg.basis_box(2)
     for i in box:
         for j in box:
@@ -282,7 +308,7 @@ def test_zero_only_pass_proves_zero_where_the_exact_residual_is_zero(name):
 def test_zero_only_pass_leaves_no_fallback_on_the_verify_cyclo_ops(name, window):
     """A fallback is a pair the pass does not prove zero whose exact
     residual is zero: correct, but paid for twice."""
-    alg = _instance(name)
+    alg = build_instance(name)
     box = alg.basis_box(window)
     fallbacks = sum(
         1
@@ -300,7 +326,7 @@ def test_zero_only_pass_declines_every_pair_above_a_lowered_cap(monkeypatch):
     import qhopf.verify
     from qhopf.scalars import zero_map
 
-    alg = _instance("a_2_z3")
+    alg = build_instance("a_2_z3")
     want = verify_axioms(alg, window=2, axioms=("bialgebra",)).to_json()
     monkeypatch.setattr(
         qhopf.verify, "zero_map", lambda level: zero_map(level)._replace(cap=0)
@@ -341,13 +367,14 @@ def test_zero_only_pass_bounds_each_pair_by_its_l1_norm(name, monkeypatch):
             self.zmap = zero_map(level)
             self.powers = self.zmap.powers
             self.modulus = self.zmap.modulus
+            self.residue = self.zmap.residue
 
         def proves_zero(self, values, l1):
             bounds.append(l1)
             return self.zmap.proves_zero(values, l1)
 
     monkeypatch.setattr(qhopf.verify, "zero_map", Spy)
-    alg = _instance(name)
+    alg = build_instance(name)
     box = alg.basis_box(1)
     assert all(_proved(alg, i, j) for i in box for j in box)
     assert bounds == [_pair_l1(alg, i, j) for i in box for j in box]

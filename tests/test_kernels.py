@@ -7,23 +7,20 @@ and every coefficient the kernels hand out must be a nonzero, reduced
 `Cyclo`.
 """
 
-import json
 import pickle
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
+from conftest import VALID_CORPUS, VERIFY_CYCLO_OPS, build_instance
 from qhopf.elements import Lin, acc
 from qhopf.families import build
 from qhopf.families.base import FormLin, LatticeProvider
 from qhopf.families.family_a import FamilyA
 from qhopf.params import AParams, ScalarSpec, parse_params
 from qhopf.scalars import Cyclo, euler_phi, reduce_exponents
-from qhopf.verify import bialgebra_vanishes, verify_axioms
-
-INSTANCES = Path(__file__).resolve().parents[1] / "instances"
+from qhopf.verify import _zero_pass_of, bialgebra_vanishes, verify_axioms
 
 SPECS = {
     "c_3": None,  # level 1, integer structure constants
@@ -70,7 +67,7 @@ def _build(name):
     if isinstance(spec, AParams):
         return FamilyA(spec)
     if spec is None:
-        spec = json.loads((INSTANCES / f"{name}.json").read_text())
+        return build_instance(name)
     return build(parse_params(spec))
 
 
@@ -315,19 +312,8 @@ def test_verify_caches_no_kernel_product():
 
 # -- the zero-only bialgebra pass: lattice kernel and index kernel --------
 
-VALID_CORPUS = sorted(
-    p.stem for p in INSTANCES.glob("*.json") if not p.stem.startswith("bad_")
-)
 LATTICE_CORPUS = [
     name for name in VALID_CORPUS if isinstance(_build(name), LatticeProvider)
-]
-# the verify-cyclo benchmark ops: instance and window
-VERIFY_CYCLO_OPS = [
-    ("b_2_123_z12", 3),
-    ("a_3_z5", 3),
-    ("a_2_z3", 3),
-    ("a_2_z4p3", 3),
-    ("b_7_135_z105", 2),
 ]
 
 
@@ -379,12 +365,13 @@ def test_lattice_kernel_builds_one_table_per_pair_of_shift_classes(
 
     alg = _build(name)
     box = alg.basis_box(window)
-    assert len({alg.coproduct_residues(i)[0] for i in box}) == classes
+    zp = _zero_pass_of(alg)
+    assert len({zp.view(alg, i)[0] for i in box}) == classes
     builds = []
     build_table = qhopf.verify._class_table
 
     def counted(zmap, qe, n, left, lift, right):
-        row_class, row = alg._table_row
+        row_class, row = zp.row
         assert row_class is left and right not in row
         builds.append(len(row) + 1)
         return build_table(zmap, qe, n, left, lift, right)
@@ -395,6 +382,25 @@ def test_lattice_kernel_builds_one_table_per_pair_of_shift_classes(
     assert report.checked["bialgebra"] == len(box) ** 2
     assert len(builds) == classes**2
     assert max(builds) == classes
+
+
+def test_bialgebra_scan_reads_each_coproduct_once_per_index():
+    """The pass keeps each residue view with the FormLin it was read
+    from, so a bialgebra-only scan of B(2, 1, 2, 3, z12) at window 3
+    asks `coproduct_basis` once per index it reads (its 84 box indices
+    and their products), not once per read: three reads per pair would
+    be 21,168 calls."""
+    alg = _build("b_2_123_z12")
+    calls = []
+    coproduct_basis = alg.coproduct_basis
+
+    def counted(i):
+        calls.append(i)
+        return coproduct_basis(i)
+
+    alg.coproduct_basis = counted
+    assert verify_axioms(alg, window=3, axioms=("bialgebra",)).passed
+    assert len(calls) == len(set(calls)) == 325
 
 
 @pytest.mark.parametrize("name,window", VERIFY_CYCLO_OPS)
