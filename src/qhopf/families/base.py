@@ -10,15 +10,16 @@ provider states:
                            exponents 0..cap (cap None: unbounded)
     _product(i, j)         e_i * e_j = sum r * omega^e * e_k  as
                            ((k, e, r), ...), the kernels' view
-    _multiply_raw(i, j)    e_i * e_j        as a Lin over indices
+    _multiply_raw(i, j)    e_i * e_j        as a Lin over indices, for
+                           i of lead exponent i_0 = 0 only
     _coproduct_raw(i)      Delta(e_i)       as a Lin over index pairs
     _antipode_raw(i)       S(e_i)           as a Lin over indices
     oracle_rules()         the defining relations, oriented for rewriting
 
 A family states one of `_product` and `_multiply_raw`; the base class
-derives the other (below).  A stated `_product` has one term.  A
-`LatticeProvider` states neither: its `_product` is derived from a
-lattice point per index and a twist.
+derives `_product` from a stated `_multiply_raw` (below).  A stated
+`_product` has one term.  A `LatticeProvider` states neither: its
+`_product` is derived from a lattice point per index and a twist.
 
 Derived here from `letters`, never restated per family:
 
@@ -56,10 +57,9 @@ negated operand for the right side.
 The kernels (`mul`, `t2_mul`, and the bialgebra residuals of
 `qhopf.verify` but its lattice kernel) read a product only through
 `_product(i, j)`, as terms (k, e, r) with e reduced mod N =
-lcm(2, level) and r a nonzero int or Fraction.  Five families are skew-Laurent monomial algebras (GroupZ2,
-GroupZSemiZ, EnvAbelian, A and B): two basis monomials multiply to one
-monomial times a scalar, and `_multiply_raw` is derived from that one
-term (the reduced r * omega^e: a shared root of unity when r = 1).
+lcm(2, level) and r a nonzero int or Fraction.  Five families are
+skew-Laurent monomial algebras (GroupZ2, GroupZSemiZ, EnvAbelian, A
+and B): two basis monomials multiply to one monomial times a scalar.
 Four of them are twisted monoid algebras on a lattice
 (`LatticeProvider`): GroupZ2, EnvAbelian, A and B state a lattice point
 (u, v) per index and a twist q, and their `_product` is derived from
@@ -67,11 +67,28 @@ that statement.  A and B also share their coproduct, antipode and
 rewriting rules (`SkewPrimitiveProvider`): every y-letter is skew
 primitive over the grouplike x, and A is the one-y-letter case.
 GroupZSemiZ states its one term itself.  C, CLift and EnvNonabelian
-multiply into polynomials and state `_multiply_raw`; their `_product`
-is its exponent form, memoized per pair.
+multiply into polynomials and state `_multiply_raw` at lead exponent
+i_0 = 0 only.  Their first letter y leads every normal word, so
+
+    e_i e_j = y^(i_0) (e_i' e_j),   i' = i with i_0 set to 0,
+
+and y^(i_0) e_k is e_k with its first exponent moved by i_0.  The base
+`_product` is the exponent form of `_multiply_raw` on the lead-zero
+row and that row with each key's first exponent moved by i_0 on every
+other, memoized per pair.  It reads the lead-zero row through
+`HopfProvider._product` itself, so a subclass that overrides `_product`
+at one pair changes that pair alone.  `moves_lead()` is whether a
+provider's products are all so derived; the bialgebra pass of
+`qhopf.verify` reads it.
 
 Structure constants are cached once per index.  `multiply_basis` is a
-memo of the Lins `_multiply_raw` returns, which the kernels never read.
+memo of Lins, which the kernels never read.  It is no memo of what
+`_multiply_raw` returns for every i: for a stated `_multiply_raw` it
+is the lead-zero row moved by i_0, the one move (`lead_moved`) that
+the base `_product` makes, and for a stated `_product` its terms reduced
+(one term: the reduced r * omega^e, a shared root of unity when
+r = 1).  So the rewriting oracle, which checks `multiply_basis`, checks
+the very product the kernels read.
 A coproduct entry is a `FormLin`: the Lin that `coproduct_basis` hands
 out, plus the form the kernels read.  A family may return a FormLin
 from `_coproduct_raw` whose form is not the reduced coefficients'
@@ -149,6 +166,12 @@ class FormLin(Lin):
         return FormLin({k: -v for k, v in self.terms.items()}, form)
 
 
+def lead_moved(key: Index, lead: int) -> Index:
+    """The key with its first exponent moved by lead: y^lead e_key, for
+    a family whose first letter y leads every normal word."""
+    return (key[0] + lead, *key[1:])
+
+
 class PowCache:
     """Memoized integer powers of a fixed nonzero scalar."""
 
@@ -185,20 +208,27 @@ class HopfProvider(ABC):
     # -- family-specific structure constants ---------------------------
 
     def _product(self, i: Index, j: Index) -> tuple:
-        # the exponent form of a stated `_multiply_raw`, per pair
+        # the exponent form of a stated `_multiply_raw`, per pair: the
+        # family states the row of lead exponent 0, and every other row
+        # is read off it through this method (never an override), each
+        # key's first exponent moved by i_0
         key = (i, j)
         hit = self._product_cache.get(key)
         if hit is None:
-            form = exponent_form(self.level, self._multiply_raw(i, j).terms)
-            hit = self._product_cache[key] = tuple(
-                (k, e, r) for k, pairs in form for e, r in pairs
-            )
+            lead = i[0]
+            if lead:
+                row = HopfProvider._product(self, (0, *i[1:]), j)
+                hit = tuple((lead_moved(k, lead), e, r) for k, e, r in row)
+            else:
+                form = exponent_form(self.level, self._multiply_raw(i, j).terms)
+                hit = tuple((k, e, r) for k, pairs in form for e, r in pairs)
+            self._product_cache[key] = hit
         return hit
 
-    def _multiply_raw(self, i: Index, j: Index) -> Lin:
-        # a stated `_product` is one term (a monomial family)
-        ((k, e, r),) = self._product(i, j)
-        return Lin({k: self.omega_scalar(e, r)})
+    def moves_lead(self) -> bool:
+        """Whether every product is the base `_product`: a stated
+        `_multiply_raw` row of lead exponent 0, moved by i_0."""
+        return type(self)._product is HopfProvider._product
 
     @abstractmethod
     def _coproduct_raw(self, i: Index) -> Lin: ...
@@ -286,10 +316,33 @@ class HopfProvider(ABC):
     # -- memoized views -------------------------------------------------
 
     def multiply_basis(self, i: Index, j: Index) -> Lin:
+        """e_i e_j as a Lin: the memoized lead-zero row of a stated
+        `_multiply_raw`, moved as the base `_product` moves it, else the
+        terms of `_product`, reduced."""
         key = (i, j)
         hit = self._mul_cache.get(key)
         if hit is None:
-            hit = self._mul_cache[key] = self._multiply_raw(i, j)
+            if self.moves_lead():
+                lead = i[0]
+                row = (0, *i[1:]), j
+                hit = self._mul_cache.get(row)
+                if hit is None:
+                    hit = self._mul_cache[row] = self._multiply_raw(*row)
+                if lead:
+                    # the move is one to one, so no key merges
+                    hit = Lin({lead_moved(k, lead): c for k, c in hit.terms.items()})
+            else:
+                terms = self._product(i, j)
+                if len(terms) == 1:
+                    ((k, e, r),) = terms
+                    hit = Lin({k: self.omega_scalar(e, r)})
+                else:
+                    table = self.table()
+                    for k, e, r in terms:
+                        slot = table[k]
+                        slot[e] = slot.get(e, 0) + r
+                    hit = self.finish(table)
+            self._mul_cache[key] = hit
         return hit
 
     def coproduct_basis(self, i: Index) -> FormLin:
@@ -477,9 +530,8 @@ class LatticeProvider(HopfProvider):
     inverse `lattice_index` on the points of indices, and `twist`: an
     int qe for q = omega^qe, or a rational q (a Fraction) other than
     +-1.  `_product` is derived here from that statement, once for every
-    such family, and `_multiply_raw` from `_product` as for any one-term
-    product.  `lattice_exponent` is qe when every product is read off
-    this statement with an int twist.
+    such family, and `multiply_basis` reads it.  `lattice_exponent` is
+    qe when every product is read off this statement with an int twist.
     """
 
     twist: int | Fraction

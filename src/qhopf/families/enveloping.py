@@ -5,7 +5,11 @@ with x and y primitive.  The abelian case is the polynomial Hopf
 algebra, a lattice family (`LatticeProvider`) whose lattice point is
 the index (a, b) itself, with no twist (q = 1).  The nonabelian one has
 [x, y] = y, so x y^a = y^a (x + a) and monomials straighten through
-ordinary binomials.
+ordinary binomials.  Its `_multiply_raw` is stated at y-exponent 0
+only, and the base moves that row by y^a (`HopfProvider._product`).
+y is primitive here, not grouplike, so Delta(y^a x^b) is no shift of
+Delta(x^b), and the bialgebra pass proves every pair on its own
+(`qhopf.verify`).
 """
 
 from __future__ import annotations
@@ -60,11 +64,10 @@ class EnvNonabelian(HopfProvider):
         return _primitive_coproduct(i)
 
     def _multiply_raw(self, i, j):
-        # x^b y^c = y^c (x + c)^b
-        (a, b), (c, d) = i, j
-        pairs = [
-            ((a + c, k + d), comb(b, k) * c ** (b - k)) for k in range(b + 1)
-        ]
+        # x^b y^c = y^c (x + c)^b; i = (0, b), the base moves the row
+        # by y^a
+        (_, b), (c, d) = i, j
+        pairs = [((c, k + d), comb(b, k) * c ** (b - k)) for k in range(b + 1)]
         return lin_from_pairs(pairs)
 
     def _antipode_raw(self, i):

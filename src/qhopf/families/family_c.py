@@ -19,7 +19,12 @@ eps(x) = 0, S(y) = y^-1, S(x) = -x y^(1-n).
 Products are computed by induction on the x-exponent: the memoized
 `_move(b, a)` straightens x^b y^a using the sigma-derivation
 rule x f(y) = sigma(f) x + delta(f), extended to negative powers via
-delta(y^-1) = -q^-1 (y^(n-2) - y^-1).
+delta(y^-1) = -q^-1 (y^(n-2) - y^-1).  `_multiply_raw` is stated at
+y-exponent 0 only, x^b (y^c x^d) = (x^b y^c) x^d; y leads every normal
+word, so the base moves that row by y^a for every other
+(`HopfProvider._product`).  Since y is also grouplike, Delta(y^a x^b)
+is Delta(x^b) with both legs moved by y^a, and the bialgebra pass
+proves each pair once per power of y (`qhopf.verify`).
 """
 
 from __future__ import annotations
@@ -95,9 +100,10 @@ class FamilyC(HopfProvider):
     # -- structure constants ------------------------------------------------
 
     def _multiply_raw(self, i, j):
-        (a, b), (c, d) = i, j
-        moved = self._move(b, c)
-        return moved.map_keys(lambda key: (a + key[0], key[1] + d))
+        # x^b (y^c x^d) = (x^b y^c) x^d; i = (0, b), the base moves the
+        # row by y^a
+        (_, b), (c, d) = i, j
+        return self._move(b, c).map_keys(lambda key: (key[0], key[1] + d))
 
     def _cop_xpow(self, b: int) -> Lin:
         hit = self._copx_cache.get(b)

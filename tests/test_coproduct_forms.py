@@ -207,3 +207,37 @@ def test_drifted_b_form_fails_the_bialgebra_check():
     assert alg.coproduct_basis(idx) == build_instance("b_1_123_z6").coproduct_basis(idx)
     report = verify_axioms(alg, window=1, axioms=("counit", "bialgebra"))
     assert {f.axiom for f in report.failures} == {"bialgebra"}
+
+
+@pytest.mark.parametrize(
+    "idx,first",
+    [((0, 1), None), ((1, 1), ((1, 1), (0, 1))), ((0, 2), ((1, 1), (0, 2)))],
+    ids=["x", "y*x", "x^2"],
+)
+def test_drifted_c_form_after_a_scan_fails_the_bialgebra_check(idx, first, monkeypatch):
+    """The same for C(3), whose pass memoizes the verdicts of lead-zero
+    pairs and reuses them on every power of y.  A form assigned after a
+    passing scan is read again and the memo is dropped, whichever pair
+    reads it first: a lead-zero index, an index whose model was
+    memoized, or the right leg of a reused pair.  The second scan
+    reports the exact route's failures, byte for byte."""
+    import qhopf.verify
+    from qhopf.verify import bialgebra_vanishes, exact_bialgebra_residual
+
+    alg = build_instance("c_3")
+    assert verify_axioms(alg, window=2, axioms=("bialgebra",)).passed
+    cop = alg.coproduct_basis(idx)
+    (key, pairs), *rest = cop.form
+    (e, r), *more = pairs
+    cop.form = ((key, ((e, r + 1), *more)), *rest)
+    if first is not None:
+        terms = alg._product(*first)
+        assert not exact_bialgebra_residual(alg, *first, terms).is_zero()
+        assert not bialgebra_vanishes(alg, *first, terms)
+    report = verify_axioms(alg, window=2, axioms=("bialgebra",), max_failures=500)
+    assert not report.passed
+    monkeypatch.setattr(
+        qhopf.verify, "bialgebra_vanishes", lambda alg, i, j, terms: False
+    )
+    exact = verify_axioms(alg, window=2, axioms=("bialgebra",), max_failures=500)
+    assert exact.to_json() == report.to_json()

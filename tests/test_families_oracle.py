@@ -42,11 +42,19 @@ def label(spec):
 
 @pytest.mark.parametrize("spec", INSTANCES, ids=label)
 def test_random_products_match_rewriter(spec):
+    """Random products of box(3).  C, CLift and EnvNonabelian state only
+    the row of lead exponent 0, and the base moves it by y^(i_0) for
+    every other row; 30 more draws come from those rows."""
     alg = build(parse_params(spec))
     box = alg.basis_box(3)
     rng = random.Random(2024)
-    for _ in range(60):
-        i, j = rng.choice(box), rng.choice(box)
+    pairs = [(rng.choice(box), rng.choice(box)) for _ in range(60)]
+    moved = alg.moves_lead()
+    assert moved == (spec["family"] in ("C", "CLift", "EnvNonabelian"))
+    if moved:
+        rows = [i for i in box if i[0]]
+        pairs += [(rng.choice(rows), rng.choice(box)) for _ in range(30)]
+    for i, j in pairs:
         assert agree_on_product(alg, i, j), (i, j)
 
 

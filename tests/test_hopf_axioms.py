@@ -357,10 +357,15 @@ def _pair_l1(alg, i, j):
 
 @pytest.mark.parametrize("name", ["b_2_123_z12", "clift_3_z4", "a_2_z3"])
 def test_zero_only_pass_bounds_each_pair_by_its_l1_norm(name, monkeypatch):
+    """Each pair a kernel computes is bounded by its L1 norm.  CLift
+    computes only the model pair (i', j) of each pair, i' = i with its
+    lead exponent 0, and reuses its verdict, so the bound of the model
+    pair must be the L1 norm of every pair it stands for."""
     import qhopf.verify
     from qhopf.scalars import zero_map
 
-    bounds = []
+    bounds = {}
+    computing = []
 
     class Spy:
         def __init__(self, level):
@@ -370,14 +375,27 @@ def test_zero_only_pass_bounds_each_pair_by_its_l1_norm(name, monkeypatch):
             self.residue = self.zmap.residue
 
         def proves_zero(self, values, l1):
-            bounds.append(l1)
+            pair = computing[-1]
+            assert pair not in bounds, pair
+            bounds[pair] = l1
             return self.zmap.proves_zero(values, l1)
 
+    for kernel in ("_index_vanishes", "_lattice_vanishes"):
+
+        def spied(alg, zp, i, j, terms, plain=getattr(qhopf.verify, kernel)):
+            computing.append((i, j))
+            return plain(alg, zp, i, j, terms)
+
+        monkeypatch.setattr(qhopf.verify, kernel, spied)
     monkeypatch.setattr(qhopf.verify, "zero_map", Spy)
     alg = build_instance(name)
     box = alg.basis_box(1)
     assert all(_proved(alg, i, j) for i in box for j in box)
-    assert bounds == [_pair_l1(alg, i, j) for i in box for j in box]
+    lead = name == "clift_3_z4"
+    model = {(i, j): ((0, *i[1:]) if lead else i, j) for i in box for j in box}
+    assert set(bounds) == set(model.values())
+    for (i, j), pair in model.items():
+        assert bounds[pair] == _pair_l1(alg, i, j), (i, j)
 
 
 class _OffByOneOmega(FamilyB):
@@ -492,12 +510,15 @@ class _BrokenOreCoproduct(FamilyC):
 
 
 class _BrokenOreProduct(FamilyC):
-    """x * y^-1 gains a stray y^-1: one product constant moved by 1."""
+    """x * y^-1 gains a stray y^-1: one product constant moved by 1.
+    The stray term is a one-pair `_product` override, so no other pair
+    moves with it, and the bialgebra pass proves every pair on its own
+    (no reuse across powers of y)."""
 
-    def _multiply_raw(self, i, j):
-        t = super()._multiply_raw(i, j)
+    def _product(self, i, j):
+        t = super()._product(i, j)
         if (i, j) == ((0, 1), (-1, 0)):
-            return t + Lin.basis((-1, 0), self.one_scalar())
+            return t + (((-1, 0), 0, 1),)
         return t
 
 
@@ -590,6 +611,95 @@ def test_rational_corruption_is_reported_term_by_term(cls, spec, want):
     report = verify_axioms(alg, window=2)
     got = [(f.axiom, f.where, f.residual) for f in report.failures]
     assert got == want
+
+
+class _BrokenOreRow(FamilyC):
+    """x * y^-1 gains a stray y^-1 in the lead-zero row that
+    `_multiply_raw` states, so every y^a x * y^-1 gains y^(a-1) with it."""
+
+    def _multiply_raw(self, i, j):
+        t = super()._multiply_raw(i, j)
+        if (i, j) == ((0, 1), (-1, 0)):
+            return t + Lin.basis((-1, 0), self.one_scalar())
+        return t
+
+
+def _exact_report(cls, params, window):
+    # the report of a fresh provider with the zero-only pass switched off
+    import qhopf.verify
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qhopf.verify, "bialgebra_vanishes", lambda alg, i, j, terms: False)
+        return verify_axioms(
+            cls(params), window=window, axioms=("bialgebra",), max_failures=500
+        )
+
+
+def test_a_lead_zero_product_corruption_fails_on_every_power_of_y():
+    """The base moves the lead-zero row by y^a for every row, so the
+    stray term fails (y^a x, y^-1) for every a of the window, and the
+    report, through the pass and its reused verdicts, is the exact
+    route's byte for byte."""
+    params = parse_params({"family": "C", "n": 3})
+    alg = _BrokenOreRow(params)
+    report = verify_axioms(alg, window=2, axioms=("bialgebra",), max_failures=500)
+    where = {f.where for f in report.failures}
+    for a in range(-2, 3):
+        assert f"({alg.index_str((a, 1))}, y^-1)" in where, a
+    assert report.to_json() == _exact_report(_BrokenOreRow, params, 2).to_json()
+
+
+class _DriftedShiftedC(FamilyC):
+    """C(3) with one rational of Delta(y x)'s form moved by 1, its Lin
+    left as it is: Delta(y x) is no longer Delta(x) moved by y."""
+
+    def _coproduct_raw(self, i):
+        t = self.as_form_lin(super()._coproduct_raw(i))
+        if i != (1, 1):
+            return t
+        (key, ((e, r), *more)), *rest = t.form
+        return FormLin(dict(t.terms), ((key, ((e, r + 1), *more)), *rest))
+
+
+def test_a_drifted_ore_coproduct_gets_its_own_class_and_is_never_reused():
+    """Delta(y x) drifted off Delta(x) moved by y gets a shift class of
+    its own, so no pair that reads it in its left leg or its product
+    takes a model's verdict: each runs the plain kernel on itself.  No
+    pair whose exact residual is nonzero is proved zero, and the report
+    is the exact route's, byte for byte."""
+    import qhopf.verify
+
+    params = parse_params({"family": "C", "n": 3})
+    sound, alg = FamilyC(params), _DriftedShiftedC(params)
+    zp = _zero_pass_of(sound)
+    assert zp.shift_class(sound, (1, 1)) is zp.shift_class(sound, (0, 1))
+    zp = _zero_pass_of(alg)
+    assert zp.shift_class(alg, (1, 1)) is not zp.shift_class(alg, (0, 1))
+    assert zp.model(alg, (1, 1)) is False
+    computed = []
+    plain = qhopf.verify._index_vanishes
+
+    def spied(alg, zp, i, j, terms):
+        computed.append((i, j))
+        return plain(alg, zp, i, j, terms)
+
+    box = alg.basis_box(2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qhopf.verify, "_index_vanishes", spied)
+        for i in box:
+            for j in box:
+                if _proved(alg, i, j):
+                    assert _exact(alg, i, j).is_zero(), (i, j)
+    for i in box:
+        for j in box:
+            reads = i == (1, 1) or any(
+                (1, 1) in (k, (k[0] - i[0], k[1])) for k, _, _ in alg._product(i, j)
+            )
+            if reads and i[0]:
+                assert (i, j) in computed, (i, j)
+    report = verify_axioms(alg, window=2, axioms=("bialgebra",), max_failures=500)
+    assert not report.passed
+    assert report.to_json() == _exact_report(_DriftedShiftedC, params, 2).to_json()
 
 
 def test_residual_report_names_three_terms_and_the_count():

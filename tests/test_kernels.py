@@ -20,7 +20,12 @@ from qhopf.families.base import FormLin, LatticeProvider
 from qhopf.families.family_a import FamilyA
 from qhopf.params import AParams, ScalarSpec, parse_params
 from qhopf.scalars import Cyclo, euler_phi, reduce_exponents
-from qhopf.verify import _zero_pass_of, bialgebra_vanishes, verify_axioms
+from qhopf.verify import (
+    _index_vanishes,
+    _zero_pass_of,
+    bialgebra_vanishes,
+    verify_axioms,
+)
 
 SPECS = {
     "c_3": None,  # level 1, integer structure constants
@@ -401,6 +406,61 @@ def test_bialgebra_scan_reads_each_coproduct_once_per_index():
     alg.coproduct_basis = counted
     assert verify_axioms(alg, window=3, axioms=("bialgebra",)).passed
     assert len(calls) == len(set(calls)) == 325
+
+
+# -- the index kernel's reuse across powers of y -------------------------
+
+
+def _spy_index_kernel(monkeypatch) -> list:
+    # the pairs the plain index kernel runs on, in order
+    import qhopf.verify
+
+    calls = []
+
+    def spied(alg, zp, i, j, terms):
+        calls.append((i, j))
+        return _index_vanishes(alg, zp, i, j, terms)
+
+    monkeypatch.setattr(qhopf.verify, "_index_vanishes", spied)
+    return calls
+
+
+@pytest.mark.parametrize("name", ORE)
+def test_reused_verdicts_equal_the_plain_index_kernel(name, monkeypatch):
+    """On every pair of box(3), the pass's verdict equals the plain index
+    kernel's verdict on that pair, run on a second provider.  C and
+    CLift take every pair off lead exponent 0 from its model (i', j),
+    i' = i with its lead exponent 0; EnvNonabelian, whose y is
+    primitive, takes none."""
+    alg, plain = _build(name), _build(name)
+    zp = _zero_pass_of(plain)
+    box = alg.basis_box(3)
+    calls = _spy_index_kernel(monkeypatch)
+    for i in box:
+        for j in box:
+            terms = alg._product(i, j)
+            want = _index_vanishes(plain, zp, i, j, terms)
+            assert bialgebra_vanishes(alg, i, j, terms) == want, (i, j)
+    if name == "env_nonabelian":
+        assert calls == [(i, j) for i in box for j in box]
+    else:
+        assert sorted(calls) == sorted((i, j) for i in box if not i[0] for j in box)
+
+
+def test_a_c3_window_3_scan_runs_the_index_kernel_on_its_model_pairs_only(
+    monkeypatch,
+):
+    """C(3) at window 3 has 28 box indices, 4 of them of lead exponent
+    0, so its bialgebra scan runs the plain index kernel on the 4 x 28 =
+    112 model pairs, each once, not on all 784 pairs."""
+    alg = _build("c_3")
+    box = alg.basis_box(3)
+    calls = _spy_index_kernel(monkeypatch)
+    report = verify_axioms(alg, window=3, axioms=("bialgebra",))
+    assert report.passed
+    assert report.checked["bialgebra"] == len(box) ** 2 == 784
+    assert len(calls) == len(set(calls)) == 112
+    assert set(calls) == {(i, j) for i in box if not i[0] for j in box}
 
 
 @pytest.mark.parametrize("name,window", VERIFY_CYCLO_OPS)
