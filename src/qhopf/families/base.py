@@ -12,7 +12,9 @@ provider states:
                            ((k, e, r), ...), the kernels' view
     _multiply_raw(i, j)    e_i * e_j        as a Lin over indices, for
                            i of lead exponent i_0 = 0 only
-    _coproduct_raw(i)      Delta(e_i)       as a Lin over index pairs
+    _coproduct_raw(i)      Delta(e_i)       as a Lin over index pairs,
+                           for i of lead exponent 0 only when the
+                           first letter is a unit
     _antipode_raw(i)       S(e_i)           as a Lin over indices
     oracle_rules()         the defining relations, oriented for rewriting
 
@@ -30,6 +32,9 @@ Derived here from `letters`, never restated per family:
     generators()           (name, index) per letter, then name^-1 after
                            each unit letter
     index_factors(i)       the letter names zipped with the exponents
+    coproduct_basis(i)     for i_0 != 0 when the first letter y is a
+                           unit: Delta(e_i') with both legs' first
+                           exponent moved by i_0 (below)
 
 A letter g of a rule spells generator g and G spells g^-1.  Derived
 from the rules and the factorisation:
@@ -78,8 +83,20 @@ row and that row with each key's first exponent moved by i_0 on every
 other, memoized per pair.  It reads the lead-zero row through
 `HopfProvider._product` itself, so a subclass that overrides `_product`
 at one pair changes that pair alone.  `moves_lead()` is whether a
-provider's products are all so derived; the bialgebra pass of
-`qhopf.verify` reads it.
+provider's products are all so derived.
+
+Coproducts are moved the same way.  When the first letter y is a unit
+(GroupZ2, GroupZSemiZ, C and CLift), y^a is grouplike, so
+
+    Delta(e_i) = (y^(i_0) ox y^(i_0)) Delta(e_i'),
+
+and `coproduct_basis` builds Delta(e_i) for i_0 != 0 from the
+lead-zero entry, read through `HopfProvider.coproduct_basis` itself,
+with both legs' first exponent moved by i_0 in the terms and in the
+form; `_coproduct_raw` is called at lead exponent 0 only.
+`moves_pairs()` is whether a provider's products and coproducts are
+both so derived, with neither `_product` nor `coproduct_basis`
+overridden; the bialgebra scan of `qhopf.verify` reads it.
 
 Structure constants are cached once per index.  `multiply_basis` is a
 memo of Lins, which the kernels never read.  It is no memo of what
@@ -230,6 +247,16 @@ class HopfProvider(ABC):
         `_multiply_raw` row of lead exponent 0, moved by i_0."""
         return type(self)._product is HopfProvider._product
 
+    def moves_pairs(self) -> bool:
+        """Whether every product and coproduct is its lead-zero entry
+        moved by i_0: `moves_lead()`, the first letter is a unit, and
+        `coproduct_basis` is the base's."""
+        return (
+            self.moves_lead()
+            and self.letters[0][1]
+            and type(self).coproduct_basis is HopfProvider.coproduct_basis
+        )
+
     @abstractmethod
     def _coproduct_raw(self, i: Index) -> Lin: ...
 
@@ -348,7 +375,21 @@ class HopfProvider(ABC):
     def coproduct_basis(self, i: Index) -> FormLin:
         hit = self._cop_cache.get(i)
         if hit is None:
-            hit = self._cop_cache[i] = self.as_form_lin(self._coproduct_raw(i))
+            lead = i[0]
+            if lead and self.letters[0][1]:
+                # Delta(y^lead e_i') = (y^lead ox y^lead) Delta(e_i'),
+                # the lead-zero entry read through this method (never
+                # an override); the move is one to one, so no key merges
+                row = HopfProvider.coproduct_basis(self, (0, *i[1:]))
+                terms, form = {}, []
+                for (a, b), pairs in row.form:
+                    key = lead_moved(a, lead), lead_moved(b, lead)
+                    terms[key] = row.terms[a, b]
+                    form.append((key, pairs))
+                hit = FormLin(terms, tuple(form))
+            else:
+                hit = self.as_form_lin(self._coproduct_raw(i))
+            self._cop_cache[i] = hit
         return hit
 
     def antipode_basis(self, i: Index) -> Lin:

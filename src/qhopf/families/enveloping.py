@@ -7,9 +7,9 @@ the index (a, b) itself, with no twist (q = 1).  The nonabelian one has
 [x, y] = y, so x y^a = y^a (x + a) and monomials straighten through
 ordinary binomials.  Its `_multiply_raw` is stated at y-exponent 0
 only, and the base moves that row by y^a (`HopfProvider._product`).
-y is primitive here, not grouplike, so Delta(y^a x^b) is no shift of
-Delta(x^b), and the bialgebra pass proves every pair on its own
-(`qhopf.verify`).
+y is primitive here, not a grouplike unit, so Delta(y^a x^b) is no
+move of Delta(x^b): both families state every coproduct, and the
+bialgebra scan proves every pair on its own (`qhopf.verify`).
 """
 
 from __future__ import annotations

@@ -22,9 +22,11 @@ rule x f(y) = sigma(f) x + delta(f), extended to negative powers via
 delta(y^-1) = -q^-1 (y^(n-2) - y^-1).  `_multiply_raw` is stated at
 y-exponent 0 only, x^b (y^c x^d) = (x^b y^c) x^d; y leads every normal
 word, so the base moves that row by y^a for every other
-(`HopfProvider._product`).  Since y is also grouplike, Delta(y^a x^b)
-is Delta(x^b) with both legs moved by y^a, and the bialgebra pass
-proves each pair once per power of y (`qhopf.verify`).
+(`HopfProvider._product`).  y is also a grouplike unit, so the base
+builds Delta(y^a x^b) as Delta(x^b) with both legs moved by y^a
+(`HopfProvider.coproduct_basis`), `_coproduct_raw` states Delta(x^b)
+only, and the bialgebra scan proves each pair once per power of y
+(`qhopf.verify`).
 """
 
 from __future__ import annotations
@@ -120,10 +122,8 @@ class FamilyC(HopfProvider):
         return hit
 
     def _coproduct_raw(self, i):
-        a, b = i
-        return self._cop_xpow(b).map_keys(
-            lambda key: ((a + key[0][0], key[0][1]), (a + key[1][0], key[1][1]))
-        )
+        # i = (0, b); the base moves both legs by y^a
+        return self._cop_xpow(i[1])
 
     def _antipode_raw(self, i):
         # S(y^a x^b) = S(x)^b y^(-a) with S(x) = -x y^(1-n)

@@ -40,9 +40,9 @@ and hands it to the pass, the exact route and the counit residual.
 The pass keeps what it reads in one `_ZeroPass` per provider, on the
 provider's `_zero_pass` attribute (`_zero_pass_of`): the kernel,
 picked once by `LatticeProvider.lattice_exponent`, the residue view of
-each index it has read, the shift classes, the table memo and the
-verdict memo.  The providers know nothing of the pass.  A residue view
-is read from a coproduct's form once, and is one of:
+each index it has read, the lattice shift classes and the table memo.
+The providers know nothing of the pass.  A residue view is read from a
+coproduct's form once, and is one of:
 
 - an index view (terms, total): (key, h(coefficient), L1 norm of its
   form) per term of Delta(e_i), keyed by index pairs, and the sum of
@@ -60,43 +60,6 @@ The pass has two kernels.  The index kernel reads index views, keys the
 table by index pairs and multiplies legs through `_product`; C, CLift,
 EnvNonabelian, GroupZSemiZ and A at a rational q get it, and it is the
 tests' reference for the other.
-
-The index kernel proves a pair once per power of y where it can.  When
-the provider's `_product` is the base's lead-moved one
-(`HopfProvider.moves_lead`: C, CLift and EnvNonabelian), e_i e_j is
-e_i' e_j with each key's first exponent moved by a = i_0, where i' is
-i with its lead exponent set to 0 and (i', j) is the pair's model.
-Each index gets a shift class: its index view with both legs' first
-exponent moved by -i_0, interned by content (keys, h and L1 norms) as
-the lattice classes are; a None view has none.  Write k - a for k
-with its first exponent reduced by a.  If class(i) is class(i'), and
-class(k) is class(k - a) for every term (k, e, r) of `_product(i, j)`,
-the plain kernel's table for (i, j) is its table for (i', j) with
-both legs' first exponents moved by a:
-
-- a leg pair (A, B) of Delta(e_i) is a leg pair (A - a, B - a) of
-  Delta(e_i') with the same image and L1 norm, and `_product(A, C)` is
-  `_product(A - a, C)` moved by a (so too for B and D), so each term of
-  Delta(e_i) Delta(e_j) is the model's, moved;
-- `_product(i, j)` is `_product(i', j)` moved by a, so each of its
-  terms is the model's (k - a, e, r), and Delta(e_k) is Delta(e_(k-a))
-  moved, with the same images and L1 norms.
-
-The move is one to one on keys, so the table holds the same values
-under the same bound, and `proves_zero` gives the same verdict.  So
-the pass memoizes the verdicts of lead-zero pairs per provider and
-returns the model's for (i, j); every other pair runs the plain kernel.
-(A term whose two classes are both None passes the test, and the
-model's kernel then reads that None view and gives no verdict, as the
-plain kernel would.)  In C and CLift y is grouplike, so Delta(y^a x^b)
-is Delta(x^b) with both legs moved by y^a, and every pair has its
-model: a C(3) window-3 scan runs the kernel on the 4 x 28 = 112
-lead-zero pairs of its 784.  In EnvNonabelian y is primitive, no
-index off the lead-zero ones shares its model's class, and each
-declined pair costs one lookup of its index in `models`.  The memo is
-read only after each view its verdict reads (i', j and each k - a)
-has been read again, and reading a view from a replaced form clears
-the memo, so no memoized verdict is older than a view it read.
 
 The lattice kernel serves the twisted monoid algebras on a lattice
 with a root-of-unity twist q = omega^qe (`LatticeProvider`: GroupZ2,
@@ -166,6 +129,27 @@ e_k has counit 1, minus 1 when e_i and e_j both have counit 1, in
 exponent form; it is reduced only when it has a term, and a pair is
 named only when it fails.  The scan runs i outer and reads eps(e_i)
 once per row.
+
+The scan proves a pair once per power of y where the provider allows
+it.  When `HopfProvider.moves_pairs()` holds (C and CLift), the base
+builds every product and coproduct off lead exponent 0 from the
+lead-zero one, moving each key's first exponent.  Write i' for i with
+i_0 set to 0, and k + a for k with its first exponent moved by a = i_0.
+Then for every pair (i, j):
+
+- `_product(i, j)` is `_product(i', j)` with each k moved to k + a,
+  and Delta(e_(k+a)) is Delta(e_k) with both legs moved by a;
+- Delta(e_i) is Delta(e_i') with both legs moved by a, and
+  `_product(A + a, C)` is `_product(A, C)` moved by a;
+- eps(e_(k+a)) = eps(e_k) and eps(e_i) = eps(e_i'), since y is a unit.
+
+Each move keeps every coefficient and form and is one to one on keys,
+so the tensor and counit residuals of (i, j) are those of its model
+(i', j) with their keys moved, and vanish exactly when the model's do.
+`_bialgebra_scan` keeps the residuals of each model pair it meets, per
+scan: a pair whose model passed costs one lookup, and any other pair
+is computed on its own, so a failure's text is the pair's own.  A C(3)
+window-3 scan computes the 4 x 28 = 112 model pairs of its 784.
 """
 
 from __future__ import annotations
@@ -173,7 +157,7 @@ from __future__ import annotations
 import os
 
 from qhopf.elements import Lin, acc
-from qhopf.families.base import HopfProvider, LatticeProvider, lead_moved
+from qhopf.families.base import HopfProvider, LatticeProvider
 from qhopf.linalg import kernel_of_map
 from qhopf.params import Record
 from qhopf.scalars import Cyclo, reduce_exponents, zero_map
@@ -263,14 +247,10 @@ def bialgebra_vanishes(alg: HopfProvider, i, j, terms) -> bool:
     """Whether the zero-only pass proves Delta(e_i e_j) = Delta(e_i)
     Delta(e_j): each key's sum, sent through the level's `zero_map`, is
     0, and the L1 norms of all the terms add up to at most its cap.
-    False is no verdict.  `terms` is `_product(i, j)`.  A pair that is
-    its model's shift gets the model's memoized verdict (module
-    docstring)."""
+    False is no verdict.  `terms` is `_product(i, j)`."""
     zp = _zero_pass_of(alg)
     if zp.qe is not None:
         return _lattice_vanishes(alg, zp, i, j, terms)
-    if zp.verdicts is not None:
-        return _shifted_vanishes(alg, zp, i, j, terms)
     return _index_vanishes(alg, zp, i, j, terms)
 
 
@@ -304,15 +284,11 @@ class ShiftClass:
 class _ZeroPass:
     """The zero-only pass's state for one provider: `qe` picks the
     kernel and the view (None: index), `views` maps an index to (its
-    FormLin, the form read, the view, its index shift class), `classes`
-    interns the shift classes by content, and `row` is the table memo:
-    a left class and its tables by right class.  When the provider's
-    product is the base's lead-moved one, `verdicts` memoizes the
-    verdicts of lead-zero pairs and `models` maps an index to its
-    lead-zero index, or False when their classes differ (module
-    docstring); else `verdicts` is None."""
+    FormLin, the form read, the view), `classes` interns the lattice
+    shift classes by content, and `row` is the table memo: a left class
+    and its tables by right class."""
 
-    __slots__ = ("qe", "views", "classes", "row", "verdicts", "models")
+    __slots__ = ("qe", "views", "classes", "row")
 
     def __init__(self, alg: HopfProvider):
         lattice = isinstance(alg, LatticeProvider)
@@ -320,57 +296,17 @@ class _ZeroPass:
         self.views: dict = {}
         self.classes: dict = {}
         self.row: tuple = (None, {})
-        lead = not lattice and alg.moves_lead()
-        self.verdicts: dict | None = {} if lead else None
-        self.models: dict = {}
 
     def view(self, alg: HopfProvider, i):
         """The residue view of Delta(e_i) (module docstring)."""
         hit = self.views.get(i)
         if hit is None or hit[0].form is not hit[1]:
-            hit = self._read(alg, i, hit)
-        return hit[2]
-
-    def shift_class(self, alg: HopfProvider, i):
-        """The index shift class of Delta(e_i), or None (module
-        docstring)."""
-        hit = self.views.get(i)
-        if hit is None or hit[0].form is not hit[1]:
-            hit = self._read(alg, i, hit)
-        return hit[3]
-
-    def model(self, alg: HopfProvider, i):
-        """i with its lead exponent set to 0 when both have one shift
-        class, else False."""
-        zero = (0, *i[1:])
-        cls = self.shift_class(alg, i)
-        return zero if cls is not None and cls is self.shift_class(alg, zero) else False
-
-    def _read(self, alg: HopfProvider, i, old):
-        cop = alg.coproduct_basis(i)
-        form = cop.form
-        view = _index_view(alg.level, form)
-        cls = None
-        if view is not None:
-            if self.qe is not None:
+            cop = alg.coproduct_basis(i)
+            view = _index_view(alg.level, cop.form)
+            if view is not None and self.qe is not None:
                 view = self._lattice_view(alg, view)
-            elif self.verdicts is not None:
-                cls = self._shift_class(view, i[0])
-        if old is not None and self.verdicts is not None:
-            # a form assigned after its view was read
-            self.verdicts.clear()
-            self.models.clear()
-        hit = self.views[i] = cop, form, view, cls
-        return hit
-
-    def _shift_class(self, view, lead: int) -> tuple:
-        # an index view's terms with both legs' lead exponent moved by
-        # -lead, interned by content
-        content = tuple(
-            ((lead_moved(a, -lead), lead_moved(b, -lead)), h, l1)
-            for (a, b), h, l1 in view[0]
-        )
-        return self.classes.setdefault(content, content)
+            hit = self.views[i] = cop, cop.form, view
+        return hit[2]
 
     def _lattice_view(self, alg: LatticeProvider, view):
         # (class, beta) of an index view, or None
@@ -451,33 +387,6 @@ def _index_vanishes(alg: HopfProvider, zp: _ZeroPass, i, j, terms) -> bool:
                     table[key] = table.get(key, 0) + r * w * powers[ex + ey]
                     bound += abs(r) * l1
     return zmap.proves_zero(table.values(), bound)
-
-
-def _shifted_vanishes(alg: HopfProvider, zp: _ZeroPass, i, j, terms) -> bool:
-    # the verdict of the model pair (i', j), i' = i with lead exponent
-    # 0, memoized, when (i, j) is its shift (module docstring); else
-    # the plain kernel's.  Every view the model's verdict reads is read
-    # here before the memo, so a view read from a replaced form clears
-    # the memo first
-    model = zp.models.get(i)
-    if model is None:
-        model = zp.models[i] = zp.model(alg, i)
-    if not model:
-        return _index_vanishes(alg, zp, i, j, terms)
-    cls, lead = zp.shift_class, i[0]
-    if cls(alg, i) is not cls(alg, model):
-        return _index_vanishes(alg, zp, i, j, terms)
-    zp.view(alg, j)
-    for k, _, _ in terms:
-        ck = cls(alg, k)
-        if lead and ck is not cls(alg, lead_moved(k, -lead)):
-            return _index_vanishes(alg, zp, i, j, terms)
-    key = model, j
-    hit = zp.verdicts.get(key)
-    if hit is None:
-        hit = _index_vanishes(alg, zp, model, j, alg._product(model, j))
-        zp.verdicts[key] = hit
-    return hit
 
 
 def _lattice_vanishes(alg: HopfProvider, zp: _ZeroPass, i, j, terms) -> bool:
@@ -626,12 +535,26 @@ def _bialgebra_scan(alg: HopfProvider, tagged_pairs) -> tuple[int, list]:
     out = []
     count = 0
     zero = Cyclo.zero(alg.level)
-    row = unit_i = None
+    row = unit_i = model = None
+    # the residuals of each model pair (i', j), i' = i with lead
+    # exponent 0, when they stand for every (i, j) (module docstring)
+    by_model = {} if alg.moves_pairs() else None
     for pos, (i, j) in tagged_pairs:
         if i != row:
             row, unit_i = i, not alg.counit_basis(i).is_zero()
-        t, eps = bialgebra_residuals(alg, i, j, unit_i, zero)
+            model = (0, *i[1:])
         count += 1
+        if by_model is None:
+            t, eps = bialgebra_residuals(alg, i, j, unit_i, zero)
+        else:
+            hit = by_model.get((model, j))
+            if hit is None:
+                hit = by_model[model, j] = bialgebra_residuals(
+                    alg, model, j, unit_i, zero
+                )
+            t, eps = hit
+            if i[0] and not (t.is_zero() and eps.is_zero()):
+                t, eps = bialgebra_residuals(alg, i, j, unit_i, zero)
         if t.is_zero() and eps.is_zero():
             continue
         where = f"({alg.index_str(i)}, {alg.index_str(j)})"

@@ -47,6 +47,17 @@ def test_verify_structured_is_byte_identical_across_runs(capsys):
     assert out1 == out2
 
 
+def test_verify_c3_window_3_is_byte_identical_across_worker_counts(capsys):
+    """C(3) takes each pair off lead exponent 0 from its model pair; each
+    worker of --jobs 2 keeps its own models' residuals, and the report
+    is the same bytes as with --jobs 1."""
+    args = ("verify", fixture("c_3"), "--window", "3", "--format", "structured")
+    code1, out1, _ = run_cli(capsys, *args, "--jobs", "1")
+    code2, out2, _ = run_cli(capsys, *args, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
 def test_exit_1_on_axiom_failure(capsys, monkeypatch):
     broken = AxiomReport(window=3)
     broken.checked["counit"] = 1

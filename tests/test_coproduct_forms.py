@@ -215,12 +215,17 @@ def test_drifted_b_form_fails_the_bialgebra_check():
     ids=["x", "y*x", "x^2"],
 )
 def test_drifted_c_form_after_a_scan_fails_the_bialgebra_check(idx, first, monkeypatch):
-    """The same for C(3), whose pass memoizes the verdicts of lead-zero
-    pairs and reuses them on every power of y.  A form assigned after a
-    passing scan is read again and the memo is dropped, whichever pair
-    reads it first: a lead-zero index, an index whose model was
-    memoized, or the right leg of a reused pair.  The second scan
-    reports the exact route's failures, byte for byte."""
+    """The same for C(3), whose scan takes each pair off lead exponent 0
+    from its model pair (i', j).  The models' residuals live for one
+    scan, and the pass reads a form assigned after a passing scan
+    again, whichever it is: a lead-zero entry, a moved entry (y x,
+    built by the base before the form was assigned), or the right leg
+    of a model pair.  The second scan fails, and reports what the same
+    scan reports with the pass switched off, byte for byte.  (A form
+    assigned by hand to a cached entry breaks what `moves_pairs()`
+    states, that each moved entry is its lead-zero entry moved, so a
+    pair whose model passes is not computed on its own, and the
+    report names fewer pairs than one computing every pair would.)"""
     import qhopf.verify
     from qhopf.verify import bialgebra_vanishes, exact_bialgebra_residual
 

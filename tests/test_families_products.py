@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from qhopf.elements import lin_from_pairs
+from qhopf.elements import Lin, lin_from_pairs
 from qhopf.families import build
 from qhopf.params import CParams, parse_params
-from qhopf.scalars import Cyclo
+from qhopf.scalars import Cyclo, exponent_form
 
 
 def alg_of(spec):
@@ -162,3 +162,46 @@ def test_q_power_structure_constants_arrive_tagged(spec):
     ]
     assert coeffs and all(c.unit is not None for c in coeffs)
     assert len({c.unit for c in coeffs}) > 2  # more than +-1 occurs
+
+
+# the families whose first letter y is a unit, so y^a is grouplike
+LEAD_UNIT_SPECS = {
+    "C(3)": {"family": "C", "n": 3},
+    "CLift(3, z4)": {"family": "CLift", "n": 3, "q": {"order": 4, "power": 1}},
+    "GroupZ2": {"family": "GroupZ2"},
+    "GroupZSemiZ": {"family": "GroupZSemiZ"},
+}
+
+
+@pytest.mark.parametrize(
+    "spec", LEAD_UNIT_SPECS.values(), ids=list(LEAD_UNIT_SPECS)
+)
+def test_coproducts_off_lead_zero_are_the_lead_zero_rows_moved(spec):
+    """The base builds Delta(e_i) for i_0 = a != 0 by moving the
+    lead-zero entry Delta(e_r), r = (0, i_1, ...).  A second provider
+    computes (y^a ox y^a) Delta(e_r) by `t2_mul` instead: on box(3)
+    both agree, and the form the kernels read reduces to the same
+    coefficients.  `_coproduct_raw` is called at lead exponent 0 only,
+    once per lead-zero index."""
+    alg, ref = alg_of(spec), alg_of(spec)
+    assert alg.letters[0][1]
+    assert alg.moves_pairs() == (spec["family"] in ("C", "CLift"))
+    stated, raw = [], alg._coproduct_raw
+
+    def spied(i):
+        stated.append(i)
+        return raw(i)
+
+    alg._coproduct_raw = spied
+    one = ref.one_scalar()
+    box = alg.basis_box(3)
+    for i in box:
+        a, rest = i[0], i[1:]
+        y_a = (a, *(0 for _ in rest))
+        want = ref.t2_mul(
+            Lin.basis((y_a, y_a), one), ref.coproduct_basis((0, *rest))
+        )
+        got = alg.coproduct_basis(i)
+        assert got == want, i
+        assert dict(got.form) == dict(exponent_form(alg.level, want.terms)), i
+    assert sorted(stated) == sorted(i for i in box if not i[0])

@@ -9,6 +9,7 @@ from conftest import (
     VALID_CORPUS,
     VERIFY_CYCLO_OPS,
     build_instance,
+    exact_report,
     grid_specs,
     spec_label,
 )
@@ -67,15 +68,20 @@ def test_axioms_window_3_carried_basis():
 
 def test_parallel_scan_matches_serial():
     """B(1, 1, 2, 3, z6), and CLift(2, 3/2), whose products of several
-    terms enter the bialgebra residual term by term in the workers."""
-    for spec in (
-        {"family": "B", "n": 1, "p": [1, 2, 3], "q": {"order": 6, "power": 1}},
-        {"family": "CLift", "n": 2, "q": "3/2"},
+    terms enter the bialgebra residual term by term in the workers, and
+    C(3) at window 3, whose workers each keep their own model pairs'
+    residuals, computing a model outside their share where they need
+    it."""
+    for spec, window in (
+        ({"family": "B", "n": 1, "p": [1, 2, 3], "q": {"order": 6, "power": 1}}, 2),
+        ({"family": "CLift", "n": 2, "q": "3/2"}, 2),
+        ({"family": "C", "n": 3}, 3),
     ):
         alg = build(parse_params(spec))
-        serial = verify_axioms(alg, window=2)
-        parallel = verify_axioms(alg, window=2, jobs=3)
-        assert serial.to_json() == parallel.to_json(), spec
+        serial = verify_axioms(alg, window=window)
+        for jobs in (2, 3):
+            parallel = verify_axioms(alg, window=window, jobs=jobs)
+            assert serial.to_json() == parallel.to_json(), (spec, jobs)
 
 
 def test_parallel_scan_caps_workers_at_the_core_count(monkeypatch):
@@ -357,10 +363,9 @@ def _pair_l1(alg, i, j):
 
 @pytest.mark.parametrize("name", ["b_2_123_z12", "clift_3_z4", "a_2_z3"])
 def test_zero_only_pass_bounds_each_pair_by_its_l1_norm(name, monkeypatch):
-    """Each pair a kernel computes is bounded by its L1 norm.  CLift
-    computes only the model pair (i', j) of each pair, i' = i with its
-    lead exponent 0, and reuses its verdict, so the bound of the model
-    pair must be the L1 norm of every pair it stands for."""
+    """Each pair a kernel computes is bounded by its own L1 norm: the
+    pass runs its kernel on every pair it is asked about, CLift's off
+    lead exponent 0 too."""
     import qhopf.verify
     from qhopf.scalars import zero_map
 
@@ -391,11 +396,9 @@ def test_zero_only_pass_bounds_each_pair_by_its_l1_norm(name, monkeypatch):
     alg = build_instance(name)
     box = alg.basis_box(1)
     assert all(_proved(alg, i, j) for i in box for j in box)
-    lead = name == "clift_3_z4"
-    model = {(i, j): ((0, *i[1:]) if lead else i, j) for i in box for j in box}
-    assert set(bounds) == set(model.values())
-    for (i, j), pair in model.items():
-        assert bounds[pair] == _pair_l1(alg, i, j), (i, j)
+    assert set(bounds) == {(i, j) for i in box for j in box}
+    for (i, j), l1 in bounds.items():
+        assert l1 == _pair_l1(alg, i, j), (i, j)
 
 
 class _OffByOneOmega(FamilyB):
@@ -499,14 +502,20 @@ def test_a_merged_lattice_is_declined_never_proved():
     assert not any(_proved(alg, i, j) for i, j in failing)
 
 
-class _BrokenOreCoproduct(FamilyC):
-    """Delta(x) = 2 x ox y^(n-1) + 1 ox x: one coproduct constant doubled."""
+def _doubled_x(alg, t):
+    # Delta(x) = 2 x ox y^(n-1) + 1 ox x: one coproduct constant doubled
+    return t + Lin.basis(((0, 1), (alg.n - 1, 0)), alg.one_scalar())
 
-    def _coproduct_raw(self, i):
-        t = super()._coproduct_raw(i)
-        if i == (0, 1):
-            return t + Lin.basis(((0, 1), (self.n - 1, 0)), self.one_scalar())
-        return t
+
+class _BrokenOreCoproduct(FamilyC):
+    """Delta(x) doubled, and Delta(x) alone: a `coproduct_basis`
+    override, which the base's Delta(y^a x), read off its own entry for
+    x, does not see, and which `moves_pairs()` excludes, so every pair
+    is computed on its own."""
+
+    def coproduct_basis(self, i):
+        t = super().coproduct_basis(i)
+        return self.as_form_lin(_doubled_x(self, t)) if i == (0, 1) else t
 
 
 class _BrokenOreProduct(FamilyC):
@@ -624,82 +633,48 @@ class _BrokenOreRow(FamilyC):
         return t
 
 
-def _exact_report(cls, params, window):
-    # the report of a fresh provider with the zero-only pass switched off
-    import qhopf.verify
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qhopf.verify, "bialgebra_vanishes", lambda alg, i, j, terms: False)
-        return verify_axioms(
-            cls(params), window=window, axioms=("bialgebra",), max_failures=500
-        )
-
-
 def test_a_lead_zero_product_corruption_fails_on_every_power_of_y():
     """The base moves the lead-zero row by y^a for every row, so the
     stray term fails (y^a x, y^-1) for every a of the window, and the
-    report, through the pass and its reused verdicts, is the exact
-    route's byte for byte."""
+    report, through the pass and the models' residuals, is the exact
+    route's byte for byte, which computes every pair on its own."""
     params = parse_params({"family": "C", "n": 3})
     alg = _BrokenOreRow(params)
     report = verify_axioms(alg, window=2, axioms=("bialgebra",), max_failures=500)
     where = {f.where for f in report.failures}
     for a in range(-2, 3):
         assert f"({alg.index_str((a, 1))}, y^-1)" in where, a
-    assert report.to_json() == _exact_report(_BrokenOreRow, params, 2).to_json()
+    assert report.to_json() == exact_report(_BrokenOreRow, params, 2).to_json()
 
 
-class _DriftedShiftedC(FamilyC):
-    """C(3) with one rational of Delta(y x)'s form moved by 1, its Lin
-    left as it is: Delta(y x) is no longer Delta(x) moved by y."""
+class _BrokenOreCoproductRow(FamilyC):
+    """Delta(x) doubled in the lead-zero entry that `_coproduct_raw`
+    states, so every Delta(y^a x) is doubled with it."""
 
     def _coproduct_raw(self, i):
-        t = self.as_form_lin(super()._coproduct_raw(i))
-        if i != (1, 1):
-            return t
-        (key, ((e, r), *more)), *rest = t.form
-        return FormLin(dict(t.terms), ((key, ((e, r + 1), *more)), *rest))
+        t = super()._coproduct_raw(i)
+        return _doubled_x(self, t) if i == (0, 1) else t
 
 
-def test_a_drifted_ore_coproduct_gets_its_own_class_and_is_never_reused():
-    """Delta(y x) drifted off Delta(x) moved by y gets a shift class of
-    its own, so no pair that reads it in its left leg or its product
-    takes a model's verdict: each runs the plain kernel on itself.  No
-    pair whose exact residual is nonzero is proved zero, and the report
-    is the exact route's, byte for byte."""
-    import qhopf.verify
-
+def test_a_lead_zero_coproduct_corruption_fails_on_every_power_of_y():
+    """The base builds Delta(y^a x) from Delta(x) for every a, so the
+    doubled constant fails coassociativity, the counit law and the
+    bialgebra law at y^a x for every a of the window, and the report,
+    through the pass and the models' residuals, is the exact route's
+    byte for byte, which computes every pair on its own."""
     params = parse_params({"family": "C", "n": 3})
-    sound, alg = FamilyC(params), _DriftedShiftedC(params)
-    zp = _zero_pass_of(sound)
-    assert zp.shift_class(sound, (1, 1)) is zp.shift_class(sound, (0, 1))
-    zp = _zero_pass_of(alg)
-    assert zp.shift_class(alg, (1, 1)) is not zp.shift_class(alg, (0, 1))
-    assert zp.model(alg, (1, 1)) is False
-    computed = []
-    plain = qhopf.verify._index_vanishes
-
-    def spied(alg, zp, i, j, terms):
-        computed.append((i, j))
-        return plain(alg, zp, i, j, terms)
-
-    box = alg.basis_box(2)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qhopf.verify, "_index_vanishes", spied)
-        for i in box:
-            for j in box:
-                if _proved(alg, i, j):
-                    assert _exact(alg, i, j).is_zero(), (i, j)
-    for i in box:
-        for j in box:
-            reads = i == (1, 1) or any(
-                (1, 1) in (k, (k[0] - i[0], k[1])) for k, _, _ in alg._product(i, j)
-            )
-            if reads and i[0]:
-                assert (i, j) in computed, (i, j)
-    report = verify_axioms(alg, window=2, axioms=("bialgebra",), max_failures=500)
-    assert not report.passed
-    assert report.to_json() == _exact_report(_DriftedShiftedC, params, 2).to_json()
+    alg = _BrokenOreCoproductRow(params)
+    assert alg.moves_pairs() and not _BrokenOreCoproduct(params).moves_pairs()
+    report = verify_axioms(alg, window=2, max_failures=500)
+    failed = {(f.axiom, f.where) for f in report.failures}
+    for a in range(-2, 3):
+        y_a_x = alg.index_str((a, 1))
+        assert ("coassociativity", y_a_x) in failed, a
+        assert ("counit", y_a_x) in failed, a
+        assert ("bialgebra", f"({y_a_x}, x)") in failed, a
+    bialgebra = verify_axioms(alg, window=2, axioms=("bialgebra",), max_failures=500)
+    want = exact_report(_BrokenOreCoproductRow, params, 2)
+    assert bialgebra.to_json() == want.to_json()
 
 
 def test_residual_report_names_three_terms_and_the_count():

@@ -1,14 +1,23 @@
-"""The zero-only bialgebra pass is stated in one module.
+"""Two layering rules, read off the source.
 
-`qhopf.verify` builds the residue views that the pass reads, through
-the level's zero map; the providers under `qhopf/families/` state the
-algebra only, so none of them may name `zero_map`.
+The zero-only bialgebra pass is stated in one module: `qhopf.verify`
+builds the residue views that the pass reads, through the level's zero
+map; the providers under `qhopf/families/` state the algebra only, so
+none of them may name `zero_map`.
+
+A family's stated structure constants (`_multiply_raw`,
+`_coproduct_raw`, `_antipode_raw`) are read only by
+`families/base.py`, which derives the rows off lead exponent 0 from
+them and memoizes every entry; any other reader would see the stated
+lead-zero rows, not the structure the kernels read.
 """
 
 import ast
 from pathlib import Path
 
-FAMILIES = Path(__file__).resolve().parents[1] / "src" / "qhopf" / "families"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qhopf"
+FAMILIES = PACKAGE / "families"
+STATED = {"_multiply_raw", "_coproduct_raw", "_antipode_raw"}
 
 
 def test_no_family_module_reads_the_zero_map():
@@ -28,4 +37,25 @@ def test_no_family_module_reads_the_zero_map():
                 continue
             if "zero_map" in names:
                 found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_only_the_base_calls_the_stated_structure_constants():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert FAMILIES / "base.py" in modules
+    found = []
+    for path in modules:
+        if path == FAMILIES / "base.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute):
+                name = func.attr
+            else:
+                name = getattr(func, "id", None)
+            if name in STATED:
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {name}")
     assert not found, found
