@@ -13,9 +13,9 @@ provider states:
     _multiply_raw(i, j)    e_i * e_j        as a Lin over indices, for
                            i of lead exponent i_0 = 0 only
     _coproduct_raw(i)      Delta(e_i)       as a Lin over index pairs,
-                           for i of lead exponent 0 only when the
-                           first letter is a unit
-    _antipode_raw(i)       S(e_i)           as a Lin over indices
+                           for i != 0 whose unit end exponents are 0
+    _antipode_raw(g)       S(g)             as a Lin over indices, for
+                           a non-unit generator g only
     oracle_rules()         the defining relations, oriented for rewriting
 
 A family states one of `_product` and `_multiply_raw`; the base class
@@ -32,9 +32,9 @@ Derived here from `letters`, never restated per family:
     generators()           (name, index) per letter, then name^-1 after
                            each unit letter
     index_factors(i)       the letter names zipped with the exponents
-    coproduct_basis(i)     for i_0 != 0 when the first letter y is a
-                           unit: Delta(e_i') with both legs' first
-                           exponent moved by i_0 (below)
+    coproduct_basis(i)     Delta(1) = 1 ox 1, and Delta(e_i) moved
+                           along a unit end letter (below)
+    antipode_basis(i)      S(e_i) from S on the non-unit generators
 
 A letter g of a rule spells generator g and G spells g^-1.  Derived
 from the rules and the factorisation:
@@ -85,27 +85,39 @@ other, memoized per pair.  It reads the lead-zero row through
 at one pair changes that pair alone.  `moves_lead()` is whether a
 provider's products are all so derived.
 
-Coproducts are moved the same way.  When the first letter y is a unit
-(GroupZ2, GroupZSemiZ, C and CLift), y^a is grouplike, so
+Coproducts are moved the same way, along either grouplike end letter.
+When the first letter y is a unit (GroupZ2, GroupZSemiZ, C and CLift),
+y^a is grouplike, so
 
     Delta(e_i) = (y^(i_0) ox y^(i_0)) Delta(e_i'),
 
 and `coproduct_basis` builds Delta(e_i) for i_0 != 0 from the
 lead-zero entry, read through `HopfProvider.coproduct_basis` itself,
 with both legs' first exponent moved by i_0 in the terms and in the
-form; `_coproduct_raw` is called at lead exponent 0 only.
-`moves_pairs()` is whether a provider's products and coproducts are
-both so derived, with neither `_product` nor `coproduct_basis`
-overridden; the bialgebra scan of `qhopf.verify` reads it.
+form.  When the last letter x is a unit (GroupZ2, GroupZSemiZ, A and
+B), it ends every normal word, and Delta(e_r x^b) = Delta(e_r)
+(x^b ox x^b) is built the same way from the entry of last exponent 0,
+both legs' last exponent moved by b.  The base states Delta(1) = 1 ox 1,
+so `_coproduct_raw` is called once per other index whose unit end
+exponents are 0 (never in a group algebra).  `moves_pairs()` is whether
+a provider's products and coproducts are all moved along the first
+letter, with neither `_product` nor `coproduct_basis` overridden; the
+bialgebra scan of `qhopf.verify` reads it.
+
+Antipodes are derived from the letters: S is an anti-homomorphism, so
+`antipode_basis` reads S(e_r g^k) = S(g^k) S(e_r), g^k the last nonzero
+letter power, with S(g^k) = g^-k for a unit letter g and S(g) S(g^(k-1))
+otherwise, through `HopfProvider.antipode_basis` itself; `_antipode_raw`
+is called once per non-unit generator.
 
 Structure constants are cached once per index.  `multiply_basis` is a
-memo of Lins, which the kernels never read.  It is no memo of what
-`_multiply_raw` returns for every i: for a stated `_multiply_raw` it
-is the lead-zero row moved by i_0, the one move (`lead_moved`) that
-the base `_product` makes, and for a stated `_product` its terms reduced
-(one term: the reduced r * omega^e, a shared root of unity when
-r = 1).  So the rewriting oracle, which checks `multiply_basis`, checks
-the very product the kernels read.
+memo of Lins, which the kernels never read: the terms of `_product`
+reduced (one term: the reduced r * omega^e, a shared root of unity when
+r = 1), and off lead exponent 0 of a stated `_multiply_raw` the
+lead-zero entry moved by i_0, the one move (`lead_moved`) that the base
+`_product` makes.  So `_multiply_raw` runs once per pair, and the
+rewriting oracle, which checks `multiply_basis`, checks the very
+product the kernels read.
 A coproduct entry is a `FormLin`: the Lin that `coproduct_basis` hands
 out, plus the form the kernels read.  A family may return a FormLin
 from `_coproduct_raw` whose form is not the reduced coefficients'
@@ -257,11 +269,13 @@ class HopfProvider(ABC):
             and type(self).coproduct_basis is HopfProvider.coproduct_basis
         )
 
-    @abstractmethod
-    def _coproduct_raw(self, i: Index) -> Lin: ...
+    def _coproduct_raw(self, i: Index) -> Lin:
+        """Delta(e_i), for i != 0 with both unit end exponents 0."""
+        raise NotImplementedError(f"{type(self).__name__} states no coproduct")
 
-    @abstractmethod
-    def _antipode_raw(self, i: Index) -> Lin: ...
+    def _antipode_raw(self, i: Index) -> Lin:
+        """S(e_i), for i the index of a non-unit generator."""
+        raise NotImplementedError(f"{type(self).__name__} states no antipode")
 
     @abstractmethod
     def oracle_rules(self) -> list[tuple[tuple[str, ...], list]]:
@@ -343,21 +357,17 @@ class HopfProvider(ABC):
     # -- memoized views -------------------------------------------------
 
     def multiply_basis(self, i: Index, j: Index) -> Lin:
-        """e_i e_j as a Lin: the memoized lead-zero row of a stated
-        `_multiply_raw`, moved as the base `_product` moves it, else the
-        terms of `_product`, reduced."""
+        """e_i e_j as a Lin: the terms of `_product`, reduced, and for a
+        stated `_multiply_raw` off lead exponent 0, the lead-zero entry
+        moved as the base `_product` moves it."""
         key = (i, j)
         hit = self._mul_cache.get(key)
         if hit is None:
-            if self.moves_lead():
-                lead = i[0]
-                row = (0, *i[1:]), j
-                hit = self._mul_cache.get(row)
-                if hit is None:
-                    hit = self._mul_cache[row] = self._multiply_raw(*row)
-                if lead:
-                    # the move is one to one, so no key merges
-                    hit = Lin({lead_moved(k, lead): c for k, c in hit.terms.items()})
+            lead = i[0]
+            if lead and self.moves_lead():
+                row = HopfProvider.multiply_basis(self, (0, *i[1:]), j)
+                # the move is one to one, so no key merges
+                hit = Lin({lead_moved(k, lead): c for k, c in row.terms.items()})
             else:
                 terms = self._product(i, j)
                 if len(terms) == 1:
@@ -375,11 +385,12 @@ class HopfProvider(ABC):
     def coproduct_basis(self, i: Index) -> FormLin:
         hit = self._cop_cache.get(i)
         if hit is None:
-            lead = i[0]
-            if lead and self.letters[0][1]:
-                # Delta(y^lead e_i') = (y^lead ox y^lead) Delta(e_i'),
-                # the lead-zero entry read through this method (never
-                # an override); the move is one to one, so no key merges
+            letters = self.letters
+            lead, tail = i[0], i[-1]
+            if lead and letters[0][1]:
+                # Delta(y^lead e_r) = (y^lead ox y^lead) Delta(e_r), the
+                # entry read through this method (never an override); the
+                # move is one to one, so no key merges
                 row = HopfProvider.coproduct_basis(self, (0, *i[1:]))
                 terms, form = {}, []
                 for (a, b), pairs in row.form:
@@ -387,15 +398,55 @@ class HopfProvider(ABC):
                     terms[key] = row.terms[a, b]
                     form.append((key, pairs))
                 hit = FormLin(terms, tuple(form))
-            else:
+            elif tail and letters[-1][1]:
+                # Delta(e_r x^tail) = Delta(e_r) (x^tail ox x^tail), read
+                # and moved the same way
+                row = HopfProvider.coproduct_basis(self, (*i[:-1], 0))
+                terms, form = {}, []
+                for (a, b), pairs in row.form:
+                    key = (*a[:-1], a[-1] + tail), (*b[:-1], b[-1] + tail)
+                    terms[key] = row.terms[a, b]
+                    form.append((key, pairs))
+                hit = FormLin(terms, tuple(form))
+            elif any(i):
                 hit = self.as_form_lin(self._coproduct_raw(i))
+            else:
+                u = self.unit_index()
+                hit = self.as_form_lin(Lin.basis((u, u), self._one))
             self._cop_cache[i] = hit
         return hit
 
     def antipode_basis(self, i: Index) -> Lin:
         hit = self._anti_cache.get(i)
         if hit is None:
-            hit = self._antipode_raw(i)
+            # S(e_r g^k) = S(g^k) S(e_r), g^k the last nonzero letter
+            # power of i; entries are read through this method (never
+            # an override)
+            pos = len(i) - 1
+            while pos >= 0 and not i[pos]:
+                pos -= 1
+            if pos < 0:
+                hit = self.one_el()
+            elif any(i[:pos]):
+                power = (0,) * pos + i[pos:]
+                rest = i[:pos] + (0,) * (len(i) - pos)
+                s_power = HopfProvider.antipode_basis(self, power)
+                hit = self.mul(s_power, HopfProvider.antipode_basis(self, rest))
+            elif self.letters[pos][1]:
+                # S(g^k) = g^-k for a unit letter g
+                hit = Lin.basis(tuple(-e for e in i), self._one)
+            elif i[pos] == 1:
+                hit = self._antipode_raw(i)
+            else:
+                # S(g^k) = S(g) S(g^(k-1)), each power read from the memo
+                # or filled in turn, lowest first (no recursion)
+                pre, post = i[:pos], i[pos + 1 :]
+                hit = s_g = HopfProvider.antipode_basis(self, pre + (1,) + post)
+                for e in range(2, i[pos] + 1):
+                    power = pre + (e,) + post
+                    below, hit = hit, self._anti_cache.get(power)
+                    if hit is None:
+                        hit = self._anti_cache[power] = self.mul(s_g, below)
             self._anti_cache[i] = hit
         return hit
 
@@ -472,14 +523,6 @@ class HopfProvider(ABC):
                             slot[e] = slot.get(e, 0) + rc * rd * rs
         if into is None:
             return self.finish(out)
-
-    def el_pow(self, a: Lin, k: int) -> Lin:
-        if k < 0:
-            raise ValueError("element powers need k >= 0")
-        out = self.one_el()
-        for _ in range(k):
-            out = self.mul(out, a)
-        return out
 
     def coproduct(self, el: Lin, *, into: dict | None = None):
         return self._delta_into(el, lambda i: ((), i, ()), into)
@@ -644,12 +687,11 @@ class SkewPrimitiveProvider(LatticeProvider):
 
     each coefficient kept in its Gauss-polynomial form
     (`skew_binomial_forms`).  Delta(y^d) is Delta(y_1)^(d_1) ...
-    Delta(y_s)^(d_s), memoized per y-part d: with one nonzero letter it
-    is that letter's power itself, else one `t2_mul` of its first
-    letter's power and the rest, whose form keeps the products of the
-    Gauss forms (`form_lin`).  x^b is grouplike and
-    last in normal order, so Delta(y^d x^b) is Delta(y^d) with b added
-    to the x-exponent of both legs, coefficients and forms unchanged.
+    Delta(y_s)^(d_s): with one nonzero letter it is that letter's power
+    itself, else one `t2_mul` of the entries of its first letter's power
+    and the rest, whose form keeps the products of the Gauss forms
+    (`form_lin`).  S(y_i) = -x^(-m_i n) y_i.  The base moves Delta(y^d)
+    along the unit x to Delta(y^d x^b) and derives every other S.
 
     A family states `letters` (the y-letters, then x), `mm`, the level,
     the lattice and the twist; here `params` gives n and q.
@@ -663,66 +705,32 @@ class SkewPrimitiveProvider(LatticeProvider):
         self.n = params.n
         self.q = params.q.to_cyclo(level)
         self.qpow = PowCache(self.q)
-        self._cop_y: dict[tuple[int, ...], FormLin] = {}
-        self._s_y: dict[tuple[int, ...], Lin] = {}
-
-    def _coproduct_y(self, d: tuple[int, ...]) -> FormLin:
-        """Delta(y^d) for a y-part d, memoized: Delta of its first
-        letter's power times Delta of the rest."""
-        hit = self._cop_y.get(d)
-        if hit is not None:
-            return hit
-        used = [pos for pos, k in enumerate(d) if k]
-        if len(used) > 1:
-            cut = used[0] + 1
-            head = d[:cut] + (0,) * (len(d) - cut)
-            rest = (0,) * cut + d[cut:]
-            table = self.table()
-            self.t2_mul(self._coproduct_y(head), self._coproduct_y(rest), into=table)
-            hit = self.form_lin(table)
-        else:
-            pos = used[0] if used else 0
-            k, m = d[pos], self.mm[pos]
-            at = self.lattice_index
-            hit = FormLin.of(
-                ((at(m * (k - r), m * self.n * r), at(m * r, 0)), c, pairs)
-                for r, c, pairs in skew_binomial_forms(k, self.qpow(m * m * self.n))
-            )
-        self._cop_y[d] = hit
-        return hit
 
     def _coproduct_raw(self, i):
-        cop = self._coproduct_y(i[:-1])
-        b = i[-1]
-        if not b:
-            return cop
+        # i = (d, 0), d != 0: the base moves the entry by x^b
+        used = [pos for pos, k in enumerate(i) if k]
+        if len(used) > 1:
+            # Delta of the first letter's power times Delta of the rest
+            cut = used[0] + 1
+            head = i[:cut] + (0,) * (len(i) - cut)
+            rest = (0,) * cut + i[cut:]
+            table = self.table()
+            cop = HopfProvider.coproduct_basis
+            self.t2_mul(cop(self, head), cop(self, rest), into=table)
+            return self.form_lin(table)
+        (pos,) = used
+        k, m = i[pos], self.mm[pos]
+        at = self.lattice_index
         return FormLin.of(
-            ((l[:-1] + (l[-1] + b,), r[:-1] + (r[-1] + b,)), cop.terms[l, r], pairs)
-            for (l, r), pairs in cop.form
+            ((at(m * (k - r), m * self.n * r), at(m * r, 0)), c, pairs)
+            for r, c, pairs in skew_binomial_forms(k, self.qpow(m * m * self.n))
         )
 
-    def _antipode_y(self, d: tuple[int, ...]) -> Lin:
-        """S(y^d) = S(y_s)^(d_s) ... S(y_1)^(d_1) for a y-part d,
-        memoized, with S(y_i) = -x^(-m_i n) y_i."""
-        hit = self._s_y.get(d)
-        if hit is not None:
-            return hit
-        at = self.lattice_index
-        hit = self.one_el()
-        for pos in range(len(self.mm) - 1, -1, -1):
-            if d[pos]:
-                m = self.mm[pos]
-                s_y = self.mul(
-                    self.basis_el(at(0, -m * self.n)), self.basis_el(at(m, 0))
-                ).scale(self.scalar(-1))
-                hit = self.mul(hit, self.el_pow(s_y, d[pos]))
-        self._s_y[d] = hit
-        return hit
-
     def _antipode_raw(self, i):
-        # S is an anti-homomorphism: S(y^d x^b) = x^(-b) S(y^d)
-        x_neg_b = self.basis_el(self.lattice_index(0, -i[-1]))
-        return self.mul(x_neg_b, self._antipode_y(i[:-1]))
+        # S(y_i) = -x^(-m_i n) y_i for the generator y_i
+        m = self.mm[i.index(1)]
+        x_neg = self.basis_el(self.lattice_index(0, -m * self.n), -1)
+        return self.mul(x_neg, self.basis_el(i))
 
     def oracle_rules(self):
         # x y_i = q^(m_i) y_i x, the y-letters commute, and a capped

@@ -8,8 +8,9 @@ the index (a, b) itself, with no twist (q = 1).  The nonabelian one has
 ordinary binomials.  Its `_multiply_raw` is stated at y-exponent 0
 only, and the base moves that row by y^a (`HopfProvider._product`).
 y is primitive here, not a grouplike unit, so Delta(y^a x^b) is no
-move of Delta(x^b): both families state every coproduct, and the
-bialgebra scan proves every pair on its own (`qhopf.verify`).
+move of Delta(x^b): both families state every coproduct but Delta(1),
+and the bialgebra scan proves every pair on its own (`qhopf.verify`).
+Both state S(g) = -g on the generators; the base derives every other S.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from qhopf.families.base import HopfProvider, LatticeProvider
 _LETTERS = (("y", False, None), ("x", False, None))
 
 
-def _primitive_coproduct(i) -> Lin:
+def _primitive_coproduct(self, i) -> Lin:
+    # both families' `_coproduct_raw`:
     # Delta(y^a x^b) = sum (a choose r)(b choose k) y^(a-r) x^(b-k) ox y^r x^k
     a, b = i
     pairs = []
@@ -34,20 +36,20 @@ def _primitive_coproduct(i) -> Lin:
     return lin_from_pairs(pairs)
 
 
+def _primitive_antipode(self, i) -> Lin:
+    # both families' `_antipode_raw`: S(g) = -g for a primitive generator g
+    return self.basis_el(i, -1)
+
+
 class EnvAbelian(LatticeProvider):
     letters = _LETTERS
     twist = 0
+    _coproduct_raw = _primitive_coproduct
+    _antipode_raw = _primitive_antipode
 
     def __init__(self, params):
         super().__init__(level=1)
         self.params = params
-
-    def _coproduct_raw(self, i):
-        return _primitive_coproduct(i)
-
-    def _antipode_raw(self, i):
-        a, b = i
-        return Lin.basis(i, self.scalar((-1) ** (a + b)))
 
     def oracle_rules(self):
         return [(("x", "y"), [(self.one_scalar(), ("y", "x"))])]
@@ -55,26 +57,18 @@ class EnvAbelian(LatticeProvider):
 
 class EnvNonabelian(HopfProvider):
     letters = _LETTERS
+    _coproduct_raw = _primitive_coproduct
+    _antipode_raw = _primitive_antipode
 
     def __init__(self, params):
         super().__init__(level=1)
         self.params = params
-
-    def _coproduct_raw(self, i):
-        return _primitive_coproduct(i)
 
     def _multiply_raw(self, i, j):
         # x^b y^c = y^c (x + c)^b; i = (0, b), the base moves the row
         # by y^a
         (_, b), (c, d) = i, j
         pairs = [((c, k + d), comb(b, k) * c ** (b - k)) for k in range(b + 1)]
-        return lin_from_pairs(pairs)
-
-    def _antipode_raw(self, i):
-        # S(y^a x^b) = (-x)^b (-y)^a = (-1)^(a+b) x^b y^a
-        a, b = i
-        sign = (-1) ** (a + b)
-        pairs = [((a, k), sign * comb(b, k) * a ** (b - k)) for k in range(b + 1)]
         return lin_from_pairs(pairs)
 
     def oracle_rules(self):

@@ -15,7 +15,8 @@ bialgebra pass's lattice keys at a root of unity are the index keys
 themselves; at a rational q the pass reads A by index.
 
 A is the one-y-letter case (m = (1,)) of `SkewPrimitiveProvider`,
-which states the coproduct, antipode and rewriting rules:
+which states Delta(y^a), S(y) = -x^(-n) y and the rewriting rules; the
+base moves Delta(y^a) along the unit x and derives every other S:
 
     Delta(y^a x^b) = sum_r (a choose r)_(q^n) y^(a-r) x^(n r + b) ox y^r x^b.
 """

@@ -8,8 +8,9 @@ and m_i = m / p_i.  The defining relations are
 
 x is grouplike and each y_i is skew primitive with
 Delta(y_i) = y_i ox 1 + x^(m_i n) ox y_i.  That Hopf structure is the
-one A has, with s y-letters: `SkewPrimitiveProvider` states it.  This
-module states the carried basis.
+one A has, with s y-letters: `SkewPrimitiveProvider` states it on the
+y-letters, and the base derives the rest.  This module states the
+carried basis.
 
 Basis monomials are y^d x^b = y_1^(d_1) ... y_s^(d_s) x^b, keyed by the
 flat exponent tuple (d_1, ..., d_s, b), canonical when d_i < p_i for

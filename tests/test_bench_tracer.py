@@ -57,16 +57,28 @@ def test_tracer_wraps_each_fill_point_once_around_one_verify(capsys):
         assert metrics["families.coproduct_fills"] > 0
         assert metrics["families.antipode_fills"] > 0
 
-        # one call counted per fill: a twice-wrapped fill counts two
+        # one call counted per fill: a twice-wrapped fill counts two.
+        # An instance spy, outside the tracer's wrappers, counts the
+        # stated calls: B states Delta at its three x^0 indices of box(1)
+        # but 1, and S on its two y-letters; the base derives the rest
         alg = build(parse_params({"family": "B", "n": 1, "p": [1, 2, 3],
                                   "q": {"order": 6, "power": 1}}))
+        stated = Counter()
+        for key, fill in (("_coproduct_raw", "families.coproduct_fill"),
+                          ("_antipode_raw", "families.antipode_fill")):
+            def spied(i, raw=getattr(alg, key), fill=fill):
+                stated[fill] += 1
+                return raw(i)
+
+            setattr(alg, key, spied)
         box = alg.basis_box(1)
         before = Counter(tracer.calls)
         for i in box:
             alg.coproduct_basis(i)
             alg.antipode_basis(i)
-        for fill in ("families.coproduct_fill", "families.antipode_fill"):
-            assert tracer.calls[fill] - before[fill] == len(box), fill
+        assert stated == {"families.coproduct_fill": 3, "families.antipode_fill": 2}
+        for fill, count in stated.items():
+            assert tracer.calls[fill] - before[fill] == count, fill
     finally:
         tracer.uninstall()
     for (cls, key), fn in originals.items():

@@ -164,27 +164,35 @@ def test_q_power_structure_constants_arrive_tagged(spec):
     assert len({c.unit for c in coeffs}) > 2  # more than +-1 occurs
 
 
-# the families whose first letter y is a unit, so y^a is grouplike
-LEAD_UNIT_SPECS = {
+# the families whose first letter y or last letter x is a unit, so y^a
+# or x^b is grouplike
+UNIT_END_SPECS = {
     "C(3)": {"family": "C", "n": 3},
     "CLift(3, z4)": {"family": "CLift", "n": 3, "q": {"order": 4, "power": 1}},
     "GroupZ2": {"family": "GroupZ2"},
     "GroupZSemiZ": {"family": "GroupZSemiZ"},
+    "A(2, z3)": {"family": "A", "n": 2, "q": {"order": 3, "power": 1}},
+    "B(1, 1, 2, 3, z6)": {
+        "family": "B", "n": 1, "p": [1, 2, 3], "q": {"order": 6, "power": 1}
+    },
 }
 
 
-@pytest.mark.parametrize(
-    "spec", LEAD_UNIT_SPECS.values(), ids=list(LEAD_UNIT_SPECS)
-)
+@pytest.mark.parametrize("spec", UNIT_END_SPECS.values(), ids=list(UNIT_END_SPECS))
 def test_coproducts_off_lead_zero_are_the_lead_zero_rows_moved(spec):
     """The base builds Delta(e_i) for i_0 = a != 0 by moving the
-    lead-zero entry Delta(e_r), r = (0, i_1, ...).  A second provider
-    computes (y^a ox y^a) Delta(e_r) by `t2_mul` instead: on box(3)
-    both agree, and the form the kernels read reduces to the same
-    coefficients.  `_coproduct_raw` is called at lead exponent 0 only,
-    once per lead-zero index."""
+    lead-zero entry Delta(e_r), r = (0, i_1, ...), when the first letter
+    y is a unit, and else for a last exponent b != 0 by moving
+    Delta(e_r), r = (..., 0), when the last letter x is a unit.  A second
+    provider computes (y^a ox y^a) Delta(e_r) or Delta(e_r) (x^b ox x^b)
+    by `t2_mul` instead: on box(3) both agree, and the form the kernels
+    read reduces to the same coefficients (for a unit first letter it is
+    those coefficients' own form).  Delta(1) = 1 ox 1 is the base's, and
+    `_coproduct_raw` is called once per other index whose unit end
+    exponents are 0, and at no other index."""
     alg, ref = alg_of(spec), alg_of(spec)
-    assert alg.letters[0][1]
+    (_, lead_unit, _), *_, (_, tail_unit, _) = alg.letters
+    assert lead_unit or tail_unit
     assert alg.moves_pairs() == (spec["family"] in ("C", "CLift"))
     stated, raw = [], alg._coproduct_raw
 
@@ -194,14 +202,30 @@ def test_coproducts_off_lead_zero_are_the_lead_zero_rows_moved(spec):
 
     alg._coproduct_raw = spied
     one = ref.one_scalar()
+    unit = alg.unit_index()
     box = alg.basis_box(3)
     for i in box:
-        a, rest = i[0], i[1:]
-        y_a = (a, *(0 for _ in rest))
-        want = ref.t2_mul(
-            Lin.basis((y_a, y_a), one), ref.coproduct_basis((0, *rest))
-        )
+        if lead_unit and i[0]:
+            y_a = (i[0], *unit[1:])
+            want = ref.t2_mul(
+                Lin.basis((y_a, y_a), one), ref.coproduct_basis((0, *i[1:]))
+            )
+        elif tail_unit and i[-1]:
+            x_b = (*unit[:-1], i[-1])
+            want = ref.t2_mul(
+                ref.coproduct_basis((*i[:-1], 0)), Lin.basis((x_b, x_b), one)
+            )
+        elif i == unit:
+            want = Lin.basis((unit, unit), one)
+        else:
+            want = ref.coproduct_basis(i)
         got = alg.coproduct_basis(i)
         assert got == want, i
-        assert dict(got.form) == dict(exponent_form(alg.level, want.terms)), i
-    assert sorted(stated) == sorted(i for i in box if not i[0])
+        assert alg.finish(alg.table(got)) == want, i
+        if lead_unit:
+            assert dict(got.form) == dict(exponent_form(alg.level, want.terms)), i
+    assert sorted(stated) == sorted(
+        i
+        for i in box
+        if i != unit and not (lead_unit and i[0]) and not (tail_unit and i[-1])
+    )

@@ -130,12 +130,14 @@ def test_parallel_scan_counts_only_cores_the_process_may_use(monkeypatch):
 
 
 class _BrokenCoproduct(FamilyA):
-    """Drops nothing but injects a stray tensor term on the generator y."""
+    """Drops nothing but injects a stray tensor term on the generator y
+    alone: a one-index `coproduct_basis` override, which the base's
+    Delta(y x^b), read off its own entry for y, does not see."""
 
-    def _coproduct_raw(self, i):
-        t = super()._coproduct_raw(i)
+    def coproduct_basis(self, i):
+        t = super().coproduct_basis(i)
         if i == (1, 0):
-            return t + Lin.basis(((0, 1), (0, 0)), self.one_scalar())
+            return self.as_form_lin(t + Lin.basis(((0, 1), (0, 0)), self.one_scalar()))
         return t
 
 
@@ -222,10 +224,12 @@ def test_corrupted_coproduct_at_level_105_reads_as_the_exact_route(monkeypatch):
 
 class _DriftedShiftedA(FamilyA):
     """A(2, z3) with one Gauss-form rational of Delta(y x) moved by 1,
-    its Lin left as it is: Delta(y x) is no longer Delta(y) shifted."""
+    its Lin left as it is: Delta(y x) is no longer Delta(y) shifted.
+    It is a one-index `coproduct_basis` override, since the base builds
+    Delta(y x) off Delta(y) and never asks `_coproduct_raw` for it."""
 
-    def _coproduct_raw(self, i):
-        t = super()._coproduct_raw(i)
+    def coproduct_basis(self, i):
+        t = super().coproduct_basis(i)
         if i != (1, 1):
             return t
         (key, ((e, r), *more)), *rest = t.form
@@ -264,10 +268,12 @@ def test_drifted_shifted_coproduct_gets_its_own_class_and_reads_as_the_exact_rou
 
 class _MisShiftedA(FamilyA):
     """A(2, z3) whose Delta(y x^2) is Delta(y x^3): the class of y's
-    views, at a shift one too large."""
+    views, at a shift one too large.  It is a one-index
+    `coproduct_basis` override, since the base builds Delta(y x^2) off
+    Delta(y) and never asks `_coproduct_raw` for it."""
 
-    def _coproduct_raw(self, i):
-        return super()._coproduct_raw((1, 3) if i == (1, 2) else i)
+    def coproduct_basis(self, i):
+        return super().coproduct_basis((1, 3) if i == (1, 2) else i)
 
 
 def test_a_coproduct_at_the_wrong_shift_reads_as_the_exact_route(monkeypatch):
@@ -674,6 +680,36 @@ def test_a_lead_zero_coproduct_corruption_fails_on_every_power_of_y():
         assert ("bialgebra", f"({y_a_x}, x)") in failed, a
     bialgebra = verify_axioms(alg, window=2, axioms=("bialgebra",), max_failures=500)
     want = exact_report(_BrokenOreCoproductRow, params, 2)
+    assert bialgebra.to_json() == want.to_json()
+
+
+class _BrokenCoproductRowA(FamilyA):
+    """A(2, z3) with a stray x ox 1 in the x^0 entry Delta(y) that
+    `_coproduct_raw` states, so every Delta(y x^b) carries it moved."""
+
+    def _coproduct_raw(self, i):
+        t = super()._coproduct_raw(i)
+        if i == (1, 0):
+            return t + Lin.basis(((0, 1), (0, 0)), self.one_scalar())
+        return t
+
+
+def test_an_x_zero_coproduct_corruption_fails_on_every_power_of_x():
+    """The base builds Delta(y x^b) from Delta(y) for every b, so the
+    stray term fails coassociativity, the counit law and the bialgebra
+    law at y x^b for every b of the window, and the report, through the
+    pass, is the exact route's byte for byte."""
+    params = parse_params({"family": "A", "n": 2, "q": {"order": 3, "power": 1}})
+    alg = _BrokenCoproductRowA(params)
+    report = verify_axioms(alg, window=2, max_failures=500)
+    failed = {(f.axiom, f.where) for f in report.failures}
+    for b in range(-2, 3):
+        y_x_b = alg.index_str((1, b))
+        assert ("coassociativity", y_x_b) in failed, b
+        assert ("counit", y_x_b) in failed, b
+        assert ("bialgebra", f"({y_x_b}, y)") in failed, b
+    bialgebra = verify_axioms(alg, window=2, axioms=("bialgebra",), max_failures=500)
+    want = exact_report(_BrokenCoproductRowA, params, 2)
     assert bialgebra.to_json() == want.to_json()
 
 

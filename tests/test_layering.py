@@ -10,6 +10,11 @@ A family's stated structure constants (`_multiply_raw`,
 `families/base.py`, which derives the rows off lead exponent 0 from
 them and memoizes every entry; any other reader would see the stated
 lead-zero rows, not the structure the kernels read.
+
+`families/base.py` is also the one place that derives what the unit
+letters determine: the coproducts moved along a grouplike end letter,
+Delta(1), and every antipode from S on the non-unit generators.  So no
+other family module defines `coproduct_basis` or `antipode_basis`.
 """
 
 import ast
@@ -18,6 +23,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qhopf"
 FAMILIES = PACKAGE / "families"
 STATED = {"_multiply_raw", "_coproduct_raw", "_antipode_raw"}
+DERIVED = {"coproduct_basis", "antipode_basis"}
 
 
 def test_no_family_module_reads_the_zero_map():
@@ -58,4 +64,32 @@ def test_only_the_base_calls_the_stated_structure_constants():
                 name = getattr(func, "id", None)
             if name in STATED:
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {name}")
+    assert not found, found
+
+
+def _defined_names(tree):
+    # (name, line) of every def, and of every plain name bound by `=`
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node.lineno
+
+
+def test_only_the_base_defines_the_derived_coproducts_and_antipodes():
+    modules = sorted(FAMILIES.rglob("*.py"))
+    assert FAMILIES / "base.py" in modules
+    found, in_base = [], set()
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name, line in _defined_names(tree):
+            if name not in DERIVED:
+                continue
+            if path == FAMILIES / "base.py":
+                in_base.add(name)
+            else:
+                found.append(f"{path.name}:{line} {name}")
+    assert in_base == DERIVED
     assert not found, found
