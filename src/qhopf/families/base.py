@@ -60,15 +60,15 @@ so an axiom residual lhs - rhs is one table: the caller passes a
 negated operand for the right side.
 
 The kernels (`mul`, `t2_mul`, and the bialgebra residuals of
-`qhopf.verify` but its lattice kernel) read a product only through
-`_product(i, j)`, as terms (k, e, r) with e reduced mod N =
-lcm(2, level) and r a nonzero int or Fraction.  Five families are
-skew-Laurent monomial algebras (GroupZ2, GroupZSemiZ, EnvAbelian, A
-and B): two basis monomials multiply to one monomial times a scalar.
-Four of them are twisted monoid algebras on a lattice
-(`LatticeProvider`): GroupZ2, EnvAbelian, A and B state a lattice point
-(u, v) per index and a twist q, and their `_product` is derived from
-that statement.  A and B also share their coproduct, antipode and
+`qhopf.verify`) read a product only through `_product(i, j)`, as terms
+(k, e, r) with e reduced mod N = lcm(2, level) and r a nonzero int or
+Fraction.  Five families are skew-Laurent monomial algebras (GroupZ2,
+GroupZSemiZ, EnvAbelian, A and B): two basis monomials multiply to one
+monomial times a scalar.  Four of them are twisted monoid algebras on a
+lattice (`LatticeProvider`): GroupZ2, EnvAbelian, A and B state a
+lattice point (u, v) per index and a twist q, and their `_product` is
+derived from that statement, along a unit last letter from its x^0
+part (below).  A and B also share their coproduct, antipode and
 rewriting rules (`SkewPrimitiveProvider`): every y-letter is skew
 primitive over the grouplike x, and A is the one-y-letter case.
 GroupZSemiZ states its one term itself.  C, CLift and EnvNonabelian
@@ -99,9 +99,11 @@ B), it ends every normal word, and Delta(e_r x^b) = Delta(e_r)
 (x^b ox x^b) is built the same way from the entry of last exponent 0,
 both legs' last exponent moved by b.  The base states Delta(1) = 1 ox 1,
 so `_coproduct_raw` is called once per other index whose unit end
-exponents are 0 (never in a group algebra).  `moves_pairs()` is whether
-a provider's products and coproducts are all moved along the first
-letter, with neither `_product` nor `coproduct_basis` overridden; the
+exponents are 0 (never in a group algebra).  `moves_pairs()` names the
+end letter along which a provider's products and coproducts are all
+moved, with neither `_product` nor `coproduct_basis` overridden: "lead"
+for the base `_product` and a unit first letter (C, CLift), "tail" for
+`LatticeProvider._product` and a unit last letter (GroupZ2, A, B); the
 bialgebra scan of `qhopf.verify` reads it.
 
 Antipodes are derived from the letters: S is an anti-homomorphism, so
@@ -114,7 +116,7 @@ Structure constants are cached once per index.  `multiply_basis` is a
 memo of Lins, which the kernels never read: the terms of `_product`
 reduced (one term: the reduced r * omega^e, a shared root of unity when
 r = 1), and off lead exponent 0 of a stated `_multiply_raw` the
-lead-zero entry moved by i_0, the one move (`lead_moved`) that the base
+lead-zero entry moved by i_0, the one move (`moved`) that the base
 `_product` makes.  So `_multiply_raw` runs once per pair, and the
 rewriting oracle, which checks `multiply_basis`, checks the very
 product the kernels read.
@@ -195,10 +197,13 @@ class FormLin(Lin):
         return FormLin({k: -v for k, v in self.terms.items()}, form)
 
 
-def lead_moved(key: Index, lead: int) -> Index:
-    """The key with its first exponent moved by lead: y^lead e_key, for
-    a family whose first letter y leads every normal word."""
-    return (key[0] + lead, *key[1:])
+def moved(key: Index, slot: int, by: int) -> Index:
+    """The key with its exponent at `slot` moved by `by`: y^by e_key for
+    slot 0, when the first letter y leads every normal word, and
+    e_key x^by for the last slot, when the last letter x ends it."""
+    if slot:
+        return (*key[:slot], key[slot] + by, *key[slot + 1 :])
+    return (key[0] + by, *key[1:])  # the lead move of every C product fill
 
 
 class PowCache:
@@ -247,7 +252,7 @@ class HopfProvider(ABC):
             lead = i[0]
             if lead:
                 row = HopfProvider._product(self, (0, *i[1:]), j)
-                hit = tuple((lead_moved(k, lead), e, r) for k, e, r in row)
+                hit = tuple((moved(k, 0, lead), e, r) for k, e, r in row)
             else:
                 form = exponent_form(self.level, self._multiply_raw(i, j).terms)
                 hit = tuple((k, e, r) for k, pairs in form for e, r in pairs)
@@ -259,15 +264,20 @@ class HopfProvider(ABC):
         `_multiply_raw` row of lead exponent 0, moved by i_0."""
         return type(self)._product is HopfProvider._product
 
-    def moves_pairs(self) -> bool:
-        """Whether every product and coproduct is its lead-zero entry
-        moved by i_0: `moves_lead()`, the first letter is a unit, and
-        `coproduct_basis` is the base's."""
-        return (
-            self.moves_lead()
-            and self.letters[0][1]
-            and type(self).coproduct_basis is HopfProvider.coproduct_basis
-        )
+    def moves_pairs(self) -> str | None:
+        """The end letter along which every product and coproduct is
+        its end-zero entry moved, with `coproduct_basis` the base's:
+        "lead" when `moves_lead()` holds and the first letter is a unit,
+        "tail" for `LatticeProvider._product` and a unit last letter,
+        else None."""
+        if type(self).coproduct_basis is not HopfProvider.coproduct_basis:
+            return None
+        product = type(self)._product
+        if product is HopfProvider._product and self.letters[0][1]:
+            return "lead"
+        if product is LatticeProvider._product and self.letters[-1][1]:
+            return "tail"
+        return None
 
     def _coproduct_raw(self, i: Index) -> Lin:
         """Delta(e_i), for i != 0 with both unit end exponents 0."""
@@ -367,7 +377,7 @@ class HopfProvider(ABC):
             if lead and self.moves_lead():
                 row = HopfProvider.multiply_basis(self, (0, *i[1:]), j)
                 # the move is one to one, so no key merges
-                hit = Lin({lead_moved(k, lead): c for k, c in row.terms.items()})
+                hit = Lin({moved(k, 0, lead): c for k, c in row.terms.items()})
             else:
                 terms = self._product(i, j)
                 if len(terms) == 1:
@@ -385,26 +395,22 @@ class HopfProvider(ABC):
     def coproduct_basis(self, i: Index) -> FormLin:
         hit = self._cop_cache.get(i)
         if hit is None:
-            letters = self.letters
-            lead, tail = i[0], i[-1]
-            if lead and letters[0][1]:
-                # Delta(y^lead e_r) = (y^lead ox y^lead) Delta(e_r), the
-                # entry read through this method (never an override); the
-                # move is one to one, so no key merges
-                row = HopfProvider.coproduct_basis(self, (0, *i[1:]))
+            slot = None
+            if i[0] and self.letters[0][1]:
+                slot = 0
+            elif i[-1] and self.letters[-1][1]:
+                slot = len(i) - 1
+            if slot is not None:
+                # Delta(y^a e_r) = (y^a ox y^a) Delta(e_r) for a unit first
+                # letter y, else Delta(e_r x^b) = Delta(e_r) (x^b ox x^b)
+                # for a unit last letter x: the entry of exponent 0 there,
+                # read through this method (never an override), both legs
+                # moved; the move is one to one, so no key merges
+                by = i[slot]
+                row = HopfProvider.coproduct_basis(self, moved(i, slot, -by))
                 terms, form = {}, []
                 for (a, b), pairs in row.form:
-                    key = lead_moved(a, lead), lead_moved(b, lead)
-                    terms[key] = row.terms[a, b]
-                    form.append((key, pairs))
-                hit = FormLin(terms, tuple(form))
-            elif tail and letters[-1][1]:
-                # Delta(e_r x^tail) = Delta(e_r) (x^tail ox x^tail), read
-                # and moved the same way
-                row = HopfProvider.coproduct_basis(self, (*i[:-1], 0))
-                terms, form = {}, []
-                for (a, b), pairs in row.form:
-                    key = (*a[:-1], a[-1] + tail), (*b[:-1], b[-1] + tail)
+                    key = moved(a, slot, by), moved(b, slot, by)
                     terms[key] = row.terms[a, b]
                     form.append((key, pairs))
                 hit = FormLin(terms, tuple(form))
@@ -610,12 +616,23 @@ class LatticeProvider(HopfProvider):
 
         e_i e_j = q^(v_i u_j) e_k,   k = lattice_index(u_i + u_j, v_i + v_j).
 
-    A family states `lattice` (by default the index (a, b) itself), its
-    inverse `lattice_index` on the points of indices, and `twist`: an
+    A family states `letters` before this class's `__init__` runs,
+    `lattice` (by default the index (a, b) itself), its inverse
+    `lattice_index` on the points of indices, and `twist`: an
     int qe for q = omega^qe, or a rational q (a Fraction) other than
     +-1.  `_product` is derived here from that statement, once for every
-    such family, and `multiply_basis` reads it.  `lattice_exponent` is
-    qe when every product is read off this statement with an int twist.
+    such family, and `multiply_basis` reads it.
+
+    When the last letter x is a unit (GroupZ2, A and B), it is grouplike
+    and ends every normal word, and its exponent is the point's v:
+    `point(e x^b)` is (u, b) with u read off `lattice` at x-exponent 0,
+    and the index at (u, v) is the y-part of `lattice_index(u, 0)`
+    followed by v.  So `_product` reads the statement at x^0 only, and
+
+        (e x^b)(e' x^c) = q^(b u') (e e') x^(b+c),   u' = u of e',
+
+    holds for every stated lattice; the bialgebra scan of
+    `qhopf.verify` proves pairs once per pair of y-parts on it.
     """
 
     twist: int | Fraction
@@ -624,6 +641,11 @@ class LatticeProvider(HopfProvider):
         super().__init__(level)
         self._twist_powers: dict[int, int | Fraction] = {}
         self._points: dict[Index, tuple[int, int]] = {}
+        self._y_parts: dict[int, Index] = {}
+        # whether the last letter is a unit, whose exponent is v: a
+        # plain attribute, since `_product` reads it on every call and
+        # a cached_property read costs several times more
+        self._x_is_v = self.letters[-1][1]
 
     def lattice(self, i: Index) -> tuple[int, int]:
         return i
@@ -631,16 +653,33 @@ class LatticeProvider(HopfProvider):
     def lattice_index(self, u: int, v: int) -> Index:
         return (u, v)
 
+    def point(self, i: Index) -> tuple[int, int]:
+        """The lattice point `_product` reads for e_i, memoized."""
+        hit = self._points.get(i)
+        if hit is None:
+            if self._x_is_v:
+                hit = self.lattice((*i[:-1], 0))[0], i[-1]
+            else:
+                hit = self.lattice(i)
+            self._points[i] = hit
+        return hit
+
     def _product(self, i: Index, j: Index) -> tuple:
-        # the operands' lattice points are memoized per index
         points = self._points
         pi, pj = points.get(i), points.get(j)
         if pi is None:
-            pi = points[i] = self.lattice(i)
+            pi = self.point(i)
         if pj is None:
-            pj = points[j] = self.lattice(j)
+            pj = self.point(j)
         (ui, vi), (uj, vj) = pi, pj
-        k = self.lattice_index(ui + uj, vi + vj)
+        u = ui + uj
+        if self._x_is_v:
+            head = self._y_parts.get(u)
+            if head is None:
+                head = self._y_parts[u] = self.lattice_index(u, 0)[:-1]
+            k = head + (vi + vj,)
+        else:
+            k = self.lattice_index(u, vi + vj)
         twist = self.twist
         if twist.__class__ is int:
             return ((k, twist * vi * uj % self.omega_order, 1),)
@@ -655,14 +694,6 @@ class LatticeProvider(HopfProvider):
                 hit = hit.numerator
             self._twist_powers[m] = hit
         return hit
-
-    def lattice_exponent(self) -> int | None:
-        """The twist's omega exponent, unless the twist is rational or a
-        subclass states its own `_product` (which the pass then reads)."""
-        twist = self.twist
-        if twist.__class__ is int and type(self)._product is LatticeProvider._product:
-            return twist
-        return None
 
 
 class SkewPrimitiveProvider(LatticeProvider):

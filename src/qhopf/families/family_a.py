@@ -10,9 +10,8 @@ So A is a twisted monoid algebra on a lattice: the lattice point of
 y^a x^b is its index (a, b) itself, and the twist is q: its omega
 exponent e_q for a root of unity q = omega^(e_q) (q = +-1 included),
 else the rational q, whose powers q^(b c) are memoized per exponent
-b c.  The point is the index, so it is one to one and the zero-only
-bialgebra pass's lattice keys at a root of unity are the index keys
-themselves; at a rational q the pass reads A by index.
+b c.  x is a unit, so the base reads the point at x^0 only and takes
+b as its v (`LatticeProvider`).
 
 A is the one-y-letter case (m = (1,)) of `SkewPrimitiveProvider`,
 which states Delta(y^a), S(y) = -x^(-n) y and the rewriting rules; the

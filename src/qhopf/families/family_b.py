@@ -30,9 +30,8 @@ p_i for i >= 2 (every other m_j is 0 mod p_i, and m_i is a unit mod p_i
 since the p_i are pairwise coprime), and then d_1 = (mu - sum_(i >= 2)
 m_i d_i) / m_1.  This is the one canonical tuple of degree mu, which is
 what makes mu injective on canonical tuples; `canon` reads it too.  The
-zero-only bialgebra pass checks lattice_index(*lattice(i)) == i on
-every index it codes.  The tuple is memoized per degree, so the memory
-grows with the degrees met, not with the indices or their pairs.
+tuple is memoized per degree, so the memory grows with the degrees
+met, not with the indices or their pairs.
 """
 
 from __future__ import annotations
@@ -45,6 +44,10 @@ from qhopf.params import BParams
 
 class FamilyB(SkewPrimitiveProvider):
     def __init__(self, params: BParams):
+        self.letters = tuple(
+            (f"y{i + 1}", False, None if i == 0 else cap - 1)
+            for i, cap in enumerate(params.p[1:])
+        ) + (("x", True, None),)
         super().__init__(params, params.root_target())
         self.s = len(params.p) - 1
         self.pp = params.p[1:]  # (p_1, ..., p_s)
@@ -56,10 +59,6 @@ class FamilyB(SkewPrimitiveProvider):
         # m_i^-1 mod p_i for i >= 2, and mu -> canonical y-tuple
         self._inverses = tuple(pow(m, -1, p) for m, p in zip(self.mm, self.pp))
         self._canon_d: dict[int, tuple[int, ...]] = {}
-        self.letters = tuple(
-            (f"y{i + 1}", False, None if i == 0 else cap - 1)
-            for i, cap in enumerate(self.pp)
-        ) + (("x", True, None),)
 
     def canon(self, d) -> tuple[int, ...]:
         """The canonical y-exponents of d's degree; entries past the s-th

@@ -24,105 +24,29 @@ The bialgebra pair scan asks of almost every pair only whether its
 residual is zero, so it runs in two passes.  The zero-only pass
 (`bialgebra_vanishes`) sends the residual through the level's ring map
 h: Z[C_N] -> Z/P (`qhopf.scalars.zero_map`).  It reads each coproduct
-as its residue view (below), multiplies the legs, and adds one integer
-per tensor key, plus one L1 bound for the whole pair.  It proves the
-pair zero only when every key's image is 0 mod P and the bound is
-within the map's cap; a pair with a non-integer rational, a bound
-above the cap or a nonzero image gets no verdict.  Every such pair is
-recomputed by the exact route (`exact_bialgebra_residual`),
-whose table holds rhs - lhs, with the product (usually one term)
-negated rather than a copy of Delta(e_j), and whose finished residual
-is negated back: each term r omega^e e_k of `_product(i, j)` enters as
--r omega^e Delta(e_k).  So a failure is always the exact residual's
-text.  `bialgebra_residuals` computes `_product(i, j)` once per pair
-and hands it to the pass, the exact route and the counit residual.
+as its residue view (below), multiplies the legs through `_product`,
+and adds one integer per tensor key, keyed by index pairs, plus one L1
+bound for the whole pair.  It proves the pair zero only when every
+key's image is 0 mod P and the bound is within the map's cap; a pair
+with a non-integer rational, a bound above the cap or a nonzero image
+gets no verdict.  Every such pair is recomputed by the exact route
+(`exact_bialgebra_residual`), whose table holds rhs - lhs, with the
+product (usually one term) negated rather than a copy of Delta(e_j),
+and whose finished residual is negated back: each term r omega^e e_k of
+`_product(i, j)` enters as -r omega^e Delta(e_k).  So a failure is
+always the exact residual's text.  `bialgebra_residuals` computes
+`_product(i, j)` once per pair and hands it to the pass, the exact
+route and the counit residual.
 
-The pass keeps what it reads in one `_ZeroPass` per provider, on the
-provider's `_zero_pass` attribute (`_zero_pass_of`): the kernel,
-picked once by `LatticeProvider.lattice_exponent`, the residue view of
-each index it has read, the lattice shift classes and the table memo.
-The providers know nothing of the pass.  A residue view is read from a
-coproduct's form once, and is one of:
-
-- an index view (terms, total): (key, h(coefficient), L1 norm of its
-  form) per term of Delta(e_i), keyed by index pairs, and the sum of
-  the L1 norms;
-- a lattice view (class, beta): a `ShiftClass` and a shift (below);
-- None, when some term's form has a non-integer rational at a level
-  above 2, or a lattice view cannot code a leg (below); the pass
-  declines every pair that reads it.
-
-Each view is kept with the FormLin and the form it was read from, so a
-hit is one dict lookup and one identity test, and a form assigned to
-that FormLin later is read again.
-
-The pass has two kernels.  The index kernel reads index views, keys the
-table by index pairs and multiplies legs through `_product`; C, CLift,
-EnvNonabelian, GroupZSemiZ and A at a rational q get it, and it is the
-tests' reference for the other.
-
-The lattice kernel serves the twisted monoid algebras on a lattice
-with a root-of-unity twist q = omega^qe (`LatticeProvider`: GroupZ2,
-EnvAbelian, A and B), where e_a e_c = omega^(qe v_a u_c) e at the
-point (u_a + u_c, v_a + v_c), a product of one term.  Their lattice
-views key each term by its legs' lattice points (u_a, v_a, u_b, v_b),
-packed into one int ((u_a R + v_a) R + u_b) R + v_b, R = 2^32.  The
-packing is linear, so a sum of points packs to the sum of their keys,
-and it is one to one on points whose coordinates lie in (-R/2, R/2).
-A view codes no coordinate, and no shift, of size 2^28 or more, so
-every point the pass forms (the sum of two coded points, one of them
-shifted, or a coded point moved by one shift less two) stays there.
-So the kernel adds Delta(e_i) Delta(e_j) with plain int arithmetic,
-one L1 bound for all of it, and no `_product` call.  Its keys are
-faithful: every leg a that a view codes is checked to satisfy
-lattice_index(*lattice(a)) == a, the index product of two legs is by
-definition lattice_index of their point sum, and the packing is one to
-one on the points a view may code.  So each index-pair key of the
-exact residual is one function (lattice_index on each leg) of its
-lattice key, each index key's sum is a sum of lattice keys' sums, and
-a pair proved zero on lattice keys is zero on index keys.  A leg that
-fails the check makes its view None, and the pass declines every pair
-that reads it.
-
-A lattice view is a shift class and a shift beta, the least v of a
-right leg.  The class (`ShiftClass`) holds the view's terms with both
-legs' v moved by -beta, and U = u_a + u_b when that is the same on
-every term.  In A and B, x is grouplike and last in normal order, so
-Delta(y^d x^b) is Delta(y^d) times x^b ox x^b, and every x-shift of an
-index falls in the class of its y-part: B(2, 1, 2, 3, z12) has 12
-classes on the 84 indices of box(3).  Let T(L, R) be the product of
-the views of classes L and R at shift 0.  The views of L at
-beta_i and R at beta_j then multiply to
-
-    T(L, R) moved by (0, beta_i + beta_j, 0, beta_i + beta_j), times
-    omega^(qe beta_i U_R)
-
-because a left shift moves v_a and v_b by beta_i, and so moves each
-twist qe (v_a u_c + v_b u_d) by qe beta_i (u_c + u_d) = qe beta_i U_R,
-while a right shift has u = 0 and moves only v_c and v_d, which the
-twist does not read.  So the kernel builds T(L, R) once per pair of
-classes, as the images of its keys with the zeros mod P dropped.  Each
-pair then moves the keys of -r omega^e Delta(e_k) (class M at beta_k)
-by beta_k - beta_i - beta_j, divides them by omega^(qe beta_i U_R) (the
-exponent e - qe beta_i U_R), and matches them against T(L, R), with
-the same per-pair L1 bound: its key sums are the true ones times a
-unit mod P.  In every engine family beta_k = beta_i + beta_j, so the
-keys of M are matched as they are.
-
-- The class id is a content key: classes are interned per provider by
-  their terms, so a table built for a class holds for every view with
-  those terms, and a view read again from a replaced form gets the
-  class of its new terms, as the view itself does.
-- A right view with no single U moves the twist term by term, so
-  T(L, R) does not cover it: its pair gets a table of its own, built
-  from the left view at beta_i and matched at shift beta_j, and no pair
-  is declined for it.
-- The memo holds one row: the tables of one left class, by right
-  class, cleared when the left class changes.  The scan runs i outer,
-  in box order with the x-exponent last, so each left class fills its
-  row once per run of its indices, and memory is bounded by one table
-  per right class.  EnvAbelian has no shift symmetry (9 classes for its
-  9 box(2) indices), and holds 9 tables, not 81.
+The pass keeps what it reads in one dict per provider, on the
+provider's `_zero_pass` attribute (`_views_of`): per index, the
+FormLin read, its form and its residue view.  The providers know
+nothing of the pass.  A residue view is read from a coproduct's form
+once: (key, h(coefficient), L1 norm of its form) per term of
+Delta(e_i), and the sum of the L1 norms; or None, when some term's form
+has a non-integer rational at a level above 2, and the pass declines
+every pair that reads it.  A hit is one dict lookup and one identity
+test, so a form assigned to that FormLin later is read again.
 
 The bialgebra law's counit residual is the sum of the r omega^e whose
 e_k has counit 1, minus 1 when e_i and e_j both have counit 1, in
@@ -130,12 +54,13 @@ exponent form; it is reduced only when it has a term, and a pair is
 named only when it fails.  The scan runs i outer and reads eps(e_i)
 once per row.
 
-The scan proves a pair once per power of y where the provider allows
-it.  When `HopfProvider.moves_pairs()` holds (C and CLift), the base
-builds every product and coproduct off lead exponent 0 from the
-lead-zero one, moving each key's first exponent.  Write i' for i with
-i_0 set to 0, and k + a for k with its first exponent moved by a = i_0.
-Then for every pair (i, j):
+The scan proves a pair once per model pair where the provider allows
+it, along the end letter that `HopfProvider.moves_pairs()` names.
+Write k + a for k with the end letter's exponent moved by a.
+
+Lead letter ("lead": C and CLift).  The base builds every product and
+coproduct off lead exponent 0 from the lead-zero one.  The model of
+(i, j) is (i', j), i' = i with i_0 set to 0, and a = i_0.  Then
 
 - `_product(i, j)` is `_product(i', j)` with each k moved to k + a,
   and Delta(e_(k+a)) is Delta(e_k) with both legs moved by a;
@@ -145,11 +70,43 @@ Then for every pair (i, j):
 
 Each move keeps every coefficient and form and is one to one on keys,
 so the tensor and counit residuals of (i, j) are those of its model
-(i', j) with their keys moved, and vanish exactly when the model's do.
+with their keys moved, and vanish exactly when the model's do.
+
+Tail letter ("tail": GroupZ2, A and B).  `LatticeProvider._product`
+reads the lattice at x^0 and takes the x-exponent as the point's v, and
+the base builds Delta(e x^b) as Delta(e) (x^b ox x^b).  Write i = (d, b)
+and j = (d', c), with u_j the u of j's point; the model of (i, j) is
+((d, 0), (d', 0)).  Moving the left operand of a product by x^b
+multiplies it by q^(b u), u the right operand's u, and moves its key by
+b; moving the right operand by x^c moves the key by c.  So
+
+- `_product(i, j)` is q^(b u_j) `_product((d, 0), (d', 0))` with each k
+  moved to k + (b + c), and Delta(e_(k+t)) is Delta(e_k) moved by t;
+- Delta(e_i) Delta(e_j) is Delta(e_(d,0)) (x^b ox x^b) Delta(e_(d',0))
+  (x^c ox x^c), and when Delta(e_j) is graded (every term e_a ox e_b
+  has u_a + u_b = u_j), (x^b ox x^b) Delta(e_j) = q^(b u_j) Delta(e_j)
+  (x^b ox x^b), so this is q^(b u_j) times the model's product moved by
+  b + c.
+
+So the tensor residual of (i, j) is the unit q^(b u_j) times the
+model's, its keys moved, and vanishes exactly when the model's does.
+The counit residual is q^(b u_j) eps(e_k) - eps(e_i) eps(e_j) against
+the model's eps(e_k) - eps(e_i) eps(e_j): it vanishes exactly when the
+model's does if eps(e_j) = 0 or u_j = 0.
+
+The guard.  A left factor i stands for its model only when Delta(e_i),
+as the pass holds it, is its model's entry with both legs moved, term
+for term and form for form; for the tail, so must a right factor j, and
+Delta(e_j) must be graded, and eps(e_j) = 0 or u_j = 0.  The guard is
+read off the pass's entries, once per row and once per right factor per
+scan, so a form assigned by hand to a moved entry fails it.
 `_bialgebra_scan` keeps the residuals of each model pair it meets, per
-scan: a pair whose model passed costs one lookup, and any other pair
-is computed on its own, so a failure's text is the pair's own.  A C(3)
-window-3 scan computes the 4 x 28 = 112 model pairs of its 784.
+scan: a pair whose model passed costs one lookup, and any other pair,
+or a pair with a factor that fails the guard, is computed on its own,
+so a failure's text is the pair's own.  A C(3) window-3 scan computes
+the 4 x 28 = 112 model pairs of its 784; a B(2, 1, 2, 3, z12) one the
+12 x 12 = 144 of its 7,056.  A form assigned by hand to an entry that
+is only ever read as a product's Delta(e_k) is not read by its pair.
 """
 
 from __future__ import annotations
@@ -157,7 +114,7 @@ from __future__ import annotations
 import os
 
 from qhopf.elements import Lin, acc
-from qhopf.families.base import HopfProvider, LatticeProvider
+from qhopf.families.base import HopfProvider, moved
 from qhopf.linalg import kernel_of_map
 from qhopf.params import Record
 from qhopf.scalars import Cyclo, reduce_exponents, zero_map
@@ -248,99 +205,26 @@ def bialgebra_vanishes(alg: HopfProvider, i, j, terms) -> bool:
     Delta(e_j): each key's sum, sent through the level's `zero_map`, is
     0, and the L1 norms of all the terms add up to at most its cap.
     False is no verdict.  `terms` is `_product(i, j)`."""
-    zp = _zero_pass_of(alg)
-    if zp.qe is not None:
-        return _lattice_vanishes(alg, zp, i, j, terms)
-    return _index_vanishes(alg, zp, i, j, terms)
+    return _index_vanishes(alg, _views_of(alg), i, j, terms)
 
 
-# A lattice view's packed key of (u_a, v_a, u_b, v_b), and the bounds
-# of the module docstring: R, 2^28, and the key of (0, 1, 0, 1)
-_RADIX = 1 << 32
-_SPAN = 1 << 28
-_V_STEP = _RADIX * _RADIX + 1
-
-
-class ShiftClass:
-    """A lattice residue view up to a shift of both legs' v by one beta.
-
-    `legs` holds (key, u_a, v_a, u_b, v_b, h) per term, `keys` maps
-    each key to its h, `total` is the sum of the terms' L1 norms, and
-    `u` the one value of u_a + u_b on every term, or None when the terms
-    differ.  The pass interns its classes by content, one object per
-    content, so a class stands for its terms whichever view they were
-    read from."""
-
-    __slots__ = ("legs", "keys", "total", "u")
-
-    def __init__(self, legs: tuple, total: int):
-        self.legs = legs
-        self.keys = {key: h for key, _, _, _, _, h in legs}
-        self.total = total
-        us = {ua + ub for _, ua, _, ub, _, _ in legs}
-        self.u = us.pop() if len(us) == 1 else None
-
-
-class _ZeroPass:
-    """The zero-only pass's state for one provider: `qe` picks the
-    kernel and the view (None: index), `views` maps an index to (its
-    FormLin, the form read, the view), `classes` interns the lattice
-    shift classes by content, and `row` is the table memo: a left class
-    and its tables by right class."""
-
-    __slots__ = ("qe", "views", "classes", "row")
-
-    def __init__(self, alg: HopfProvider):
-        lattice = isinstance(alg, LatticeProvider)
-        self.qe = alg.lattice_exponent() if lattice else None
-        self.views: dict = {}
-        self.classes: dict = {}
-        self.row: tuple = (None, {})
-
-    def view(self, alg: HopfProvider, i):
-        """The residue view of Delta(e_i) (module docstring)."""
-        hit = self.views.get(i)
-        if hit is None or hit[0].form is not hit[1]:
-            cop = alg.coproduct_basis(i)
-            view = _index_view(alg.level, cop.form)
-            if view is not None and self.qe is not None:
-                view = self._lattice_view(alg, view)
-            hit = self.views[i] = cop, cop.form, view
-        return hit[2]
-
-    def _lattice_view(self, alg: LatticeProvider, view):
-        # (class, beta) of an index view, or None
-        lattice, index = alg.lattice, alg.lattice_index
-        points = []
-        for (a, b), h, l1 in view[0]:
-            pa, pb = lattice(a), lattice(b)
-            if index(*pa) != a or index(*pb) != b:
-                return None
-            points.append((*pa, *pb, h, l1))
-        beta = min((vb for _, _, _, vb, _, _ in points), default=0)
-        if abs(beta) >= _SPAN:
-            return None
-        legs, content = [], []
-        for ua, va, ub, vb, h, l1 in points:
-            va, vb = va - beta, vb - beta
-            if max(abs(ua), abs(va), abs(ub), abs(vb)) >= _SPAN:
-                return None
-            key = ((ua * _RADIX + va) * _RADIX + ub) * _RADIX + vb
-            legs.append((key, ua, va, ub, vb, h))
-            content.append((key, h, l1))
-        content = tuple(content)
-        cls = self.classes.get(content)
-        if cls is None:
-            cls = self.classes[content] = ShiftClass(tuple(legs), view[1])
-        return cls, beta
-
-
-def _zero_pass_of(alg: HopfProvider) -> _ZeroPass:
+def _views_of(alg: HopfProvider) -> dict:
+    # the pass's entries of one provider, index -> (FormLin, form, view)
     try:
         return alg._zero_pass
     except AttributeError:
-        zp = alg._zero_pass = _ZeroPass(alg)
-        return zp
+        views = alg._zero_pass = {}
+        return views
+
+
+def _entry(alg: HopfProvider, views: dict, i) -> tuple:
+    """(the FormLin read, its form, its residue view) of Delta(e_i), read
+    again when another form has been assigned to that FormLin."""
+    hit = views.get(i)
+    if hit is None or hit[0].form is not hit[1]:
+        cop = alg.coproduct_basis(i)
+        hit = views[i] = cop, cop.form, _index_view(alg.level, cop.form)
+    return hit
 
 
 def _index_view(level: int, form) -> tuple | None:
@@ -356,9 +240,8 @@ def _index_view(level: int, form) -> tuple | None:
     return tuple(terms), total
 
 
-def _index_vanishes(alg: HopfProvider, zp: _ZeroPass, i, j, terms) -> bool:
-    view = zp.view
-    left, right = view(alg, i), view(alg, j)
+def _index_vanishes(alg: HopfProvider, views: dict, i, j, terms) -> bool:
+    left, right = _entry(alg, views, i)[2], _entry(alg, views, j)[2]
     if left is None or right is None:
         return False
     zmap = zero_map(alg.level)
@@ -368,7 +251,7 @@ def _index_vanishes(alg: HopfProvider, zp: _ZeroPass, i, j, terms) -> bool:
     bound = 0
     for k, e, r in terms:
         # -r omega^e Delta(e_k), term by term
-        middle = view(alg, k)
+        middle = _entry(alg, views, k)[2]
         if middle is None:
             return False
         f = r * powers[e]
@@ -389,59 +272,36 @@ def _index_vanishes(alg: HopfProvider, zp: _ZeroPass, i, j, terms) -> bool:
     return zmap.proves_zero(table.values(), bound)
 
 
-def _lattice_vanishes(alg: HopfProvider, zp: _ZeroPass, i, j, terms) -> bool:
-    # `_index_vanishes` on packed lattice points: Delta(e_i) Delta(e_j)
-    # is T(L, R) of the module docstring, and the keys of -r omega^e
-    # Delta(e_k) are moved by `move` and divided by omega^twist to be
-    # matched against it
-    ((k, e, r),) = terms
-    view = zp.view
-    left, right, middle = view(alg, i), view(alg, j), view(alg, k)
-    if left is None or right is None or middle is None:
-        return False
-    zmap = zero_map(alg.level)
-    qe, n = zp.qe, alg.omega_order
-    (lc, bi), (rc, bj), (mc, bk) = left, right, middle
-    if rc.u is None:
-        table = _class_table(zmap, qe, n, lc, bi, rc)
-        shift, twist = bj, 0
-    else:
-        row_class, row = zp.row
-        if row_class is not lc:
-            row = {}
-            zp.row = lc, row
-        table = row.get(rc)
-        if table is None:
-            table = row[rc] = _class_table(zmap, qe, n, lc, 0, rc)
-        shift, twist = bi + bj, qe * bi * rc.u
-    f = r * zmap.powers[(e - twist) % n]
-    move = (bk - shift) * _V_STEP
-    sums = {key + move: h for key, h in mc.keys.items()} if move else mc.keys
-    get = table.get
-    values = [get(key, 0) - f * h for key, h in sums.items()]
-    if not table.keys() <= sums.keys():
-        # a table key that no term of Delta(e_k) reaches sums to itself
-        values += [v for key, v in table.items() if key not in sums]
-    return zmap.proves_zero(values, lc.total * rc.total + abs(r) * mc.total)
-
-
-def _class_table(zmap, qe: int, n: int, left, lift: int, right) -> dict:
-    """Delta(e_a) Delta(e_c) for a view of class `left` at shift `lift`
-    and one of class `right` at shift 0, keyed by packed lattice points:
-    each key's image under `zmap`, reduced mod P, the nonzero ones
-    only."""
-    powers = zmap.powers
-    out: dict = {}
-    move = lift * _V_STEP
-    for ka, _, va, _, vb, ha in left.legs:
-        ka, va, vb = ka + move, va + lift, vb + lift
-        for kc, uc, _, ud, _, hc in right.legs:
-            key = ka + kc
-            out[key] = out.get(key, 0) + ha * hc * powers[qe * (va * uc + vb * ud) % n]
-    p = zmap.modulus
-    if p:
-        return {key: v % p for key, v in out.items() if v % p}
-    return {key: v for key, v in out.items() if v}
+def _model(alg: HopfProvider, end: str | None, a, right: bool):
+    """The index that a stands for in its pairs' models along the end
+    letter `end` (`HopfProvider.moves_pairs()`), or None when its pairs
+    are computed on their own: the guard of the module docstring."""
+    if not end:
+        return None
+    if end == "lead" and right:
+        return a
+    slot = 0 if end == "lead" else len(a) - 1
+    by = a[slot]
+    model = moved(a, slot, -by)
+    views = _views_of(alg)
+    form = _entry(alg, views, a)[1]
+    if by:
+        # Delta(e_a) is Delta(e_model) with both legs moved, term for term
+        base = _entry(alg, views, model)[1]
+        if len(form) != len(base) or any(
+            key != (moved(l, slot, by), moved(r, slot, by)) or pairs != want
+            for (key, pairs), ((l, r), want) in zip(form, base)
+        ):
+            return None
+    if end == "tail" and right:
+        # Delta(e_a) graded, and eps(e_a) = 0 or u_a = 0
+        point = alg.point
+        u = point(a)[0]
+        if u and not alg.counit_basis(a).is_zero():
+            return None
+        if any(point(l)[0] + point(r)[0] != u for (l, r), _ in form):
+            return None
+    return model
 
 
 def exact_bialgebra_residual(alg: HopfProvider, i, j, terms) -> Lin:
@@ -535,25 +395,32 @@ def _bialgebra_scan(alg: HopfProvider, tagged_pairs) -> tuple[int, list]:
     out = []
     count = 0
     zero = Cyclo.zero(alg.level)
-    row = unit_i = model = None
-    # the residuals of each model pair (i', j), i' = i with lead
-    # exponent 0, when they stand for every (i, j) (module docstring)
-    by_model = {} if alg.moves_pairs() else None
+    end = alg.moves_pairs()
+    # per scan: the residuals of each model pair met, and each right
+    # factor's model (None: its pairs are computed on their own)
+    by_model: dict = {}
+    columns: dict = {}
+    row = unit_i = model_i = model_j = None
     for pos, (i, j) in tagged_pairs:
         if i != row:
             row, unit_i = i, not alg.counit_basis(i).is_zero()
-            model = (0, *i[1:])
+            model_i = _model(alg, end, i, False)
         count += 1
-        if by_model is None:
+        if model_i is not None:
+            if j not in columns:
+                columns[j] = _model(alg, end, j, True)
+            model_j = columns[j]
+        if model_i is None or model_j is None:
             t, eps = bialgebra_residuals(alg, i, j, unit_i, zero)
         else:
-            hit = by_model.get((model, j))
+            model = model_i, model_j
+            hit = by_model.get(model)
             if hit is None:
-                hit = by_model[model, j] = bialgebra_residuals(
-                    alg, model, j, unit_i, zero
+                hit = by_model[model] = bialgebra_residuals(
+                    alg, model_i, model_j, unit_i, zero
                 )
             t, eps = hit
-            if i[0] and not (t.is_zero() and eps.is_zero()):
+            if not (t.is_zero() and eps.is_zero()) and model != (i, j):
                 t, eps = bialgebra_residuals(alg, i, j, unit_i, zero)
         if t.is_zero() and eps.is_zero():
             continue

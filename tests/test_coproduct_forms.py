@@ -192,9 +192,17 @@ def test_b_gauss_forms_are_not_the_reduced_coefficients():
     assert longest_form < longest_value
 
 
-def test_drifted_b_form_fails_the_bialgebra_check():
+def test_drifted_b_form_fails_the_bialgebra_check(monkeypatch):
     """Corrupt one term of one cached B coproduct form, leave its Lin
-    view intact: the bialgebra scan reads the form and must fail."""
+    view intact: the bialgebra scan reads the form and must fail.  The
+    same for a form drifted after a passing scan on a tail-moved entry,
+    Delta(y1 x), which the base built off Delta(y1) and which no model
+    pair ((d, 0), (d', 0)) reads: the guard finds that it is no longer
+    Delta(y1) moved, so its pairs are computed on their own, the second
+    scan fails, and it reports what the same scan reports with the pass
+    switched off, byte for byte."""
+    import qhopf.verify
+
     alg = build_instance("b_1_123_z6")
     assert verify_axioms(alg, window=1, axioms=("bialgebra",)).passed
     idx = (1, 0, 0)  # y1
@@ -207,6 +215,23 @@ def test_drifted_b_form_fails_the_bialgebra_check():
     assert alg.coproduct_basis(idx) == build_instance("b_1_123_z6").coproduct_basis(idx)
     report = verify_axioms(alg, window=1, axioms=("counit", "bialgebra"))
     assert {f.axiom for f in report.failures} == {"bialgebra"}
+
+    alg = build_instance("b_1_123_z6")
+    assert alg.moves_pairs() == "tail"
+    assert verify_axioms(alg, window=1, axioms=("bialgebra",)).passed
+    cop = alg.coproduct_basis((1, 0, 1))  # y1 x
+    (key, pairs), *rest = cop.form
+    (e, r), *more = pairs
+    cop.form = ((key, ((e, r + 1), *more)), *rest)
+    report = verify_axioms(alg, window=1, axioms=("bialgebra",), max_failures=500)
+    assert not report.passed
+    # the drifted entry as a left and as a right factor
+    assert {"(y1*x, y1)", "(y1, y1*x)"} <= {f.where for f in report.failures}
+    monkeypatch.setattr(
+        qhopf.verify, "bialgebra_vanishes", lambda alg, i, j, terms: False
+    )
+    exact = verify_axioms(alg, window=1, axioms=("bialgebra",), max_failures=500)
+    assert exact.to_json() == report.to_json()
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,6 @@ from qhopf.linalg import Echelon
 from qhopf.params import parse_params
 from qhopf.verify import (
     _tensor_residual,
-    _zero_pass_of,
     bialgebra_vanishes,
     exact_bialgebra_residual,
     find_grouplikes,
@@ -69,13 +68,17 @@ def test_axioms_window_3_carried_basis():
 def test_parallel_scan_matches_serial():
     """B(1, 1, 2, 3, z6), and CLift(2, 3/2), whose products of several
     terms enter the bialgebra residual term by term in the workers, and
-    C(3) at window 3, whose workers each keep their own model pairs'
-    residuals, computing a model outside their share where they need
-    it."""
+    C(3), A(2, z3) and B(2, 1, 2, 3, z12) at window 3, whose workers
+    each keep their own model pairs' residuals, computing a model
+    outside their share where they need it: a worker takes a stride of
+    the pairs, so most of its x^0 models ((d, 0), (d', 0)) lie in
+    another worker's share."""
     for spec, window in (
         ({"family": "B", "n": 1, "p": [1, 2, 3], "q": {"order": 6, "power": 1}}, 2),
         ({"family": "CLift", "n": 2, "q": "3/2"}, 2),
         ({"family": "C", "n": 3}, 3),
+        ({"family": "A", "n": 2, "q": {"order": 3, "power": 1}}, 3),
+        ({"family": "B", "n": 2, "p": [1, 2, 3], "q": {"order": 12, "power": 1}}, 3),
     ):
         alg = build(parse_params(spec))
         serial = verify_axioms(alg, window=window)
@@ -222,6 +225,66 @@ def test_corrupted_coproduct_at_level_105_reads_as_the_exact_route(monkeypatch):
     assert exact.to_json() == report.to_json()
 
 
+class _UngradedB(FamilyB):
+    """B(1, 1, 2, 3, z6) with a stray y1 ox 1 in Delta(y2): its u-degrees
+    add to 3 on that term and to 2 on the others, so every Delta(e_j)
+    built from it is ungraded, and moving its left factor by x^b scales
+    the stray term's pairs by another power of q than the rest."""
+
+    def _coproduct_raw(self, i):
+        t = super()._coproduct_raw(i)
+        if i == (0, 1, 0):
+            return t + Lin.basis(((1, 0, 0), (0, 0, 0)), self.one_scalar())
+        return t
+
+
+@pytest.mark.parametrize(
+    "cls,spec,window",
+    [
+        (_BrokenB105Coproduct, {"family": "B", "n": 7, "p": [1, 3, 5],
+                                "q": {"order": 105, "power": 1}}, 1),
+        (_UngradedB, {"family": "B", "n": 1, "p": [1, 2, 3],
+                      "q": {"order": 6, "power": 1}}, 2),
+    ],
+    ids=["B105-stray-x", "B6-stray-y1"],
+)
+def test_an_ungraded_coproduct_is_never_reused(cls, spec, window, monkeypatch):
+    """The tail reuse needs a graded Delta(e_j): a pair whose right
+    factor's coproduct is ungraded is computed on its own, never taken
+    from its model, and the report is the exact route's, byte for
+    byte.  (Without the guard, x-shifted pairs of these fixtures pass
+    where the exact route fails them.)"""
+    import qhopf.verify
+
+    params = parse_params(spec)
+    alg = cls(params)
+    assert alg.moves_pairs() == "tail"
+    box = alg.basis_box(window)
+    u = {j: alg.point(j)[0] for j in box}
+    ungraded = [
+        j
+        for j in box
+        if any(
+            alg.point(a)[0] + alg.point(b)[0] != u[j]
+            for a, b in alg.coproduct_basis(j).terms
+        )
+    ]
+    assert ungraded
+    computed = []
+    plain = qhopf.verify._index_vanishes
+
+    def spied(alg, views, i, j, terms):
+        computed.append((i, j))
+        return plain(alg, views, i, j, terms)
+
+    monkeypatch.setattr(qhopf.verify, "_index_vanishes", spied)
+    report = verify_axioms(alg, window=window, axioms=("bialgebra",), max_failures=500)
+    assert not report.passed
+    assert {(i, j) for i in box for j in ungraded} <= set(computed)
+    monkeypatch.undo()
+    assert report.to_json() == exact_report(cls, params, window).to_json()
+
+
 class _DriftedShiftedA(FamilyA):
     """A(2, z3) with one Gauss-form rational of Delta(y x) moved by 1,
     its Lin left as it is: Delta(y x) is no longer Delta(y) shifted.
@@ -239,17 +302,14 @@ class _DriftedShiftedA(FamilyA):
 def test_drifted_shifted_coproduct_gets_its_own_class_and_reads_as_the_exact_route(
     monkeypatch,
 ):
-    """Delta(y x) drifted off Delta(y) shifted by x gets a shift class of
-    its own, the zero-only pass proves no pair whose exact residual is
-    nonzero, and the report is the exact route's, byte for byte."""
+    """Delta(y x) drifted off Delta(y) shifted by x: the zero-only pass
+    proves no pair whose exact residual is nonzero, and the report is
+    the exact route's, byte for byte.  (The override makes
+    `moves_pairs()` None, so no pair takes its model's residuals.)"""
     import qhopf.verify
 
     params = parse_params({"family": "A", "n": 2, "q": {"order": 3, "power": 1}})
-    sound, alg = FamilyA(params), _DriftedShiftedA(params)
-    view = _zero_pass_of(sound).view
-    assert view(sound, (1, 1))[0] is view(sound, (1, 0))[0]
-    view = _zero_pass_of(alg).view
-    assert view(alg, (1, 1))[0] is not view(alg, (1, 0))[0]
+    alg = _DriftedShiftedA(params)
     box = alg.basis_box(2)
     for i in box:
         for j in box:
@@ -267,28 +327,24 @@ def test_drifted_shifted_coproduct_gets_its_own_class_and_reads_as_the_exact_rou
 
 
 class _MisShiftedA(FamilyA):
-    """A(2, z3) whose Delta(y x^2) is Delta(y x^3): the class of y's
-    views, at a shift one too large.  It is a one-index
-    `coproduct_basis` override, since the base builds Delta(y x^2) off
-    Delta(y) and never asks `_coproduct_raw` for it."""
+    """A(2, z3) whose Delta(y x^2) is Delta(y x^3): Delta(y) moved one
+    power of x too far.  It is a one-index `coproduct_basis` override,
+    since the base builds Delta(y x^2) off Delta(y) and never asks
+    `_coproduct_raw` for it."""
 
     def coproduct_basis(self, i):
         return super().coproduct_basis((1, 3) if i == (1, 2) else i)
 
 
 def test_a_coproduct_at_the_wrong_shift_reads_as_the_exact_route(monkeypatch):
-    """Delta(y x) Delta(x) is read off the table of y's class and x's
-    class, and Delta(y x^2) has y's class too, but at shift 3, not 2:
-    its keys must be moved by the difference before they are matched,
-    so no pair whose exact residual is nonzero is proved zero, and the
-    report is the exact route's, byte for byte."""
+    """Delta(y x) Delta(x) no longer matches Delta(y x^2), which is
+    Delta(y) moved by x^3: no pair whose exact residual is nonzero is
+    proved zero, and the report is the exact route's, byte for
+    byte."""
     import qhopf.verify
 
     params = parse_params({"family": "A", "n": 2, "q": {"order": 3, "power": 1}})
     alg = _MisShiftedA(params)
-    view = _zero_pass_of(alg).view
-    assert view(alg, (1, 2))[0] is view(alg, (1, 0))[0]
-    assert view(alg, (1, 2))[1] == 3
     assert not _exact(alg, (1, 1), (0, 1)).is_zero()
     box = alg.basis_box(2)
     for i in box:
@@ -391,13 +447,13 @@ def test_zero_only_pass_bounds_each_pair_by_its_l1_norm(name, monkeypatch):
             bounds[pair] = l1
             return self.zmap.proves_zero(values, l1)
 
-    for kernel in ("_index_vanishes", "_lattice_vanishes"):
+    plain = qhopf.verify._index_vanishes
 
-        def spied(alg, zp, i, j, terms, plain=getattr(qhopf.verify, kernel)):
-            computing.append((i, j))
-            return plain(alg, zp, i, j, terms)
+    def spied(alg, views, i, j, terms):
+        computing.append((i, j))
+        return plain(alg, views, i, j, terms)
 
-        monkeypatch.setattr(qhopf.verify, kernel, spied)
+    monkeypatch.setattr(qhopf.verify, "_index_vanishes", spied)
     monkeypatch.setattr(qhopf.verify, "zero_map", Spy)
     alg = build_instance(name)
     box = alg.basis_box(1)
@@ -465,7 +521,6 @@ def test_off_by_one_twist_in_the_lattice_statement_is_caught(cls, spec, monkeypa
     import qhopf.verify
 
     alg = cls(parse_params(spec))
-    assert alg.lattice_exponent() == alg.twist
     report = verify_axioms(alg, window=1, axioms=("bialgebra",), max_failures=200)
     assert report.failures
     monkeypatch.setattr(
@@ -480,24 +535,24 @@ def test_off_by_one_twist_in_the_lattice_statement_is_caught(cls, spec, monkeypa
 
 
 class _MergedLattice(FamilyA):
-    """A(2, z3) whose lattice reads y^a x^b at the point of y^a x^(b-6)
-    for b >= 6, so two indices share a point.  The twist omega^(2 v u)
-    has period 6 in v, so the merged legs even carry the same twists."""
+    """A(2, z3) whose lattice reads y^a x^b at the point of y^(a-3) x^b
+    for a >= 3, so y^3 x^b shares the point of x^b.  The base reads the
+    lattice at x^0 only, so the merge is in u; q = omega^2 at N = 6, so
+    q^(3 v) = 1 and the merged legs even carry the same twists."""
 
     def lattice(self, i):
         a, b = i
-        return (a, b - 6) if b >= 6 else i
+        return (a - 3, b) if a >= 3 else i
 
 
 def test_a_merged_lattice_is_declined_never_proved():
-    """The residue view checks lattice_index(*lattice(a)) == a on every
-    leg it codes, so a pair whose exact residual is nonzero is never
-    proved zero by the lattice kernel.  (Without that check, four such
-    pairs of box(2) read as zero.)"""
+    """A lattice that is not one to one is a wrong product, which the
+    pass reads through `_product` on index keys like any other: on
+    box(3), where y^3 is an operand, a pair whose exact residual is
+    nonzero is never proved zero."""
     spec = {"family": "A", "n": 2, "q": {"order": 3, "power": 1}}
     alg = _MergedLattice(parse_params(spec))
-    assert alg.lattice_exponent() is not None
-    box = alg.basis_box(2)
+    box = alg.basis_box(3)
     failing = [
         (i, j)
         for i in box

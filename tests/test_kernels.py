@@ -13,19 +13,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import VALID_CORPUS, VERIFY_CYCLO_OPS, build_instance, exact_report
+from conftest import VERIFY_CYCLO_OPS, build_instance, exact_report
 from qhopf.elements import Lin, acc
 from qhopf.families import build
-from qhopf.families.base import FormLin, LatticeProvider
+from qhopf.families.base import FormLin
 from qhopf.families.family_a import FamilyA
 from qhopf.params import AParams, ScalarSpec, parse_params
 from qhopf.scalars import Cyclo, euler_phi, reduce_exponents
-from qhopf.verify import (
-    _index_vanishes,
-    _zero_pass_of,
-    bialgebra_vanishes,
-    verify_axioms,
-)
+from qhopf.verify import _index_vanishes, verify_axioms
 
 SPECS = {
     "c_3": None,  # level 1, integer structure constants
@@ -307,7 +302,7 @@ def test_verify_caches_no_kernel_product():
     alg = _build("b_2_123_z12")
     assert verify_axioms(alg, window=3).passed
     assert not alg._mul_cache and not alg._product_cache
-    memos = (alg._canon_d, alg._twist_powers, alg._points)
+    memos = (alg._canon_d, alg._twist_powers, alg._points, alg._y_parts)
     assert sum(map(len, memos)) <= 2 * len(alg.basis_box(6))
     for name in ["group_z2", "group_zsemiz", "env_abelian", "a_2_z3"] + ORE:
         alg = _build(name)
@@ -315,86 +310,17 @@ def test_verify_caches_no_kernel_product():
         assert not alg._mul_cache and (name in ORE or not alg._product_cache), name
 
 
-# -- the zero-only bialgebra pass: lattice kernel and index kernel --------
-
-LATTICE_CORPUS = [
-    name for name in VALID_CORPUS if isinstance(_build(name), LatticeProvider)
-]
-
-
-def _index_keyed(alg):
-    """The same provider with index-keyed residue views, so that the
-    pass reads it through the index kernel and `_product`."""
-    cls = type(alg)
-    twin = type("Indexed", (cls,), {"lattice_exponent": lambda self: None})
-    return twin(alg.params)
-
-
-def _raise(i, j):
-    raise AssertionError("the lattice kernel called _product")
-
-
-@pytest.mark.parametrize("name", LATTICE_CORPUS)
-def test_lattice_kernel_agrees_with_the_index_kernel(name):
-    """On every pair of box(2), the lattice kernel and the index kernel
-    reach the same verdict, and the lattice kernel reads no `_product`
-    once the pair's views are filled.  A rational twist (A at level 1,
-    q != +-1) has no lattice kernel: the pass reads it by index."""
-    alg = _build(name)
-    if alg.lattice_exponent() is None:
-        assert alg.twist.__class__ is Fraction, name
-        return
-    reference = _index_keyed(alg)
-    box = alg.basis_box(2)
-    for i in box:
-        for j in box:
-            terms = alg._product(i, j)
-            want = bialgebra_vanishes(reference, i, j, terms)
-            assert bialgebra_vanishes(alg, i, j, terms) == want, (i, j)
-            alg._product = _raise
-            assert bialgebra_vanishes(alg, i, j, terms) == want, (i, j)
-            del alg._product
-
-
-@pytest.mark.parametrize(
-    "name,window,classes", [("b_2_123_z12", 3, 12), ("env_abelian", 2, 9)]
-)
-def test_lattice_kernel_builds_one_table_per_pair_of_shift_classes(
-    name, window, classes, monkeypatch
-):
-    """B(2, 1, 2, 3, z12) has 12 shift classes on box(3), one per y-part,
-    so its 7,056 pairs build 144 product tables; EnvAbelian has no
-    shift symmetry, one class per index.  The memo holds one row: the
-    tables of one left class, one per right class."""
-    import qhopf.verify
-
-    alg = _build(name)
-    box = alg.basis_box(window)
-    zp = _zero_pass_of(alg)
-    assert len({zp.view(alg, i)[0] for i in box}) == classes
-    builds = []
-    build_table = qhopf.verify._class_table
-
-    def counted(zmap, qe, n, left, lift, right):
-        row_class, row = zp.row
-        assert row_class is left and right not in row
-        builds.append(len(row) + 1)
-        return build_table(zmap, qe, n, left, lift, right)
-
-    monkeypatch.setattr(qhopf.verify, "_class_table", counted)
-    report = verify_axioms(alg, window=window, axioms=("bialgebra",))
-    assert report.passed
-    assert report.checked["bialgebra"] == len(box) ** 2
-    assert len(builds) == classes**2
-    assert max(builds) == classes
+# -- the zero-only bialgebra pass -----------------------------------------
 
 
 def test_bialgebra_scan_reads_each_coproduct_once_per_index():
     """The pass keeps each residue view with the FormLin it was read
     from, so a bialgebra-only scan of B(2, 1, 2, 3, z12) at window 3
-    asks `coproduct_basis` once per index it reads (its 84 box indices
-    and their products), not once per read: three reads per pair would
-    be 21,168 calls."""
+    asks `coproduct_basis` once per index it reads, not once per read
+    (three reads per pair would be 21,168 calls): its 84 box indices,
+    each read by the guard of its row and column, and the 13 products
+    of its 144 model pairs that lie outside the box.  The guard reads
+    the pass's entries, not `coproduct_basis` again."""
     alg = _build("b_2_123_z12")
     calls = []
     coproduct_basis = alg.coproduct_basis
@@ -405,7 +331,7 @@ def test_bialgebra_scan_reads_each_coproduct_once_per_index():
 
     alg.coproduct_basis = counted
     assert verify_axioms(alg, window=3, axioms=("bialgebra",)).passed
-    assert len(calls) == len(set(calls)) == 325
+    assert len(calls) == len(set(calls)) == 97
 
 
 # -- the scan's reuse across powers of y ------------------------------
@@ -434,7 +360,7 @@ def test_reused_verdicts_equal_the_plain_index_kernel(name, monkeypatch):
     EnvNonabelian, whose y is primitive, runs the kernel on every
     pair."""
     alg = _build(name)
-    assert alg.moves_pairs() == (name != "env_nonabelian")
+    assert alg.moves_pairs() == (None if name == "env_nonabelian" else "lead")
     box = alg.basis_box(3)
     calls = _spy_index_kernel(monkeypatch)
     report = verify_axioms(alg, window=3, axioms=("bialgebra",), max_failures=500)
@@ -462,6 +388,69 @@ def test_a_c3_window_3_scan_runs_the_index_kernel_on_its_model_pairs_only(
     assert set(calls) == {(i, j) for i in box if not i[0] for j in box}
 
 
+# -- the scan's reuse across powers of the last letter x ------------------
+
+TAIL = ["a_2_z3", "a_2_2", "b_2_123_z12", "group_z2"]
+
+
+@pytest.mark.parametrize("name", TAIL)
+def test_tail_reused_verdicts_equal_the_exact_route(name, monkeypatch):
+    """A (at a root of unity and at a rational q), B and GroupZ2 run the
+    plain index kernel on the model pairs ((d, 0), (d', 0)) only, each
+    once, and on each pair whose right factor e_j has counit 1 and
+    u_j != 0, which the guard computes on its own (GroupZ2's y^a x^c,
+    a != 0).  The window-3 report is the exact route's, which computes
+    every pair on its own.  B(2, 1, 2, 3, z12) computes 12 x 12 = 144
+    of its 7,056 pairs."""
+    alg = _build(name)
+    assert alg.moves_pairs() == "tail"
+    box = alg.basis_box(3)
+    calls = _spy_index_kernel(monkeypatch)
+    report = verify_axioms(alg, window=3, axioms=("bialgebra",), max_failures=500)
+
+    def x0(a):
+        return (*a[:-1], 0)
+
+    def alone(j):
+        return alg.point(j)[0] and not alg.counit_basis(j).is_zero()
+
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {
+        (i, j) if alone(j) else (x0(i), x0(j)) for i in box for j in box
+    }
+    if name == "b_2_123_z12":
+        assert len(calls) == 144
+    assert report.checked["bialgebra"] == len(box) ** 2
+    assert report.to_json() == exact_report(type(alg), alg.params, 3).to_json()
+
+
+class _StrayOffX0(FamilyA):
+    """A(2, z3) whose lattice statement is wrong off x-exponent 0 only:
+    y^a x^b (b != 0) at the point of y^(a+1) x^b, and the index at
+    (u, v), v != 0, moved by x."""
+
+    def lattice(self, i):
+        a, b = i
+        return (a + 1, b) if b else i
+
+    def lattice_index(self, u, v):
+        return (u, v + 1) if v else (u, v)
+
+
+def test_the_base_reads_a_tail_unit_lattice_at_x_exponent_0_only():
+    """`_product` takes a point's v as its x-exponent and reads the
+    statement at x^0 only, so the tail reuse's product moves hold for
+    every stated lattice: a statement wrong off x^0 gives the sound
+    one's products.  (Its coproducts read `lattice_index` themselves,
+    off v = 0 too, and `verify` checks them.)"""
+    params = _build("a_2_z3").params
+    sound, stray = FamilyA(params), _StrayOffX0(params)
+    box = sound.basis_box(3)
+    for i in box:
+        for j in box:
+            assert stray._product(i, j) == sound._product(i, j), (i, j)
+
+
 @pytest.mark.parametrize("name,window", VERIFY_CYCLO_OPS)
 def test_verify_cyclo_ops_prove_every_pair_with_no_exact_recompute(
     name, window, monkeypatch
@@ -469,7 +458,6 @@ def test_verify_cyclo_ops_prove_every_pair_with_no_exact_recompute(
     import qhopf.verify
 
     alg = _build(name)
-    assert alg.lattice_exponent() is not None
     recomputes = []
     exact = qhopf.verify.exact_bialgebra_residual
 
