@@ -101,10 +101,11 @@ both legs' last exponent moved by b.  The base states Delta(1) = 1 ox 1,
 so `_coproduct_raw` is called once per other index whose unit end
 exponents are 0 (never in a group algebra).  `moves_pairs()` names the
 end letter along which a provider's products and coproducts are all
-moved, with neither `_product` nor `coproduct_basis` overridden: "lead"
-for the base `_product` and a unit first letter (C, CLift), "tail" for
-`LatticeProvider._product` and a unit last letter (GroupZ2, A, B); the
-bialgebra scan of `qhopf.verify` reads it.
+moved, with none of `_product`, `coproduct_basis`, `counit_basis` and
+`antipode_basis` overridden: "lead" for the base `_product` and a unit
+first letter (C, CLift), "tail" for `LatticeProvider._product` and a
+unit last letter (GroupZ2, A, B); the bialgebra scan and the per-index
+checks of `qhopf.verify` read it.
 
 Antipodes are derived from the letters: S is an anti-homomorphism, so
 `antipode_basis` reads S(e_r g^k) = S(g^k) S(e_r), g^k the last nonzero
@@ -266,13 +267,18 @@ class HopfProvider(ABC):
 
     def moves_pairs(self) -> str | None:
         """The end letter along which every product and coproduct is
-        its end-zero entry moved, with `coproduct_basis` the base's:
-        "lead" when `moves_lead()` holds and the first letter is a unit,
-        "tail" for `LatticeProvider._product` and a unit last letter,
-        else None."""
-        if type(self).coproduct_basis is not HopfProvider.coproduct_basis:
+        its end-zero entry moved, with `coproduct_basis`, `counit_basis`
+        and `antipode_basis` the base's: "lead" when `moves_lead()`
+        holds and the first letter is a unit, "tail" for
+        `LatticeProvider._product` and a unit last letter, else None."""
+        cls = type(self)
+        if (
+            cls.coproduct_basis is not HopfProvider.coproduct_basis
+            or cls.counit_basis is not HopfProvider.counit_basis
+            or cls.antipode_basis is not HopfProvider.antipode_basis
+        ):
             return None
-        product = type(self)._product
+        product = cls._product
         if product is HopfProvider._product and self.letters[0][1]:
             return "lead"
         if product is LatticeProvider._product and self.letters[-1][1]:
@@ -631,8 +637,9 @@ class LatticeProvider(HopfProvider):
 
         (e x^b)(e' x^c) = q^(b u') (e e') x^(b+c),   u' = u of e',
 
-    holds for every stated lattice; the bialgebra scan of
-    `qhopf.verify` proves pairs once per pair of y-parts on it.
+    holds for every stated lattice; `qhopf.verify` proves pairs once
+    per pair of y-parts on it, and each per-index axiom once per
+    y-part.
     """
 
     twist: int | Fraction

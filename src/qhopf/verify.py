@@ -55,8 +55,13 @@ named only when it fails.  The scan runs i outer and reads eps(e_i)
 once per row.
 
 The scan proves a pair once per model pair where the provider allows
-it, along the end letter that `HopfProvider.moves_pairs()` names.
-Write k + a for k with the end letter's exponent moved by a.
+it, along the end letter that `HopfProvider.moves_pairs()` names, and
+`verify_axioms` proves coassociativity and the counit law once per
+model index along either end letter, and the antipode law along the
+tail letter only.  Write k + a for k with the end letter's exponent
+moved by a.  `moves_pairs()` names an end letter only when the base
+builds every coproduct, counit and antipode (none of
+`coproduct_basis`, `counit_basis` and `antipode_basis` overridden).
 
 Lead letter ("lead": C and CLift).  The base builds every product and
 coproduct off lead exponent 0 from the lead-zero one.  The model of
@@ -92,21 +97,65 @@ So the tensor residual of (i, j) is the unit q^(b u_j) times the
 model's, its keys moved, and vanishes exactly when the model's does.
 The counit residual is q^(b u_j) eps(e_k) - eps(e_i) eps(e_j) against
 the model's eps(e_k) - eps(e_i) eps(e_j): it vanishes exactly when the
-model's does if eps(e_j) = 0 or u_j = 0.
+model's does if eps(e_j) = 0 or u_j = 0.  When q = 1 (an int twist of
+0 mod N, as GroupZ2's), x is central and every q^(b u) is 1, so neither
+condition is needed.
 
 The guard.  A left factor i stands for its model only when Delta(e_i),
 as the pass holds it, is its model's entry with both legs moved, term
-for term and form for form; for the tail, so must a right factor j, and
-Delta(e_j) must be graded, and eps(e_j) = 0 or u_j = 0.  The guard is
-read off the pass's entries, once per row and once per right factor per
-scan, so a form assigned by hand to a moved entry fails it.
-`_bialgebra_scan` keeps the residuals of each model pair it meets, per
-scan: a pair whose model passed costs one lookup, and any other pair,
-or a pair with a factor that fails the guard, is computed on its own,
-so a failure's text is the pair's own.  A C(3) window-3 scan computes
-the 4 x 28 = 112 model pairs of its 784; a B(2, 1, 2, 3, z12) one the
-12 x 12 = 144 of its 7,056.  A form assigned by hand to an entry that
-is only ever read as a product's Delta(e_k) is not read by its pair.
+for term and form for form; for the tail with q != 1, a right factor j
+must also be, and Delta(e_j) must be graded, and eps(e_j) = 0 or
+u_j = 0.  The guard is read off the pass's entries, once per index as a
+left factor (one dict that the per-index checks and the scan's rows
+read) and once per right factor per scan, so a form assigned by hand to
+a moved entry fails it.  `_bialgebra_scan` keeps the model pairs it
+meets whose residuals vanish, in a set, and the residuals of those that
+do not: a pair whose model passed costs one set-membership test, and
+any other pair, or a pair with a factor that fails the guard, is
+computed on its own, so a failure's text is the pair's own.  A C(3)
+window-3 scan computes the 4 x 28 = 112 model pairs of its 784; a
+B(2, 1, 2, 3, z12) one the 12 x 12 = 144 of its 7,056, and a GroupZ2
+one the 7 x 7 = 49 of its 2,401.  A form assigned by hand to an entry
+that is only ever read as a product's Delta(e_k) is not read by its
+pair.
+
+Per index.  Let i = m + a pass the guard, m its model.
+
+- Coassociativity and the counit law, along either letter: Delta(e_i)
+  is Delta(e_m) with both legs moved by a, and the base builds each
+  leg's Delta(e_(k+a)) as Delta(e_k) moved by a, so both sides of the
+  coassociativity residual of e_i are its model's with every key moved;
+  eps reads the letters and the moved letter is a unit, so eps(e_(k+a))
+  = eps(e_k), and the counit residuals of e_i are its model's with
+  their keys moved.  Each vanishes exactly when the model's does.
+- The antipode law, along the tail: write i = (d, b), m = (d, 0).  The
+  base reads S(e_r x^k) = S(x^k) S(e_r) = x^-k S(e_r), so each term of
+  S(e_(t+b)), t a leg of Delta(e_m), is the term of S(e_t) moved by
+  x^-b, times q^(-b u), u its point's.  By the two moves of `_product`,
+  in the right residual sum c e_(s+b) S(e_(t+b)) - eps(e_i) 1 the left
+  operand's q^(b u) cancels it: the residual is the model's.  In the
+  left residual sum c S(e_(s+b)) e_(t+b) - eps(e_i) 1 the left
+  operand's move adds q^(-b u_t), u_t the u of t, and the right
+  operand's move shifts the key back, so the residual is the model's
+  with the key of each lattice u = u' + u_t scaled by the unit q^(-b u)
+  (the unit's u is 0).  Both vanish exactly when the model's do.
+- The round trip: reading each product's key by its u needs the u's to
+  add, so the unit's point has u = 0 and `lattice_index(u, 0)` has u
+  again, for every u that `_product` meets (`_y_parts`) and every u of
+  an operand's point (`_points`).  The second set is needed since a
+  moved index meets u's that its model does not: GroupZ2's S(y^a x^b) =
+  x^-b y^-a lands at u = -a, where S(y^a) y^a lands at u = 0 only.
+  `_round_trips` reads both once every model's residuals are computed;
+  where it fails, every index's antipode is computed on its own.
+- No antipode reuse along the lead: S(y^a x^b) is S(x^b) y^-a, and its
+  left residual multiplies S(x^b)'s terms into y^a x^c, which reads
+  the lead-zero rows x^r y^(a+m) where the model reads x^r y^m: not a
+  move, so each C and CLift index keeps its own antipode check.
+
+Each other index, and each index whose model fails, is computed on its
+own, so a failure's text is its own; `checked` counts every index of
+the box.  A form assigned by hand to an entry that is only ever read as
+a leg is not read by its index.
 """
 
 from __future__ import annotations
@@ -114,7 +163,7 @@ from __future__ import annotations
 import os
 
 from qhopf.elements import Lin, acc
-from qhopf.families.base import HopfProvider, moved
+from qhopf.families.base import HopfProvider, LatticeProvider, moved
 from qhopf.linalg import kernel_of_map
 from qhopf.params import Record
 from qhopf.scalars import Cyclo, reduce_exponents, zero_map
@@ -293,7 +342,7 @@ def _model(alg: HopfProvider, end: str | None, a, right: bool):
             for (key, pairs), ((l, r), want) in zip(form, base)
         ):
             return None
-    if end == "tail" and right:
+    if end == "tail" and right and not _x_is_central(alg):
         # Delta(e_a) graded, and eps(e_a) = 0 or u_a = 0
         point = alg.point
         u = point(a)[0]
@@ -302,6 +351,12 @@ def _model(alg: HopfProvider, end: str | None, a, right: bool):
         if any(point(l)[0] + point(r)[0] != u for (l, r), _ in form):
             return None
     return model
+
+
+def _x_is_central(alg: LatticeProvider) -> bool:
+    # q = 1: an int twist, the omega exponent of q, of 0 mod N
+    twist = alg.twist
+    return twist.__class__ is int and not twist % alg.omega_order
 
 
 def exact_bialgebra_residual(alg: HopfProvider, i, j, terms) -> Lin:
@@ -346,35 +401,23 @@ def verify_axioms(
     report = AxiomReport(window=window)
     box = alg.basis_box(window)
     fail = report.failures
+    end = alg.moves_pairs()
+    # each index's model as a left factor, once per index: the per-index
+    # checks and the scan's rows read it
+    rows = _rows(alg, end, box)
 
     def note(axiom, where, residual):
         if len(fail) < max_failures:
             fail.append(Failure(axiom, where, residual))
 
-    if "coassociativity" in axioms:
-        for idx in box:
-            r = coassociativity_residual(alg, idx)
-            if not r.is_zero():
-                note("coassociativity", alg.index_str(idx), _tensor_residual(alg, r))
-        report.checked["coassociativity"] = len(box)
-
-    if "counit" in axioms:
-        for idx in box:
-            l, r = counit_residuals(alg, idx)
-            if not l.is_zero():
-                note("counit", alg.index_str(idx), "left: " + alg.el_str(l))
-            if not r.is_zero():
-                note("counit", alg.index_str(idx), "right: " + alg.el_str(r))
-        report.checked["counit"] = len(box)
-
-    if "antipode" in axioms:
-        for idx in box:
-            l, r = antipode_residuals(alg, idx)
-            if not l.is_zero():
-                note("antipode", alg.index_str(idx), "left: " + alg.el_str(l))
-            if not r.is_zero():
-                note("antipode", alg.index_str(idx), "right: " + alg.el_str(r))
-        report.checked["antipode"] = len(box)
+    for axiom in ("coassociativity", "counit", "antipode"):
+        if axiom in axioms:
+            # no antipode reuse along the lead letter
+            models = {} if axiom == "antipode" and end != "tail" else rows
+            for idx, texts in zip(box, _index_failures(alg, axiom, box, models)):
+                for text in texts:
+                    note(axiom, alg.index_str(idx), text)
+            report.checked[axiom] = len(box)
 
     if "bialgebra" in axioms:
         # no more workers than usable cores; the output does not depend on it
@@ -383,7 +426,7 @@ def verify_axioms(
             count, tagged = _scan_pairs_parallel(alg, window, jobs)
         else:
             pairs = enumerate((i, j) for i in box for j in box)
-            count, tagged = _bialgebra_scan(alg, pairs)
+            count, tagged = _bialgebra_scan(alg, pairs, rows)
         for _, axiom, where, residual in sorted(tagged, key=lambda t: t[0]):
             note(axiom, where, residual)
         report.checked["bialgebra"] = count
@@ -391,36 +434,97 @@ def verify_axioms(
     return report
 
 
-def _bialgebra_scan(alg: HopfProvider, tagged_pairs) -> tuple[int, list]:
+def _rows(alg: HopfProvider, end: str | None, box) -> dict:
+    # index -> its model as a left factor (`_model`), or None
+    return {i: _model(alg, end, i, False) for i in box} if end else {}
+
+
+def _index_failures(alg: HopfProvider, axiom: str, box, models: dict) -> list:
+    """The failure texts of `axiom` at each index of the box, in box
+    order.  An index whose model (`models`) passes passes with it; any
+    other index, and every index of a tail antipode check whose lattice
+    does not round trip, is computed on its own."""
+    texts: dict = {}
+    moved_ones = []
+    for idx in box:
+        model = models.get(idx)
+        if model is None or model == idx:
+            texts[idx] = _own_failures(alg, axiom, idx)
+        else:
+            moved_ones.append((idx, model))
+    # read once every model is computed, so that it sees what they met
+    trusted = axiom != "antipode" or not moved_ones or _round_trips(alg)
+    for idx, model in moved_ones:
+        if trusted and texts.get(model) == []:
+            texts[idx] = []
+        else:
+            texts[idx] = _own_failures(alg, axiom, idx)
+    return [texts[idx] for idx in box]
+
+
+def _own_failures(alg: HopfProvider, axiom: str, idx) -> list[str]:
+    # the failure texts of one index, computed on its own
+    if axiom == "coassociativity":
+        r = coassociativity_residual(alg, idx)
+        return [] if r.is_zero() else [_tensor_residual(alg, r)]
+    sides = counit_residuals if axiom == "counit" else antipode_residuals
+    left, right = sides(alg, idx)
+    return [
+        f"{side}: {alg.el_str(r)}"
+        for side, r in (("left", left), ("right", right))
+        if not r.is_zero()
+    ]
+
+
+def _round_trips(alg: LatticeProvider) -> bool:
+    """Whether the unit's point has u = 0 and lattice_index(u, 0) has u
+    again for every u that `_product` has met or read off an operand:
+    what moving the tail antipode's residuals needs."""
+    point, at = alg.point, alg.lattice_index
+    if point(alg.unit_index())[0]:
+        return False
+    met = set(alg._y_parts).union(u for u, _ in alg._points.values())
+    return all(point(at(u, 0))[0] == u for u in met)
+
+
+def _bialgebra_scan(alg: HopfProvider, tagged_pairs, rows: dict) -> tuple[int, list]:
     out = []
     count = 0
     zero = Cyclo.zero(alg.level)
     end = alg.moves_pairs()
-    # per scan: the residuals of each model pair met, and each right
-    # factor's model (None: its pairs are computed on their own)
-    by_model: dict = {}
+    # per scan: the model pairs met whose residuals vanish, the residuals
+    # of those that do not, and each right factor's model (None: its
+    # pairs are computed on their own); `rows` holds each left factor's
+    passed: set = set()
+    failed: dict = {}
     columns: dict = {}
-    row = unit_i = model_i = model_j = None
+    row = unit_i = model_i = None
     for pos, (i, j) in tagged_pairs:
         if i != row:
-            row, unit_i = i, not alg.counit_basis(i).is_zero()
-            model_i = _model(alg, end, i, False)
+            row, unit_i, model_i = i, not alg.counit_basis(i).is_zero(), rows.get(i)
         count += 1
+        model = None
         if model_i is not None:
             if j not in columns:
                 columns[j] = _model(alg, end, j, True)
             model_j = columns[j]
-        if model_i is None or model_j is None:
+            if model_j is not None:
+                model = model_i, model_j
+                if model in passed:
+                    continue
+        if model is None:
             t, eps = bialgebra_residuals(alg, i, j, unit_i, zero)
         else:
-            model = model_i, model_j
-            hit = by_model.get(model)
+            hit = failed.get(model)
             if hit is None:
-                hit = by_model[model] = bialgebra_residuals(
-                    alg, model_i, model_j, unit_i, zero
-                )
-            t, eps = hit
-            if not (t.is_zero() and eps.is_zero()) and model != (i, j):
+                hit = bialgebra_residuals(alg, model_i, model_j, unit_i, zero)
+                if hit[0].is_zero() and hit[1].is_zero():
+                    passed.add(model)
+                    continue
+                failed[model] = hit
+            if model == (i, j):
+                t, eps = hit
+            else:
                 t, eps = bialgebra_residuals(alg, i, j, unit_i, zero)
         if t.is_zero() and eps.is_zero():
             continue
@@ -458,7 +562,7 @@ def _pair_worker(args) -> tuple[int, list]:
     alg = cls(params)
     box = alg.basis_box(window)
     pairs = list(enumerate((i, j) for i in box for j in box))
-    return _bialgebra_scan(alg, pairs[slot::stride])
+    return _bialgebra_scan(alg, pairs[slot::stride], _rows(alg, alg.moves_pairs(), box))
 
 
 def _scan_pairs_parallel(alg: HopfProvider, window: int, jobs: int) -> tuple[int, list]:

@@ -61,19 +61,19 @@ def build_instance(name):
     return build(parse_params(json.loads((INSTANCES / f"{name}.json").read_text())))
 
 
-def exact_report(cls, params, window):
-    """The bialgebra report of a fresh `cls(params)` by the exact route
-    alone: the zero-only pass switched off, and `moves_pairs()` false,
-    so no pair takes its model's residuals and each is computed on
-    its own."""
+def exact_report(cls, params, window, axioms=("bialgebra",)):
+    """The `axioms` report of a fresh `cls(params)` by the exact route
+    alone: the zero-only pass switched off, and `moves_pairs()` None,
+    so no pair and no index takes its model's residuals and each is
+    computed on its own."""
     import pytest
 
     import qhopf.verify
     from qhopf.verify import verify_axioms
 
-    alone = type(cls.__name__, (cls,), {"moves_pairs": lambda self: False})
+    alone = type(cls.__name__, (cls,), {"moves_pairs": lambda self: None})
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qhopf.verify, "bialgebra_vanishes", lambda alg, i, j, terms: False)
         return verify_axioms(
-            alone(params), window=window, axioms=("bialgebra",), max_failures=500
+            alone(params), window=window, axioms=axioms, max_failures=500
         )
