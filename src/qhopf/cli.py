@@ -192,22 +192,17 @@ def cmd_comodule(args) -> int:
         raise InputError(f"{args.instance}: {exc}") from exc
 
     t0 = time.perf_counter()
-    box = alg.basis_box(args.window)
-    compatible = all(co.coactions_compatible(alg.basis_el(i)) for i in box)
-    counit_ok = all(co.counit_recovers(alg.basis_el(i)) for i in box)
+    verdicts = co.box_verdicts(args.window)
     doc: dict = {
         "command": "comodule",
         "instance": params_to_json(params),
         "window": args.window,
         "quotient": {"kind": co.spec.kind, "name": "default"},
-        "bicomodule_compatible": compatible,
-        "counit_collapse": counit_ok,
+        **verdicts,
     }
-    ok = compatible and counit_ok
+    ok = all(verdicts.values())
 
     if co.spec.kind == "laurent":
-        decomposed = all(co.decomposes(alg.basis_el(i)) for i in box)
-        doc["decomposition"] = decomposed
         doc["bigrades"] = {
             name: {"lam": co.lam_degree(idx), "rho": co.rho_degree(idx)}
             for name, idx in alg.generators()
@@ -217,7 +212,7 @@ def cmd_comodule(args) -> int:
             for n in range(1, args.window + 1)
         ]
         doc["strong_grading"] = sweep
-        ok = ok and decomposed and all(row["spans"] for row in sweep)
+        ok = ok and all(row["spans"] for row in sweep)
     else:
         doc["derivations"] = {
             name: {
@@ -243,8 +238,8 @@ def cmd_comodule(args) -> int:
     else:
         print(f"comodule {params_str(params)}  window={args.window}")
         print(f"  quotient: default ({co.spec.kind})")
-        print(f"  bicomodule compatible on box: {compatible}")
-        print(f"  counit collapse on box: {counit_ok}")
+        print(f"  bicomodule compatible on box: {doc['bicomodule_compatible']}")
+        print(f"  counit collapse on box: {doc['counit_collapse']}")
         if co.spec.kind == "laurent":
             print(f"  bigrade decomposition on box: {doc['decomposition']}")
             for name, grades in doc["bigrades"].items():

@@ -29,6 +29,43 @@ residual per element,
 accumulated in the exponent form of `qhopf.scalars` from the
 coproducts' forms, and reduced once per key by the provider's `finish`,
 as the axiom checks of `qhopf.verify` are.
+
+The box sweep (`box_verdicts`) proves the bicomodule residual, the
+counit collapse and the bigrade decomposition once per model index
+along the grouplike end letter g that `HopfProvider.moves_pairs()`
+names ("lead": g the first letter, C and CLift; "tail": g the last,
+GroupZ2, A and B), as `qhopf.verify` proves its per-index checks.
+Write i = m + b for the index m with g-exponent 0 (the model) and
+g-exponent b; the base builds Delta(e_(k+b)) as Delta(e_k) with both
+legs moved by b, for every k.  Reuse needs three conditions:
+
+- pi(g) = t^c, read off the quotient spec at each sweep, with c = 0
+  for a polynomial quotient;
+- Delta(e_i), as `coproduct_basis` holds it, is Delta(e_m) with both
+  legs moved by b, term for term and form for form
+  (`families.base.is_moved`, the guard that `qhopf.verify` reads too);
+- the model passed.
+
+pi reads the letters one by one, so pi(e_(k+b)) = pi(e_k) t^(cb) for
+every k, and the image of g is never 0, so the move neither adds nor
+removes a zero image (and never a negative t-exponent where c = 0).
+So rho(e_i) is rho(e_m) with each kept leg moved by b and each
+t-degree by cb, and so is lam(e_i), each coefficient and form kept;
+the kept legs' coproducts are moved too.  The residual of e_i is the
+model's with each key (n2, k, n1) moved to (n2 + cb, k + b, n1 + cb),
+its coefficients unchanged; the collapses of `counit_recovers` and
+`decomposes` are the model's with their keys moved, since every degree
+counts (Laurent) or c = 0 keeps degree 0 at degree 0 (polynomial).
+Each move is one to one on keys, so each check holds on e_i exactly
+when it holds on e_m.  Any other index, and each index whose model
+fails, is checked on its own.  A form assigned by hand to an entry
+that is only ever read as a kept leg is not read by its index.
+
+`strong_grading(n, w)` first walks the box products H_-n x H_n: a
+product with one term c e_k (c != 0, as a Lin holds it) puts e_k in
+their span, and once every basis index of the box's H_0 is so covered
+the span contains H_0.  Otherwise the answer is the Echelon's, over
+all the products, so a False is always the Echelon's.
 """
 
 from __future__ import annotations
@@ -37,7 +74,7 @@ import math
 from fractions import Fraction
 
 from qhopf.elements import Lin, acc
-from qhopf.families.base import HopfProvider
+from qhopf.families.base import HopfProvider, is_moved, moved
 from qhopf.families.builder import family
 from qhopf.linalg import Echelon, kernel_of_map
 from qhopf.scalars import Cyclo
@@ -282,6 +319,58 @@ class Coaction:
                                 slot[e] = slot.get(e, 0) + r1 * r2
         return alg.finish(table).is_zero()
 
+    def box_verdicts(self, window: int) -> dict:
+        """Whether each check holds on every basis element of the window
+        box: `bicomodule_compatible`, `counit_collapse`, and for a
+        Laurent quotient `decomposition`.  An index whose model passes
+        (the module docstring) takes its verdict; the others are
+        computed, in box order, until one fails."""
+        checks = {
+            "bicomodule_compatible": self.coactions_compatible,
+            "counit_collapse": self.counit_recovers,
+        }
+        if self.spec.kind == "laurent":
+            checks["decomposition"] = self.decomposes
+        box = self.alg.basis_box(window)
+        models = self._models(box)
+        return {name: self._holds(check, box, models) for name, check in checks.items()}
+
+    def _models(self, box) -> dict:
+        """index -> its model (end-letter exponent 0) for each index of
+        the box off its model whose coproduct passes the guard; empty
+        when `moves_pairs()` names no end letter or pi of the end letter
+        rules the reuse out."""
+        alg = self.alg
+        end = alg.moves_pairs()
+        if not end:
+            return {}
+        slot = 0 if end == "lead" else len(alg.letters) - 1
+        c = self.spec.images.get(alg.letters[slot][0])
+        if c is None or (c and self.spec.kind == "poly"):
+            return {}
+        cop = alg.coproduct_basis
+        out = {}
+        for i in box:
+            by = i[slot]
+            if by:
+                model = moved(i, slot, -by)
+                if is_moved(cop(i).form, cop(model).form, slot, by):
+                    out[i] = model
+        return out
+
+    def _holds(self, check, box, models: dict) -> bool:
+        # each model's verdict is computed once and taken by its moves
+        basis_el = self.alg.basis_el
+        verdicts: dict = {}
+        for i in box:
+            model = models.get(i, i)
+            ok = verdicts.get(model)
+            if ok is None:
+                ok = verdicts[model] = check(basis_el(model))
+            if not ok and (model == i or not check(basis_el(i))):
+                return False
+        return True
+
     def decomposes(self, h: Lin) -> bool:
         """The bigrade components sum back to h (a grading statement,
         meaningful for Laurent quotients where the bar counit sums all
@@ -309,12 +398,31 @@ class Coaction:
         if self.spec.kind != "laurent":
             raise QuotientError("strong grading applies to Laurent quotients")
         by_degree = self._grading(window)
+        lows, highs, zeros = (by_degree.get(d, []) for d in (-n, n, 0))
+        return self._covers(lows, highs, zeros) or self._spans(lows, highs, zeros)
+
+    def _covers(self, lows, highs, zeros) -> bool:
+        """Whether the one-term products e_u e_v (u in lows, v in highs)
+        hit every index of zeros; products are read until they do."""
+        want = set(zeros)
+        mul = self.alg.multiply_basis
+        for u in lows:
+            for v in highs:
+                if not want:
+                    return True
+                terms = mul(u, v).terms
+                if len(terms) == 1:
+                    want.discard(next(iter(terms)))
+        return not want
+
+    def _spans(self, lows, highs, zeros) -> bool:
+        # the Echelon of every product e_u e_v contains each e_h, h in zeros
         ech = Echelon()
-        for u in by_degree.get(-n, []):
-            for v in by_degree.get(n, []):
+        for u in lows:
+            for v in highs:
                 ech.insert(dict(self.alg.multiply_basis(u, v).terms))
         one = self.alg.one_scalar()
-        return all(ech.contains({h: one}) for h in by_degree.get(0, []))
+        return all(ech.contains({h: one}) for h in zeros)
 
     # -- derivations (polynomial quotients) ---------------------------
 

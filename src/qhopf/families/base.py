@@ -207,6 +207,16 @@ def moved(key: Index, slot: int, by: int) -> Index:
     return (key[0] + by, *key[1:])  # the lead move of every C product fill
 
 
+def is_moved(form: tuple, base: tuple, slot: int, by: int) -> bool:
+    """Whether the coproduct form `form` is `base` with both legs moved
+    by `by` at `slot`, term for term and form for form: the entry that
+    `coproduct_basis` builds off the end-zero one."""
+    return len(form) == len(base) and all(
+        key == (moved(l, slot, by), moved(r, slot, by)) and pairs == want
+        for (key, pairs), ((l, r), want) in zip(form, base)
+    )
+
+
 class PowCache:
     """Memoized integer powers of a fixed nonzero scalar."""
 

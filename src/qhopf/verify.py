@@ -103,16 +103,18 @@ condition is needed.
 
 The guard.  A left factor i stands for its model only when Delta(e_i),
 as the pass holds it, is its model's entry with both legs moved, term
-for term and form for form; for the tail with q != 1, a right factor j
-must also be, and Delta(e_j) must be graded, and eps(e_j) = 0 or
-u_j = 0.  The guard is read off the pass's entries, once per index as a
-left factor (one dict that the per-index checks and the scan's rows
-read) and once per right factor per scan, so a form assigned by hand to
-a moved entry fails it.  `_bialgebra_scan` keeps the model pairs it
-meets whose residuals vanish, in a set, and the residuals of those that
-do not: a pair whose model passed costs one set-membership test, and
-any other pair, or a pair with a factor that fails the guard, is
-computed on its own, so a failure's text is the pair's own.  A C(3)
+for term and form for form (`families.base.is_moved`, which the box
+sweep of `qhopf.comodule` reads too); for the tail with q != 1, a
+right factor j must also be, and Delta(e_j) must be graded, and
+eps(e_j) = 0 or u_j = 0.  The guard is read off the pass's entries,
+once per index as a left factor (one dict that the per-index checks
+and the scan's rows read) and once per right factor per scan, so a
+form assigned by hand to a moved entry fails it.  `_bialgebra_scan`
+keeps the model pairs it meets whose residuals vanish, in a set, and
+the residuals of those that do not: a pair whose model passed costs one
+set-membership test, and any other pair, or a pair with a factor that
+fails the guard, is computed on its own, so a failure's text is the
+pair's own.  A C(3)
 window-3 scan computes the 4 x 28 = 112 model pairs of its 784; a
 B(2, 1, 2, 3, z12) one the 12 x 12 = 144 of its 7,056, and a GroupZ2
 one the 7 x 7 = 49 of its 2,401.  A form assigned by hand to an entry
@@ -163,7 +165,7 @@ from __future__ import annotations
 import os
 
 from qhopf.elements import Lin, acc
-from qhopf.families.base import HopfProvider, LatticeProvider, moved
+from qhopf.families.base import HopfProvider, LatticeProvider, is_moved, moved
 from qhopf.linalg import kernel_of_map
 from qhopf.params import Record
 from qhopf.scalars import Cyclo, reduce_exponents, zero_map
@@ -334,14 +336,8 @@ def _model(alg: HopfProvider, end: str | None, a, right: bool):
     model = moved(a, slot, -by)
     views = _views_of(alg)
     form = _entry(alg, views, a)[1]
-    if by:
-        # Delta(e_a) is Delta(e_model) with both legs moved, term for term
-        base = _entry(alg, views, model)[1]
-        if len(form) != len(base) or any(
-            key != (moved(l, slot, by), moved(r, slot, by)) or pairs != want
-            for (key, pairs), ((l, r), want) in zip(form, base)
-        ):
-            return None
+    if by and not is_moved(form, _entry(alg, views, model)[1], slot, by):
+        return None
     if end == "tail" and right and not _x_is_central(alg):
         # Delta(e_a) graded, and eps(e_a) = 0 or u_a = 0
         point = alg.point

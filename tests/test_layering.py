@@ -15,6 +15,10 @@ lead-zero rows, not the structure the kernels read.
 letters determine: the coproducts moved along a grouplike end letter,
 Delta(1), and every antipode from S on the non-unit generators.  So no
 other family module defines `coproduct_basis` or `antipode_basis`.
+
+`qhopf.comodule` reads the end-letter guard from `families/base.py`,
+beside `moved`, and owns its reuse: it imports nothing from
+`qhopf.verify`, whose zero-only pass builds views it never reads.
 """
 
 import ast
@@ -92,4 +96,24 @@ def test_only_the_base_defines_the_derived_coproducts_and_antipodes():
             else:
                 found.append(f"{path.name}:{line} {name}")
     assert in_base == DERIVED
+    assert not found, found
+
+
+def test_the_comodule_module_imports_nothing_from_verify():
+    path = PACKAGE / "comodule.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            # a relative import is read from inside the package
+            base = node.module or ""
+            if node.level:
+                base = f"qhopf.{base}" if base else "qhopf"
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(n == "qhopf.verify" or n.startswith("qhopf.verify.") for n in names):
+            found.append(f"comodule.py:{node.lineno}")
     assert not found, found
