@@ -41,9 +41,8 @@ legs moved by b, for every k.  Reuse needs three conditions:
 
 - pi(g) = t^c, read off the quotient spec at each sweep, with c = 0
   for a polynomial quotient;
-- Delta(e_i), as `coproduct_basis` holds it, is Delta(e_m) with both
-  legs moved by b, term for term and form for form
-  (`families.base.is_moved`, the guard that `qhopf.verify` reads too);
+- `HopfProvider.end_model(i)` names m (the guard is stated in
+  `qhopf.families.base`; `qhopf.verify` reads it too);
 - the model passed.
 
 pi reads the letters one by one, so pi(e_(k+b)) = pi(e_k) t^(cb) for
@@ -74,7 +73,7 @@ import math
 from fractions import Fraction
 
 from qhopf.elements import Lin, acc
-from qhopf.families.base import HopfProvider, is_moved, moved
+from qhopf.families.base import HopfProvider
 from qhopf.families.builder import family
 from qhopf.linalg import Echelon, kernel_of_map
 from qhopf.scalars import Cyclo
@@ -336,27 +335,17 @@ class Coaction:
         return {name: self._holds(check, box, models) for name, check in checks.items()}
 
     def _models(self, box) -> dict:
-        """index -> its model (end-letter exponent 0) for each index of
-        the box off its model whose coproduct passes the guard; empty
-        when `moves_pairs()` names no end letter or pi of the end letter
-        rules the reuse out."""
+        """index -> its `end_model` for each index of the box off its
+        model that has one; empty when `moves_pairs()` names no end
+        letter or pi of the end letter rules the reuse out."""
         alg = self.alg
-        end = alg.moves_pairs()
-        if not end:
+        slot = alg.end_slot()
+        if slot is None:
             return {}
-        slot = 0 if end == "lead" else len(alg.letters) - 1
         c = self.spec.images.get(alg.letters[slot][0])
         if c is None or (c and self.spec.kind == "poly"):
             return {}
-        cop = alg.coproduct_basis
-        out = {}
-        for i in box:
-            by = i[slot]
-            if by:
-                model = moved(i, slot, -by)
-                if is_moved(cop(i).form, cop(model).form, slot, by):
-                    out[i] = model
-        return out
+        return {i: m for i in box if (m := alg.end_model(i)) not in (None, i)}
 
     def _holds(self, check, box, models: dict) -> bool:
         # each model's verdict is computed once and taken by its moves

@@ -34,6 +34,8 @@ Derived here from `letters`, never restated per family:
     index_factors(i)       the letter names zipped with the exponents
     coproduct_basis(i)     Delta(1) = 1 ox 1, and Delta(e_i) moved
                            along a unit end letter (below)
+    end_model(i)           the index e_i stands for along the end
+                           letter of `moves_pairs()` (the guard, below)
     antipode_basis(i)      S(e_i) from S on the non-unit generators
 
 A letter g of a rule spells generator g and G spells g^-1.  Derived
@@ -99,13 +101,25 @@ B), it ends every normal word, and Delta(e_r x^b) = Delta(e_r)
 (x^b ox x^b) is built the same way from the entry of last exponent 0,
 both legs' last exponent moved by b.  The base states Delta(1) = 1 ox 1,
 so `_coproduct_raw` is called once per other index whose unit end
-exponents are 0 (never in a group algebra).  `moves_pairs()` names the
+exponents are 0 (never in a group algebra).  One rule (`_move_slot`)
+names the letter an entry is built along.  `moves_pairs()` names the
 end letter along which a provider's products and coproducts are all
 moved, with none of `_product`, `coproduct_basis`, `counit_basis` and
 `antipode_basis` overridden: "lead" for the base `_product` and a unit
 first letter (C, CLift), "tail" for `LatticeProvider._product` and a
-unit last letter (GroupZ2, A, B); the bialgebra scan and the per-index
-checks of `qhopf.verify` read it.
+unit last letter (GroupZ2, A, B).  It is the one switch of every reuse
+along an end letter.
+
+The guard.  Write i = m + b, m with that letter's exponent 0 (the
+model).  `end_model(i)` names m when Delta(e_i) is Delta(e_m) with both
+legs moved by b, term for term and form for form (i when b = 0), else
+None; `qhopf.verify` and `qhopf.comodule` read it, adding only their
+own conditions.  A cached entry is compared with the model's moved
+(`_is_moved`): a form assigned by hand, or another entry in its place,
+fails.  An uncached entry that `coproduct_basis` builds off m along
+this very letter is that move by construction: m is named, nothing is
+built.  Any other entry is built and compared (GroupZ2's y^a x^b,
+a != 0, built along the lead while `moves_pairs()` is "tail").
 
 Antipodes are derived from the letters: S is an anti-homomorphism, so
 `antipode_basis` reads S(e_r g^k) = S(g^k) S(e_r), g^k the last nonzero
@@ -116,9 +130,7 @@ is called once per non-unit generator.
 Structure constants are cached once per index.  `multiply_basis` is a
 memo of Lins, which the kernels never read: the terms of `_product`
 reduced (one term: the reduced r * omega^e, a shared root of unity when
-r = 1), and off lead exponent 0 of a stated `_multiply_raw` the
-lead-zero entry moved by i_0, the one move (`moved`) that the base
-`_product` makes.  So `_multiply_raw` runs once per pair, and the
+r = 1).  So `_multiply_raw` runs once per lead-zero pair, and the
 rewriting oracle, which checks `multiply_basis`, checks the very
 product the kernels read.
 A coproduct entry is a `FormLin`: the Lin that `coproduct_basis` hands
@@ -198,21 +210,21 @@ class FormLin(Lin):
         return FormLin({k: -v for k, v in self.terms.items()}, form)
 
 
-def moved(key: Index, slot: int, by: int) -> Index:
-    """The key with its exponent at `slot` moved by `by`: y^by e_key for
-    slot 0, when the first letter y leads every normal word, and
-    e_key x^by for the last slot, when the last letter x ends it."""
+def _moved(key: Index, slot: int, by: int) -> Index:
+    # the key with its exponent at `slot` moved by `by`: y^by e_key for
+    # slot 0, when the first letter y leads every normal word, and
+    # e_key x^by for the last slot, when the last letter x ends it
     if slot:
         return (*key[:slot], key[slot] + by, *key[slot + 1 :])
     return (key[0] + by, *key[1:])  # the lead move of every C product fill
 
 
-def is_moved(form: tuple, base: tuple, slot: int, by: int) -> bool:
-    """Whether the coproduct form `form` is `base` with both legs moved
-    by `by` at `slot`, term for term and form for form: the entry that
-    `coproduct_basis` builds off the end-zero one."""
+def _is_moved(form: tuple, base: tuple, slot: int, by: int) -> bool:
+    # whether the coproduct form `form` is `base` with both legs moved
+    # by `by` at `slot`, term for term and form for form: the entry that
+    # `coproduct_basis` builds off the end-zero one
     return len(form) == len(base) and all(
-        key == (moved(l, slot, by), moved(r, slot, by)) and pairs == want
+        key == (_moved(l, slot, by), _moved(r, slot, by)) and pairs == want
         for (key, pairs), ((l, r), want) in zip(form, base)
     )
 
@@ -263,7 +275,7 @@ class HopfProvider(ABC):
             lead = i[0]
             if lead:
                 row = HopfProvider._product(self, (0, *i[1:]), j)
-                hit = tuple((moved(k, 0, lead), e, r) for k, e, r in row)
+                hit = tuple((_moved(k, 0, lead), e, r) for k, e, r in row)
             else:
                 form = exponent_form(self.level, self._multiply_raw(i, j).terms)
                 hit = tuple((k, e, r) for k, pairs in form for e, r in pairs)
@@ -288,10 +300,9 @@ class HopfProvider(ABC):
             or cls.antipode_basis is not HopfProvider.antipode_basis
         ):
             return None
-        product = cls._product
-        if product is HopfProvider._product and self.letters[0][1]:
+        if self.moves_lead() and self.letters[0][1]:
             return "lead"
-        if product is LatticeProvider._product and self.letters[-1][1]:
+        if cls._product is LatticeProvider._product and self.letters[-1][1]:
             return "tail"
         return None
 
@@ -383,39 +394,27 @@ class HopfProvider(ABC):
     # -- memoized views -------------------------------------------------
 
     def multiply_basis(self, i: Index, j: Index) -> Lin:
-        """e_i e_j as a Lin: the terms of `_product`, reduced, and for a
-        stated `_multiply_raw` off lead exponent 0, the lead-zero entry
-        moved as the base `_product` moves it."""
+        """e_i e_j as a Lin: the terms of `_product`, reduced."""
         key = (i, j)
         hit = self._mul_cache.get(key)
         if hit is None:
-            lead = i[0]
-            if lead and self.moves_lead():
-                row = HopfProvider.multiply_basis(self, (0, *i[1:]), j)
-                # the move is one to one, so no key merges
-                hit = Lin({moved(k, 0, lead): c for k, c in row.terms.items()})
+            terms = self._product(i, j)
+            if len(terms) == 1:
+                ((k, e, r),) = terms
+                hit = Lin({k: self.omega_scalar(e, r)})
             else:
-                terms = self._product(i, j)
-                if len(terms) == 1:
-                    ((k, e, r),) = terms
-                    hit = Lin({k: self.omega_scalar(e, r)})
-                else:
-                    table = self.table()
-                    for k, e, r in terms:
-                        slot = table[k]
-                        slot[e] = slot.get(e, 0) + r
-                    hit = self.finish(table)
+                table = self.table()
+                for k, e, r in terms:
+                    slot = table[k]
+                    slot[e] = slot.get(e, 0) + r
+                hit = self.finish(table)
             self._mul_cache[key] = hit
         return hit
 
     def coproduct_basis(self, i: Index) -> FormLin:
         hit = self._cop_cache.get(i)
         if hit is None:
-            slot = None
-            if i[0] and self.letters[0][1]:
-                slot = 0
-            elif i[-1] and self.letters[-1][1]:
-                slot = len(i) - 1
+            slot = self._move_slot(i)
             if slot is not None:
                 # Delta(y^a e_r) = (y^a ox y^a) Delta(e_r) for a unit first
                 # letter y, else Delta(e_r x^b) = Delta(e_r) (x^b ox x^b)
@@ -423,10 +422,10 @@ class HopfProvider(ABC):
                 # read through this method (never an override), both legs
                 # moved; the move is one to one, so no key merges
                 by = i[slot]
-                row = HopfProvider.coproduct_basis(self, moved(i, slot, -by))
+                row = HopfProvider.coproduct_basis(self, _moved(i, slot, -by))
                 terms, form = {}, []
                 for (a, b), pairs in row.form:
-                    key = moved(a, slot, by), moved(b, slot, by)
+                    key = _moved(a, slot, by), _moved(b, slot, by)
                     terms[key] = row.terms[a, b]
                     form.append((key, pairs))
                 hit = FormLin(terms, tuple(form))
@@ -437,6 +436,36 @@ class HopfProvider(ABC):
                 hit = self.as_form_lin(Lin.basis((u, u), self._one))
             self._cop_cache[i] = hit
         return hit
+
+    def _move_slot(self, i: Index) -> int | None:
+        # the slot `coproduct_basis` builds Delta(e_i) along, or None
+        if i[0] and self.letters[0][1]:
+            return 0
+        if i[-1] and self.letters[-1][1]:
+            return len(i) - 1
+        return None
+
+    def end_slot(self) -> int | None:
+        """The slot of the end letter that `moves_pairs()` names."""
+        end = self.moves_pairs()
+        return None if end is None else 0 if end == "lead" else len(self.letters) - 1
+
+    def end_model(self, i: Index) -> Index | None:
+        """The model e_i stands for, or None: the module docstring's guard."""
+        slot = self.end_slot()
+        if slot is None:
+            return None
+        by = i[slot]
+        if not by:
+            return i
+        model = _moved(i, slot, -by)
+        hit = self._cop_cache.get(i)
+        if hit is None:
+            if self._move_slot(i) == slot:
+                return model
+            hit = HopfProvider.coproduct_basis(self, i)
+        base = HopfProvider.coproduct_basis(self, model)
+        return model if _is_moved(hit.form, base.form, slot, by) else None
 
     def antipode_basis(self, i: Index) -> Lin:
         hit = self._anti_cache.get(i)
@@ -701,6 +730,20 @@ class LatticeProvider(HopfProvider):
         if twist.__class__ is int:
             return ((k, twist * vi * uj % self.omega_order, 1),)
         return ((k, 0, self._rational_power(vi * uj)),)
+
+    def x_is_central(self) -> bool:
+        """Whether q = 1: an int twist (q's omega exponent) of 0 mod N."""
+        twist = self.twist
+        return twist.__class__ is int and not twist % self.omega_order
+
+    def round_trips(self) -> bool:
+        """Whether the unit's point has u = 0 and each u that `_product`
+        met or read off an operand round trips through lattice_index(u, 0)."""
+        point, at = self.point, self.lattice_index
+        if point(self.unit_index())[0]:
+            return False
+        met = set(self._y_parts).union(u for u, _ in self._points.values())
+        return all(point(at(u, 0))[0] == u for u in met)
 
     def _rational_power(self, m: int) -> int | Fraction:
         # q^m for a rational twist, an int when it is one, per exponent

@@ -58,10 +58,8 @@ The scan proves a pair once per model pair where the provider allows
 it, along the end letter that `HopfProvider.moves_pairs()` names, and
 `verify_axioms` proves coassociativity and the counit law once per
 model index along either end letter, and the antipode law along the
-tail letter only.  Write k + a for k with the end letter's exponent
-moved by a.  `moves_pairs()` names an end letter only when the base
-builds every coproduct, counit and antipode (none of
-`coproduct_basis`, `counit_basis` and `antipode_basis` overridden).
+tail letter only (`qhopf.families.base` states when `moves_pairs()`
+names a letter).  Write k + a for k with its exponent moved by a.
 
 Lead letter ("lead": C and CLift).  The base builds every product and
 coproduct off lead exponent 0 from the lead-zero one.  The model of
@@ -101,25 +99,20 @@ model's does if eps(e_j) = 0 or u_j = 0.  When q = 1 (an int twist of
 0 mod N, as GroupZ2's), x is central and every q^(b u) is 1, so neither
 condition is needed.
 
-The guard.  A left factor i stands for its model only when Delta(e_i),
-as the pass holds it, is its model's entry with both legs moved, term
-for term and form for form (`families.base.is_moved`, which the box
-sweep of `qhopf.comodule` reads too); for the tail with q != 1, a
-right factor j must also be, and Delta(e_j) must be graded, and
-eps(e_j) = 0 or u_j = 0.  The guard is read off the pass's entries,
-once per index as a left factor (one dict that the per-index checks
-and the scan's rows read) and once per right factor per scan, so a
-form assigned by hand to a moved entry fails it.  `_bialgebra_scan`
-keeps the model pairs it meets whose residuals vanish, in a set, and
-the residuals of those that do not: a pair whose model passed costs one
-set-membership test, and any other pair, or a pair with a factor that
-fails the guard, is computed on its own, so a failure's text is the
-pair's own.  A C(3)
-window-3 scan computes the 4 x 28 = 112 model pairs of its 784; a
-B(2, 1, 2, 3, z12) one the 12 x 12 = 144 of its 7,056, and a GroupZ2
-one the 7 x 7 = 49 of its 2,401.  A form assigned by hand to an entry
-that is only ever read as a product's Delta(e_k) is not read by its
-pair.
+The guard.  A left factor i stands for the model that
+`HopfProvider.end_model(i)` names (the guard stated in
+`qhopf.families.base`); for the tail with q != 1, a right factor j must
+have one too, Delta(e_j) must be graded, read off its model's entry
+(the move along x keeps each leg's u), and eps(e_j) = 0 or u_j = 0.
+`_bialgebra_scan` keeps the model pairs it meets whose residuals
+vanish, in a set, and the residuals of those that do not: a pair whose
+model passed costs one set-membership test, and any other pair, or a
+pair with a factor that fails the guard, is computed on its own, so a
+failure's text is the pair's own.  A C(3) window-3 scan computes the
+4 x 28 = 112 model pairs of its 784; a B(2, 1, 2, 3, z12) one the
+12 x 12 = 144 of its 7,056, and a GroupZ2 one the 7 x 7 = 49 of its
+2,401.  A form assigned by hand to an entry that is only ever read as
+a product's Delta(e_k) is not read by its pair.
 
 Per index.  Let i = m + a pass the guard, m its model.
 
@@ -147,8 +140,9 @@ Per index.  Let i = m + a pass the guard, m its model.
   an operand's point (`_points`).  The second set is needed since a
   moved index meets u's that its model does not: GroupZ2's S(y^a x^b) =
   x^-b y^-a lands at u = -a, where S(y^a) y^a lands at u = 0 only.
-  `_round_trips` reads both once every model's residuals are computed;
-  where it fails, every index's antipode is computed on its own.
+  `LatticeProvider.round_trips` reads both once every model's
+  residuals are computed; where it fails, every index's antipode is
+  computed on its own.
 - No antipode reuse along the lead: S(y^a x^b) is S(x^b) y^-a, and its
   left residual multiplies S(x^b)'s terms into y^a x^c, which reads
   the lead-zero rows x^r y^(a+m) where the model reads x^r y^m: not a
@@ -165,7 +159,7 @@ from __future__ import annotations
 import os
 
 from qhopf.elements import Lin, acc
-from qhopf.families.base import HopfProvider, LatticeProvider, is_moved, moved
+from qhopf.families.base import HopfProvider
 from qhopf.linalg import kernel_of_map
 from qhopf.params import Record
 from qhopf.scalars import Cyclo, reduce_exponents, zero_map
@@ -323,36 +317,22 @@ def _index_vanishes(alg: HopfProvider, views: dict, i, j, terms) -> bool:
     return zmap.proves_zero(table.values(), bound)
 
 
-def _model(alg: HopfProvider, end: str | None, a, right: bool):
-    """The index that a stands for in its pairs' models along the end
-    letter `end` (`HopfProvider.moves_pairs()`), or None when its pairs
-    are computed on their own: the guard of the module docstring."""
-    if not end:
+def _column(alg: HopfProvider, end: str, j):
+    """The index that j stands for as a right factor along the end
+    letter `end` (`moves_pairs()`), or None: the guard of the module
+    docstring."""
+    if end == "lead":
+        return j
+    model = alg.end_model(j)
+    if model is None or alg.x_is_central():
+        return model
+    point = alg.point
+    u = point(j)[0]
+    if u and not alg.counit_basis(j).is_zero():
         return None
-    if end == "lead" and right:
-        return a
-    slot = 0 if end == "lead" else len(a) - 1
-    by = a[slot]
-    model = moved(a, slot, -by)
-    views = _views_of(alg)
-    form = _entry(alg, views, a)[1]
-    if by and not is_moved(form, _entry(alg, views, model)[1], slot, by):
-        return None
-    if end == "tail" and right and not _x_is_central(alg):
-        # Delta(e_a) graded, and eps(e_a) = 0 or u_a = 0
-        point = alg.point
-        u = point(a)[0]
-        if u and not alg.counit_basis(a).is_zero():
-            return None
-        if any(point(l)[0] + point(r)[0] != u for (l, r), _ in form):
-            return None
-    return model
-
-
-def _x_is_central(alg: LatticeProvider) -> bool:
-    # q = 1: an int twist, the omega exponent of q, of 0 mod N
-    twist = alg.twist
-    return twist.__class__ is int and not twist % alg.omega_order
+    # graded off the model's entry: the move along x keeps each leg's u
+    form = _entry(alg, _views_of(alg), model)[1]
+    return None if any(point(l)[0] + point(r)[0] != u for (l, r), _ in form) else model
 
 
 def exact_bialgebra_residual(alg: HopfProvider, i, j, terms) -> Lin:
@@ -400,7 +380,7 @@ def verify_axioms(
     end = alg.moves_pairs()
     # each index's model as a left factor, once per index: the per-index
     # checks and the scan's rows read it
-    rows = _rows(alg, end, box)
+    rows = {i: alg.end_model(i) for i in box}
 
     def note(axiom, where, residual):
         if len(fail) < max_failures:
@@ -430,11 +410,6 @@ def verify_axioms(
     return report
 
 
-def _rows(alg: HopfProvider, end: str | None, box) -> dict:
-    # index -> its model as a left factor (`_model`), or None
-    return {i: _model(alg, end, i, False) for i in box} if end else {}
-
-
 def _index_failures(alg: HopfProvider, axiom: str, box, models: dict) -> list:
     """The failure texts of `axiom` at each index of the box, in box
     order.  An index whose model (`models`) passes passes with it; any
@@ -449,7 +424,7 @@ def _index_failures(alg: HopfProvider, axiom: str, box, models: dict) -> list:
         else:
             moved_ones.append((idx, model))
     # read once every model is computed, so that it sees what they met
-    trusted = axiom != "antipode" or not moved_ones or _round_trips(alg)
+    trusted = axiom != "antipode" or not moved_ones or alg.round_trips()
     for idx, model in moved_ones:
         if trusted and texts.get(model) == []:
             texts[idx] = []
@@ -472,17 +447,6 @@ def _own_failures(alg: HopfProvider, axiom: str, idx) -> list[str]:
     ]
 
 
-def _round_trips(alg: LatticeProvider) -> bool:
-    """Whether the unit's point has u = 0 and lattice_index(u, 0) has u
-    again for every u that `_product` has met or read off an operand:
-    what moving the tail antipode's residuals needs."""
-    point, at = alg.point, alg.lattice_index
-    if point(alg.unit_index())[0]:
-        return False
-    met = set(alg._y_parts).union(u for u, _ in alg._points.values())
-    return all(point(at(u, 0))[0] == u for u in met)
-
-
 def _bialgebra_scan(alg: HopfProvider, tagged_pairs, rows: dict) -> tuple[int, list]:
     out = []
     count = 0
@@ -502,7 +466,7 @@ def _bialgebra_scan(alg: HopfProvider, tagged_pairs, rows: dict) -> tuple[int, l
         model = None
         if model_i is not None:
             if j not in columns:
-                columns[j] = _model(alg, end, j, True)
+                columns[j] = _column(alg, end, j)
             model_j = columns[j]
             if model_j is not None:
                 model = model_i, model_j
@@ -558,7 +522,8 @@ def _pair_worker(args) -> tuple[int, list]:
     alg = cls(params)
     box = alg.basis_box(window)
     pairs = list(enumerate((i, j) for i in box for j in box))
-    return _bialgebra_scan(alg, pairs[slot::stride], _rows(alg, alg.moves_pairs(), box))
+    rows = {i: alg.end_model(i) for i in box}
+    return _bialgebra_scan(alg, pairs[slot::stride], rows)
 
 
 def _scan_pairs_parallel(alg: HopfProvider, window: int, jobs: int) -> tuple[int, list]:

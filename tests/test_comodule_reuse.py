@@ -5,7 +5,7 @@ the strong-grading shortcut.
 collapse and the bigrade decomposition once per model index along the
 end letter that `moves_pairs()` names; every other index takes its
 model's verdict when the model passes and its coproduct passes the
-guard (`families.base.is_moved`), and is computed on its own otherwise.
+guard (`HopfProvider.end_model`), and is computed on its own otherwise.
 `strong_grading` reads one-term box products until they cover the box's
 degree-0 indices, and otherwise takes the Echelon's answer.  With both
 switched off (`moves_pairs()` None, and no shortcut), every `comodule`

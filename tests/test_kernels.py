@@ -317,10 +317,11 @@ def test_bialgebra_scan_reads_each_coproduct_once_per_index():
     """The pass keeps each residue view with the FormLin it was read
     from, so a bialgebra-only scan of B(2, 1, 2, 3, z12) at window 3
     asks `coproduct_basis` once per index it reads, not once per read
-    (three reads per pair would be 21,168 calls): its 84 box indices,
-    each read by the guard of its row and column, and the 13 products
-    of its 144 model pairs that lie outside the box.  The guard reads
-    the pass's entries, not `coproduct_basis` again."""
+    (three reads per pair would be 21,168 calls): the 12 models of its
+    144 model pairs, and the 13 products of those pairs that lie
+    outside the box.  The guard (`end_model`) builds no moved entry
+    that is not yet cached, and the right factors' grading is read off
+    the models' entries."""
     alg = _build("b_2_123_z12")
     calls = []
     coproduct_basis = alg.coproduct_basis
@@ -331,7 +332,7 @@ def test_bialgebra_scan_reads_each_coproduct_once_per_index():
 
     alg.coproduct_basis = counted
     assert verify_axioms(alg, window=3, axioms=("bialgebra",)).passed
-    assert len(calls) == len(set(calls)) == 97
+    assert len(calls) == len(set(calls)) == 25
 
 
 # -- the scan's reuse across powers of y ------------------------------

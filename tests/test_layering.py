@@ -16,9 +16,13 @@ letters determine: the coproducts moved along a grouplike end letter,
 Delta(1), and every antipode from S on the non-unit generators.  So no
 other family module defines `coproduct_basis` or `antipode_basis`.
 
-`qhopf.comodule` reads the end-letter guard from `families/base.py`,
-beside `moved`, and owns its reuse: it imports nothing from
-`qhopf.verify`, whose zero-only pass builds views it never reads.
+`families/base.py` is also the one place that works out the model an
+index stands for along a grouplike end letter (`end_model`): no other
+module names the move of an index or the compare of a moved entry
+(`moved`, `is_moved`, with or without a leading underscore).
+`qhopf.comodule` reads that guard from the base and owns its reuse: it
+imports nothing from `qhopf.verify`, whose zero-only pass builds views
+it never reads.
 """
 
 import ast
@@ -28,25 +32,40 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qhopf"
 FAMILIES = PACKAGE / "families"
 STATED = {"_multiply_raw", "_coproduct_raw", "_antipode_raw"}
 DERIVED = {"coproduct_basis", "antipode_basis"}
+MOVES = {"moved", "is_moved", "_moved", "_is_moved"}
+
+
+def _named(path, wanted):
+    # "file:line" of each import, attribute, name or def naming one of
+    # `wanted`
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.split(".")[-1] for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.FunctionDef):
+            names = [node.name]
+        else:
+            continue
+        if wanted.intersection(names):
+            yield f"{path.name}:{node.lineno}"
 
 
 def test_no_family_module_reads_the_zero_map():
     modules = sorted(FAMILIES.rglob("*.py"))
     assert modules
-    found = []
-    for path in modules:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                names = [alias.name.split(".")[-1] for alias in node.names]
-            elif isinstance(node, ast.Attribute):
-                names = [node.attr]
-            elif isinstance(node, ast.Name):
-                names = [node.id]
-            else:
-                continue
-            if "zero_map" in names:
-                found.append(f"{path.name}:{node.lineno}")
+    found = [hit for path in modules for hit in _named(path, {"zero_map"})]
+    assert not found, found
+
+
+def test_only_the_base_names_the_end_letter_moves():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    base = FAMILIES / "base.py"
+    assert list(_named(base, MOVES))
+    found = [hit for path in modules if path != base for hit in _named(path, MOVES)]
     assert not found, found
 
 
