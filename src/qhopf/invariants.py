@@ -2,14 +2,21 @@
 
 Two layers:
 
-* instance-level: honest window computations on a built provider
-  (commutativity, cocommutativity, grouplike profile, tangent-space
-  dimension at the counit).  `distinguish` compares these; a reported
-  difference proves non-isomorphism, absence is inconclusive.
+* instance-level: computations on a built provider (commutativity,
+  cocommutativity, grouplike profile, tangent-space dimension at the
+  counit).  `distinguish` compares these; a reported difference proves
+  non-isomorphism, absence is inconclusive.
 
 * parameter-level: `canonicalize` / `isomorphic` decide equality of
   canonical forms after folding the known family coincidences.  This
   layer is authoritative for the classified families.
+
+Commutativity and cocommutativity are decided on the generators: the
+product is associative and Delta and its flip are algebra maps, so both
+are facts about the whole algebra.  For every w >= 1 they equal the
+window scans over `basis_box(w)`, the tests' second route, as that box
+holds every generator: a unit letter ranges over [-w, w] and every cap
+is at least 1.  A commutative H needs no grouplike pair products.
 
 Everything parameter-level is a lookup in the family table,
 `qhopf.families.builder.FAMILIES`: the fold behind `iso_key`,
@@ -47,25 +54,28 @@ from qhopf.verify import find_grouplikes
 # -- instance-level checks ---------------------------------------------
 
 
-def is_commutative(alg: HopfProvider, window: int = 3) -> bool:
-    box = alg.basis_box(window)
-    for pos, i in enumerate(box):
-        for j in box[pos + 1 :]:
-            if alg.multiply_basis(i, j) != alg.multiply_basis(j, i):
-                return False
-    return True
+def is_commutative(alg: HopfProvider) -> bool:
+    gens = [i for _, i in alg.generators()]
+    return all(
+        alg.multiply_basis(g, h) == alg.multiply_basis(h, g)
+        for pos, g in enumerate(gens)
+        for h in gens[pos + 1 :]
+    )
 
 
-def is_cocommutative(alg: HopfProvider, window: int = 3) -> bool:
-    for i in alg.basis_box(window):
-        t = alg.coproduct_basis(i)
+def is_cocommutative(alg: HopfProvider) -> bool:
+    for _, g in alg.generators():
+        t = alg.coproduct_basis(g)
         if flip2(t) != t:
             return False
     return True
 
 
-def grouplike_profile(alg: HopfProvider, bound: int = 3) -> tuple[int, bool]:
-    """(lattice rank, abelian?) of the grouplikes found within the bound."""
+def grouplike_profile(
+    alg: HopfProvider, bound: int = 3, commutative: bool = False
+) -> tuple[int, bool]:
+    """(lattice rank, abelian?) of the grouplikes found within the bound;
+    a True `commutative`, H's verdict, answers the second entry."""
     gls = find_grouplikes(alg, bound)
     vectors = []
     for g in gls:
@@ -77,7 +87,7 @@ def grouplike_profile(alg: HopfProvider, bound: int = 3) -> tuple[int, bool]:
         if vec:
             vectors.append(vec)
     rank = span_rank(vectors)
-    abelian = all(
+    abelian = commutative or all(
         alg.multiply_basis(g, h) == alg.multiply_basis(h, g)
         for pos, g in enumerate(gls)
         for h in gls[pos + 1 :]
@@ -224,12 +234,13 @@ class InvariantVector(Record):
 
 def invariant_vector(alg: HopfProvider, bound: int = 3) -> InvariantVector:
     # gldim, abelianization and family tag come from the family table;
-    # every other entry is computed on the window
-    rank, abelian = grouplike_profile(alg, bound)
+    # the grouplikes are searched on the window, the rest is computed
+    commutative = is_commutative(alg)
+    rank, abelian = grouplike_profile(alg, bound, commutative)
     table = _param_invariants(alg.params, iso_key(alg.params))
     return InvariantVector(
-        is_commutative=is_commutative(alg, bound),
-        is_cocommutative=is_cocommutative(alg, bound),
+        is_commutative=commutative,
+        is_cocommutative=is_cocommutative(alg),
         grouplike_rank=rank,
         grouplike_abelian=abelian,
         ext1_dim=ext1_from_instance(alg),

@@ -12,10 +12,14 @@ in every cyclotomic field.
 
 Multiplication runs on integer vectors: sparse convolution followed
 by reduction with precomputed rows for x^e mod Phi_n.  Division only
-happens in `inv`, off the hot path: with b the product of the Galois
-conjugates zeta -> zeta^k of a (1 < k < n, k prime to n), a*b is a
-nonzero rational N, checked, and a^-1 = b / N.  `lift` is the same
-substitution, zeta_n -> zeta_m^(m/n).
+happens in `inv`, off the hot path, through the norm along a greedy
+generating chain (k_i, m_i) of (Z/n)^x, m_i the least power of k_i in
+the subgroup H_(i-1) of the earlier k's: a_(i-1), fixed by H_(i-1),
+times its conjugates zeta -> zeta^(k_i^j) for 0 < j < m_i is a_i,
+fixed by H_i.  With a_0 = a and b the product of those factors, a*b
+is the last a_i, a nonzero rational N, checked, and a^-1 = b / N: 13
+conjugates at level 105, not 47.  `lift` is the same substitution,
+zeta_n -> zeta_m^(m/n).
 
 Roots of unity get a shortcut.  The roots of unity in Q(zeta_n) form
 a cyclic group of order N = lcm(2, n), generated by omega = zeta_n for
@@ -182,6 +186,19 @@ def _rotate(level: int, e: int, num: tuple[int, ...], den: int) -> Cyclo:
         if m >= n:
             m -= n
     return _make(level, tuple(out), den, None)
+
+
+@lru_cache(maxsize=None)
+def _galois_chain(level: int) -> tuple[tuple[int, int], ...]:
+    # the (k, m) pairs of `inv`: k the least unit outside the subgroup
+    # of the earlier k's, m the least power of k inside it
+    group, chain = {1}, []
+    for k in range(2, level):
+        if gcd(k, level) == 1 and k not in group:
+            m = next(m for m in range(1, level) if pow(k, m, level) in group)
+            chain.append((k, m))
+            group = {g * pow(k, j, level) % level for g in group for j in range(m)}
+    return tuple(chain)
 
 
 def _substitute(level: int, num: tuple[int, ...], den: int, step: int) -> Cyclo:
@@ -419,15 +436,17 @@ class Cyclo:
         if self.is_rational():
             fr = 1 / self.as_fraction()
             return Cyclo.from_fraction(fr, self.level)
-        # self times the other conjugates of its numerator is rational
-        out = Cyclo.one(self.level)
-        for k in range(2, self.level):
-            if gcd(k, self.level) == 1:
-                out = out * _substitute(self.level, self.num, 1, k)
-        norm = self * out
+        # the norm along the Galois chain (module docstring)
+        level = self.level
+        norm, out = self, Cyclo.one(level)
+        for k, m in _galois_chain(level):
+            conj = Cyclo.one(level)
+            for j in range(1, m):
+                conj = conj * _substitute(level, norm.num, norm.den, pow(k, j, level))
+            norm, out = norm * conj, out * conj
         if norm.is_zero() or not norm.is_rational():
             raise ScalarError("internal inversion failure")
-        return out * Cyclo.from_fraction(1 / norm.as_fraction(), self.level)
+        return out * Cyclo.from_fraction(1 / norm.as_fraction(), level)
 
     def __truediv__(self, other) -> Cyclo:
         other = self._coerce(other)

@@ -135,7 +135,7 @@ def test_criterion_05_tangent_space_dimension():
     failures = []
     for params in grid_params():
         alg = build(params)
-        want = 2 if is_commutative(alg, 2) else 1
+        want = 2 if is_commutative(alg) else 1
         got = ext1_from_instance(alg)
         if got != want:
             failures.append((params_str(params), got, want))

@@ -846,7 +846,7 @@ def test_cocommutative_exactly_for_the_known_instances():
         want = spec["family"] in expected_cocommutative or (
             spec["family"] == "A" and spec["n"] == 0
         )
-        assert is_cocommutative(alg, 2) == want, spec
+        assert is_cocommutative(alg) == want, spec
 
 
 def test_skew_primitive_space_of_the_skew_laurent_family():

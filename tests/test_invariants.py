@@ -5,7 +5,8 @@ import itertools
 
 import pytest
 
-from conftest import grid_params, grid_specs
+from conftest import VALID_CORPUS, build_instance, grid_params, grid_specs
+from qhopf.elements import Lin, flip2
 from qhopf.families import build
 from qhopf.invariants import (
     abelianization_goldie_rank,
@@ -17,6 +18,8 @@ from qhopf.invariants import (
     gldim_class,
     grouplike_profile,
     invariant_vector,
+    is_cocommutative,
+    is_commutative,
     iso_key,
     isomorphic,
     pi_degree_and_io,
@@ -219,6 +222,83 @@ def test_grouplike_profile_stops_at_the_first_non_commuting_pair(spec, want):
     # every pair before the last commutes: the scan ends at the first
     # pair that does not, or after the last pair
     assert all(commuting[:-1]) and commuting[-1] == want[1]
+
+
+# -- commutativity and cocommutativity: the window scans, a second route
+
+
+def scan_commutative(alg, window):
+    box = alg.basis_box(window)
+    return all(
+        alg.multiply_basis(i, j) == alg.multiply_basis(j, i)
+        for pos, i in enumerate(box)
+        for j in box[pos + 1 :]
+    )
+
+
+def scan_cocommutative(alg, window):
+    return all(flip2(t) == t for t in map(alg.coproduct_basis, alg.basis_box(window)))
+
+
+@pytest.mark.parametrize("name", VALID_CORPUS)
+def test_generator_verdicts_match_the_window_scans(name):
+    alg = build_instance(name)
+    for window in (1, 3):
+        assert scan_commutative(alg, window) == is_commutative(alg)
+        assert scan_cocommutative(alg, window) == is_cocommutative(alg)
+
+
+def test_generator_verdicts_match_the_window_scans_on_the_pool():
+    for params in pool_params():
+        alg = build(params)
+        assert scan_commutative(alg, 2) == is_commutative(alg), params
+        assert scan_cocommutative(alg, 2) == is_cocommutative(alg), params
+
+
+def test_invariant_vector_multiplies_generator_pairs_only():
+    # GroupZ2 is commutative, so its grouplikes need no pair products
+    alg = build(P({"family": "GroupZ2"}))
+    gens = {i for _, i in alg.generators()}
+    calls = []
+    multiply = alg.multiply_basis
+    alg.multiply_basis = lambda g, h: calls.append((g, h)) or multiply(g, h)
+    vec = invariant_vector(alg, 5)
+    assert vec.is_commutative and vec.grouplike_abelian
+    assert calls and all(g in gens and h in gens for g, h in calls)
+
+
+def test_a_twist_off_by_one_reads_noncommutative():
+    params = P({"family": "A", "n": 2, "q": 1})
+    sound = build(params)
+    assert is_commutative(sound)
+
+    class Twisted(type(sound)):
+        def __init__(self, params):
+            super().__init__(params)
+            self.twist = self.twist + 1
+
+    alg = Twisted(params)
+    assert not is_commutative(alg)
+    assert not scan_commutative(alg, 1)
+
+
+def test_one_scaled_term_of_delta_y_reads_noncocommutative():
+    params = P({"family": "A", "n": 0, "q": 2})
+    sound = build(params)
+    assert is_cocommutative(sound)
+    y = dict(sound.generators())["y"]
+
+    class Scaled(type(sound)):
+        def _coproduct_raw(self, i):
+            t = super()._coproduct_raw(i)
+            if i != y:
+                return t
+            key = t.support()[0]
+            return t + Lin.basis(key, t.terms[key])
+
+    alg = Scaled(params)
+    assert not is_cocommutative(alg)
+    assert not scan_cocommutative(alg, 1)
 
 
 def test_isomorphic_is_an_equivalence_on_the_pool():

@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic, cross-checked against sympy's polynomial
 reduction and the standard identities."""
 
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from qhopf.scalars import (
     Cyclo,
     ScalarError,
+    _galois_chain,
     common_level,
     cyclotomic_polynomial,
     euler_phi,
@@ -401,6 +403,34 @@ def test_dense_inverses_match_sympy(level):
         assert inv.coeffs() == want, terms
         assert (a * inv).is_one()
         assert inv.inv() == a
+
+
+def _inverse_by_all_conjugates(a):
+    """a^-1 as the product of all the other conjugates of a over the
+    norm: the second route to the Galois chain of `Cyclo.inv`."""
+    level, coeffs = a.level, a.coeffs()
+    out = Cyclo.one(level)
+    for k in range(2, level):
+        if math.gcd(k, level) == 1:
+            out = out * _from_terms(level, [(c, k * i) for i, c in enumerate(coeffs)])
+    norm = a * out
+    assert norm.is_rational() and not norm.is_zero()
+    return out / norm
+
+
+@pytest.mark.parametrize("level", (7, 12, 20, 60, 84, 105))
+def test_chain_inverses_match_the_all_conjugates_product(level):
+    # each step's m is the index of the subgroup before it in the one
+    # after, so the m's multiply to the group order phi(level)
+    assert math.prod(m for _, m in _galois_chain(level)) == euler_phi(level)
+    for terms in _inverse_cases(level):
+        a = _from_terms(level, terms)
+        assert a.inv() == _inverse_by_all_conjugates(a), terms
+
+
+def test_galois_chain_at_level_105():
+    # 2 has order 12 mod 105; 11 and 13 each square into <2>, then <2, 11>
+    assert _galois_chain(105) == ((2, 12), (11, 2), (13, 2))
 
 
 def test_zeta_minus_one_at_level_105():
