@@ -39,8 +39,8 @@ Write i = m + b for the index m with g-exponent 0 (the model) and
 g-exponent b; the base builds Delta(e_(k+b)) as Delta(e_k) with both
 legs moved by b, for every k.  Reuse needs three conditions:
 
-- pi(g) = t^c, read off the quotient spec at each sweep, with c = 0
-  for a polynomial quotient;
+- pi(g) = t^c, read off the quotient spec with the models, once per
+  window box (`_window_models`), with c = 0 for a polynomial quotient;
 - `HopfProvider.end_model(i)` names m (the guard is stated in
   `qhopf.families.base`; `qhopf.verify` reads it too);
 - the model passed.
@@ -59,6 +59,15 @@ Each move is one to one on keys, so each check holds on e_i exactly
 when it holds on e_m.  Any other index, and each index whose model
 fails, is checked on its own.  A form assigned by hand to an entry
 that is only ever read as a kept leg is not read by its index.
+
+Two more readers take the move of rho and lam itself, on the first two
+conditions (they read tables, not verdicts), and build no Delta(e_i):
+`_grading` reads the rho-degree of e_i as the model's plus cb, and
+`_coinvariants` reads the image of e_i off the model's rho or lam
+table, each kept leg moved by b (`HopfProvider.end_move`) and each
+t-degree by cb.  The models of a window box are found once
+(`_window_models`), for the sweep, the grading and both coinvariant
+sides.
 
 `strong_grading(n, w)` first walks the box products H_-n x H_n: a
 product with one term c e_k (c != 0, as a Lin holds it) puts e_k in
@@ -139,6 +148,7 @@ class Coaction:
         self._coactions: tuple[dict, dict] = ({}, {})
         self._coaction_forms: tuple[dict, dict] = ({}, {})
         self._gradings: dict = {}
+        self._box_models: dict = {}
         self._check_algebra_map()
         self._check_coalgebra_map()
 
@@ -331,21 +341,37 @@ class Coaction:
         if self.spec.kind == "laurent":
             checks["decomposition"] = self.decomposes
         box = self.alg.basis_box(window)
-        models = self._models(box)
+        models = self._window_models(window)
         return {name: self._holds(check, box, models) for name, check in checks.items()}
 
-    def _models(self, box) -> dict:
-        """index -> its `end_model` for each index of the box off its
-        model that has one; empty when `moves_pairs()` names no end
-        letter or pi of the end letter rules the reuse out."""
+    def _end_letter(self) -> tuple[int, int] | None:
+        """(slot, c) for the end letter g that `moves_pairs()` names,
+        pi(g) = t^c; None when there is none or pi(g) rules the reuse
+        out (pi(g) = 0, or c != 0 in a polynomial quotient)."""
         alg = self.alg
         slot = alg.end_slot()
         if slot is None:
-            return {}
+            return None
         c = self.spec.images.get(alg.letters[slot][0])
         if c is None or (c and self.spec.kind == "poly"):
+            return None
+        return slot, c
+
+    def _models(self, box) -> dict:
+        """index -> its `end_model` for each index of the box off its
+        model that has one; empty when `_end_letter()` is None."""
+        if self._end_letter() is None:
             return {}
+        alg = self.alg
         return {i: m for i in box if (m := alg.end_model(i)) not in (None, i)}
+
+    def _window_models(self, window: int) -> dict:
+        # `_models` of the window box, once per window: the sweep, the
+        # grading and both coinvariant sides read it
+        hit = self._box_models.get(window)
+        if hit is None:
+            hit = self._box_models[window] = self._models(self.alg.basis_box(window))
+        return hit
 
     def _holds(self, check, box, models: dict) -> bool:
         # each model's verdict is computed once and taken by its moves
@@ -373,12 +399,22 @@ class Coaction:
         return all(self._collapse(h, side, every) == h for side in (1, 0))
 
     def _grading(self, window: int) -> dict:
-        # the window box by rho-degree, once per window
+        """The window box by rho-degree, once per window: an index i = m
+        + b whose model m `_window_models` names has the degree of m
+        plus cb (the module docstring), any other its own."""
         hit = self._gradings.get(window)
         if hit is None:
+            models = self._window_models(window)
+            if models:
+                slot, c = self._end_letter()
             hit = {}
             for idx in self.alg.basis_box(window):
-                hit.setdefault(self.rho_degree(idx), []).append(idx)
+                model = models.get(idx)
+                if model is None:
+                    degree = self.rho_degree(idx)
+                else:
+                    degree = self.rho_degree(model) + c * idx[slot]
+                hit.setdefault(degree, []).append(idx)
             self._gradings[window] = hit
         return hit
 
@@ -442,20 +478,42 @@ class Coaction:
 
     def _coinvariants(self, window: int, side: int) -> list[Lin]:
         """Kernel basis of rho(h) - h ox 1 (side 1) or lam(h) - 1 ox h
-        (side 0) on the window span, keyed (index, n) on the right and
-        (n, index) on the left: the key order fixes the basis found."""
+        (side 0) on the window span.
+
+        The image of e_i = e_(m+b), m the model `_window_models` names,
+        is read off m's table, each kept leg moved by b and each
+        t-degree by cb (the module docstring); any other index's is its
+        own.  The basis found depends on the order of the box alone:
+        the box order fixes which indices are independent, and each
+        basis vector is the one kernel element e_k plus earlier
+        independent indices, 1 at its smallest index (`qhopf.linalg`).
+        So the order of the image coordinates decides only the fill-in.
+        Both sides key a coordinate (-n, kept leg), top t-degree first:
+        the leading term of lam(y^a x^b) in C(n) is then t^b ox
+        y^(a+(n-1)b), with coefficient 1 and a coordinate of its own for
+        each (a, b), so C's left images reduce with no elimination step
+        and no inverse."""
         alg = self.alg
         minus_one = Cyclo.zero(alg.level) - alg.one_scalar()
-
-        def key(idx, n):
-            return (idx, n) if side else (n, idx)
+        table = self._basis_coaction
+        move = alg.end_move
+        models = self._window_models(window)
+        if models:
+            slot, c = self._end_letter()
 
         def image(e):
             vec: dict = {}
-            for n, comp in self._coact(alg.basis_el(e), side).items():
-                for idx, c in comp.terms.items():
-                    acc(vec, key(idx, n), c)
-            acc(vec, key(e, 0), minus_one)
+            model = models.get(e)
+            if model is None:
+                for n, comp in table(e, side).items():
+                    for k, d in comp.terms.items():
+                        vec[-n, k] = d
+            else:
+                b = e[slot]
+                for n, comp in table(model, side).items():
+                    for k, d in comp.terms.items():
+                        vec[-n - c * b, move(k, b)] = d
+            acc(vec, (0, e), minus_one)
             return vec
 
         box = alg.basis_box(window)

@@ -36,6 +36,7 @@ Derived here from `letters`, never restated per family:
                            along a unit end letter (below)
     end_model(i)           the index e_i stands for along the end
                            letter of `moves_pairs()` (the guard, below)
+    end_move(i, b)         i with that letter's exponent moved by b
     antipode_basis(i)      S(e_i) from S on the non-unit generators
 
 A letter g of a rule spells generator g and G spells g^-1.  Derived
@@ -466,6 +467,12 @@ class HopfProvider(ABC):
             hit = HopfProvider.coproduct_basis(self, i)
         base = HopfProvider.coproduct_basis(self, model)
         return model if _is_moved(hit.form, base.form, slot, by) else None
+
+    def end_move(self, i: Index, by: int) -> Index:
+        """i with the exponent of the end letter of `moves_pairs()` moved
+        by `by`: e_m's leg k stands for e_(m+b)'s leg `end_move(k, b)`
+        when `end_model` names m."""
+        return _moved(i, self.end_slot(), by)
 
     def antipode_basis(self, i: Index) -> Lin:
         hit = self._anti_cache.get(i)

@@ -4,7 +4,16 @@ Vectors are sparse dicts keyed by arbitrary comparable coordinates.
 The pivot of a row is its smallest coordinate in the ambient total
 order, and inputs are always processed in sorted key order, so ranks,
 spans, and kernel bases come out deterministic.  `Echelon.residue` is
-the one elimination loop; `kernel_of_map` reduces with it too.
+the one elimination loop; `kernel_of_map` reduces with it too.  Rows
+are normalised to 1 at their pivot; a residue whose pivot coefficient
+is already 1 is stored as it is, with no inverse taken.
+
+`kernel_of_map`'s result depends on the order of its input keys only.
+That order fixes which inputs are independent (each one's image is not
+in the span of the earlier ones'), and each kernel vector is the one
+kernel element equal to e_k plus a combination of the earlier
+independent inputs, scaled to 1 at its smallest key.  The order of the
+image coordinates decides only the fill-in on the way.
 """
 
 from __future__ import annotations
@@ -50,13 +59,22 @@ class Echelon:
         res = self.residue(vec)
         if not res:
             return False
-        piv = min(res.keys())
-        inv = res[piv].inv()
-        self.rows[piv] = {k: v * inv for k, v in res.items()}
+        piv, row = _normalised(res)
+        self.rows[piv] = row
         return True
 
     def contains(self, vec) -> bool:
         return not self.residue(vec)
+
+
+def _normalised(res: dict) -> tuple:
+    # (pivot, res scaled to 1 there), res itself when it is 1 already
+    piv = min(res)
+    lead = res[piv]
+    if not lead.is_one():
+        inv = lead.inv()
+        res = {k: v * inv for k, v in res.items()}
+    return piv, res
 
 
 def span_rank(vectors) -> int:
@@ -82,11 +100,9 @@ def kernel_of_map(inputs, image_of, level: int) -> list[dict]:
     for key in sorted(inputs):
         vec = {(0, k): v for k, v in _as_dict(image_of(key)).items()}
         vec[(1, key)] = Cyclo.one(level)
-        res = ech.residue(vec)
-        piv = min(res.keys())
-        inv = res[piv].inv()
+        piv, res = _normalised(ech.residue(vec))
         if piv[0] == 0:
-            ech.rows[piv] = {k: v * inv for k, v in res.items()}
+            ech.rows[piv] = res
         else:
-            kernel.append({k: v * inv for (_, k), v in res.items()})
+            kernel.append({k: v for (_, k), v in res.items()})
     return kernel

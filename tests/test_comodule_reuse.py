@@ -7,10 +7,14 @@ end letter that `moves_pairs()` names; every other index takes its
 model's verdict when the model passes and its coproduct passes the
 guard (`HopfProvider.end_model`), and is computed on its own otherwise.
 `strong_grading` reads one-term box products until they cover the box's
-degree-0 indices, and otherwise takes the Echelon's answer.  With both
+degree-0 indices, and otherwise takes the Echelon's answer.  The
+rho-grading and the coinvariant images of such an index are its
+model's, each kept leg moved by b and each t-degree by cb.  With both
 switched off (`moves_pairs()` None, and no shortcut), every `comodule`
-document is the same, byte for byte; and the fixtures below are each
-got wrong by a reuse or a shortcut that drops one of its conditions.
+document is the same, byte for byte; the grading and the coinvariants
+equal a second route that reads every index on its own; and the
+fixtures below are each got wrong by a reuse or a shortcut that drops
+one of its conditions.
 """
 
 import contextlib
@@ -22,11 +26,14 @@ import pytest
 from conftest import INSTANCES, build_instance
 from qhopf.cli import main
 from qhopf.comodule import Coaction, QuotientError, default_quotient
-from qhopf.elements import Lin
+from qhopf.elements import Lin, acc
 from qhopf.families.base import HopfProvider
 from qhopf.families.family_a import FamilyA
+from qhopf.linalg import kernel_of_map
 from qhopf.params import parse_params
+from qhopf.scalars import Cyclo
 from test_comodule import CORPUS, ref_compatible, ref_counit_recovers
+from test_end_model import _drift
 
 CHECKS = ("coactions_compatible", "counit_recovers", "decomposes")
 
@@ -259,3 +266,156 @@ def test_the_reuse_off_switch_reaches_the_sweep():
         co = Coaction(alg, default_quotient(alg))
         assert co._models(alg.basis_box(2)) == {}
         assert not co._covers(*(co._grading(2)[d] for d in (-1, 1, 0)))
+
+
+# -- the grading and the coinvariants against a per-index route --------
+
+
+def ref_grading(co, window):
+    """The window box by the rho-degree of each index, read off its own
+    coaction."""
+    out: dict = {}
+    for idx in co.alg.basis_box(window):
+        out.setdefault(co.rho_degree(idx), []).append(idx)
+    return out
+
+
+def ref_coinvariants(co, window, side):
+    """Kernel basis of rho(h) - h ox 1 or lam(h) - 1 ox h from each
+    index's own coaction, keyed (index, n) on the right and (n, index)
+    on the left."""
+    alg = co.alg
+    minus_one = Cyclo.zero(alg.level) - alg.one_scalar()
+
+    def key(idx, n):
+        return (idx, n) if side else (n, idx)
+
+    def image(e):
+        vec: dict = {}
+        for n, comp in co._coact(alg.basis_el(e), side).items():
+            for idx, c in comp.terms.items():
+                acc(vec, key(idx, n), c)
+        acc(vec, key(e, 0), minus_one)
+        return vec
+
+    return [Lin(k) for k in kernel_of_map(alg.basis_box(window), image, alg.level)]
+
+
+def _value(f, *args):
+    # f(*args), or QuotientError where a box monomial of a polynomial
+    # quotient is not rho-homogeneous
+    try:
+        return f(*args)
+    except QuotientError:
+        return QuotientError
+
+
+WINDOWS = range(1, 6)
+
+
+def _model_routes(co):
+    # every window's grading and coinvariants, before the reference
+    # route reads any index's own coaction
+    return [
+        (_value(co._grading, w), co.left_coinvariants(w), co.right_coinvariants(w))
+        for w in WINDOWS
+    ]
+
+
+def _reference_routes(co):
+    return [
+        (_value(ref_grading, co, w), ref_coinvariants(co, w, 0), ref_coinvariants(co, w, 1))
+        for w in WINDOWS
+    ]
+
+
+@pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "alone"])
+@pytest.mark.parametrize("name", [n for n, _ in CORPUS])
+def test_grading_and_coinvariants_equal_the_per_index_route(name, reuse):
+    with pytest.MonkeyPatch.context() as mp:
+        if not reuse:
+            _reuse_off(mp)
+        alg = build_instance(name)
+        co = Coaction(alg, default_quotient(alg))
+        got = _model_routes(co)
+        assert bool(co._window_models(5)) == (reuse and co._end_letter() is not None)
+        assert got == _reference_routes(co)
+
+
+def test_the_second_routes_cover_moves_of_t_degree():
+    # the Laurent instances move each t-degree by cb, c = 1
+    cs = set()
+    for name, _ in CORPUS:
+        alg = build_instance(name)
+        end = Coaction(alg, default_quotient(alg))._end_letter()
+        cs.add(None if end is None else end[1])
+    assert cs == {None, 0, 1}
+
+
+def _replace(alg, idx, by):
+    # another entry in the cache in place of Delta(e_idx)
+    alg._cop_cache[idx] = alg.coproduct_basis(by)
+
+
+def _assign(alg, idx, terms):
+    # Delta(e_idx) assigned by hand, {(left, right): int}
+    lin = Lin({legs: alg.scalar(c) for legs, c in terms.items()})
+    alg._cop_cache[idx] = alg.as_form_lin(lin)
+
+
+@pytest.mark.parametrize("name,tamper,alone", [
+    # a drifted form (its terms kept) and a replaced entry of C(3)
+    ("c_3", lambda alg: (_drift(alg, (2, 1)), _replace(alg, (1, 1), (1, 2))),
+     [(1, 1), (2, 1)]),
+    # Delta(y x) of C(3) replaced by y x ox y, which makes y x a right
+    # coinvariant that its model x does not stand for
+    ("c_3", lambda alg: _assign(alg, (1, 1), {((1, 1), (1, 0)): 1}), [(1, 1)]),
+    # a replaced entry of A(2, z3), whose rho-degree is then 2, not 1
+    ("a_2_z3", lambda alg: _replace(alg, (1, 1), (1, 2)), [(1, 1)]),
+    # GroupZ2's Delta(y x) drifted, then Delta(y x) built off a drifted
+    # Delta(x) along the lead
+    ("group_z2", lambda alg: _drift(alg, (1, 1)), [(1, 1)]),
+    ("group_z2", lambda alg: _drift(alg, (0, 1)), [(1, 1)]),
+], ids=["c_3-drifted-replaced", "c_3-assigned", "a_2_z3-replaced", "group_z2-drifted",
+        "group_z2-built-off-drifted"])
+def test_a_drifted_or_replaced_entry_is_read_on_its_own(name, tamper, alone):
+    alg = build_instance(name)
+    tamper(alg)
+    co = Coaction(alg, default_quotient(alg))
+    models = co._window_models(5)
+    assert models and not set(alone) & set(models)
+    assert _model_routes(co) == _reference_routes(co)
+
+
+def test_the_grading_builds_the_model_coproducts_only():
+    """B(7, 1, 3, 5, z105) at window 5: the sweep and the strong
+    grading build the 30 model entries of the 330-index box and read
+    every other degree off them; construction built Delta(x^+-1), the
+    only moved entries (all 330 are built when each index's degree is
+    its own)."""
+    alg = build_instance("b_7_135_z105")
+    co = Coaction(alg, default_quotient(alg))
+    co.box_verdicts(5)
+    assert all(co.strong_grading(n, 5) for n in range(1, 6))
+    assert len(alg._cop_cache) <= 32
+    assert sorted(i for i in alg._cop_cache if i[-1]) == [(0, 0, -1), (0, 0, 1)]
+
+
+def test_c3_coinvariants_take_no_inverse(monkeypatch):
+    """C(3) at window 5: every row's and kernel vector's lead is 1, so
+    no inverse is taken (132 with the images keyed bottom degree first
+    and every row scaled through one)."""
+    alg = build_instance("c_3")
+    co = Coaction(alg, default_quotient(alg))
+    co.box_verdicts(5)
+    calls = []
+    plain = Cyclo.inv
+
+    def inv(self):
+        calls.append(self)
+        return plain(self)
+
+    monkeypatch.setattr(Cyclo, "inv", inv)
+    left, right = co.left_coinvariants(5), co.right_coinvariants(5)
+    assert (len(left), len(right)) == (11, 11)
+    assert calls == []

@@ -4,9 +4,13 @@ The Echelon and kernel tests include one-term vectors that meet
 one-term rows (which `Echelon.residue` eliminates by dropping the
 coordinate) and rows with more terms; `FullElimination`, which
 subtracts every row in full, must give the same ranks, memberships,
-rows and kernels."""
+rows and kernels.  A row whose pivot coefficient is already 1 is stored
+as it is, with no inverse taken; and `kernel_of_map`'s kernel does not
+move when the image coordinates are relabelled, whatever their order."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhopf import linalg
 from qhopf.elements import acc, lin_from_pairs
@@ -224,3 +228,93 @@ def test_kernel_of_map_level_12(full_kernel):
             for out_key, v in images[k].items():
                 total[out_key] = total.get(out_key, zero) + v * coeff
         assert all(v.is_zero() for v in total.values())
+
+
+# -- the key order of the image coordinates ----------------------------
+
+COORDS = 6
+LEVELS = {1: 1, 12: 4}  # level -> coefficients per scalar
+
+
+@st.composite
+def maps(draw):
+    """(level, images): up to 7 inputs, each image a sparse vector over
+    the coordinates range(COORDS) or a combination of earlier images, so
+    that kernels occur."""
+    level = draw(st.sampled_from(sorted(LEVELS)))
+    small = st.integers(-3, 3)
+
+    def scalar():
+        return Cyclo.from_coeffs(level, draw(st.lists(small, min_size=LEVELS[level],
+                                                       max_size=LEVELS[level])))
+
+    images: list[dict] = []
+    for _ in range(draw(st.integers(1, 7))):
+        out: dict = {}
+        if images and draw(st.booleans()):
+            for earlier in draw(st.lists(st.sampled_from(images), max_size=3)):
+                c = scalar()
+                for k, v in earlier.items():
+                    acc(out, k, v * c)
+        else:
+            for k in draw(st.sets(st.integers(0, COORDS - 1), max_size=4)):
+                acc(out, k, scalar())
+        images.append(out)
+    return level, images
+
+
+def kernels(images, level, relabel):
+    """kernel_of_map through Echelon and FullElimination, each image
+    coordinate k relabelled as relabel(k)."""
+
+    def image_of(key):
+        return {relabel(k): v for k, v in images[key].items()}
+
+    out = [kernel_of_map(range(len(images)), image_of, level)]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(linalg, "Echelon", FullElimination)
+        out.append(kernel_of_map(range(len(images)), image_of, level))
+    return out
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(maps(), st.permutations(range(COORDS)))
+def test_kernel_of_map_ignores_the_order_of_the_image_coordinates(case, perm):
+    level, images = case
+    want = kernels(images, level, lambda k: k)
+    assert want[0] == want[1]
+    for relabel in (lambda k: -k, perm.__getitem__, lambda k: ("c", perm[k])):
+        assert kernels(images, level, relabel) == want
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(maps(), st.lists(st.booleans(), min_size=7, max_size=7))
+def test_unit_and_other_pivots_take_both_routes(case, units):
+    """Each nonzero vector scaled to 1 at its pivot, or to c^2 + 1 there,
+    c its pivot coefficient: never 1, and 0 only where c^2 = -1, where
+    the vector is kept as it is."""
+    _, images = case
+    vectors = []
+    for v, unit in zip(images, units):
+        if v:
+            lead = v[min(v)]
+            scale = lead.inv() if unit else lead.inv() * (lead * lead + 1)
+            if not scale.is_zero():
+                v = {k: c * scale for k, c in v.items()}
+        vectors.append(v)
+    both_routes(vectors)
+
+
+def test_a_unit_pivot_row_is_stored_as_it_is(monkeypatch):
+    ech = Echelon()
+    assert ech.insert(vec((0, 2), (1, 4)))
+    assert ech.rows[0] == vec((0, 1), (1, 2))
+    monkeypatch.setattr(Cyclo, "inv", lambda self: pytest.fail("an inverse was taken"))
+    assert ech.insert(vec((1, 1), (2, 3)))
+    assert ech.rows[1] == vec((1, 1), (2, 3))
+    # a residue led by 1 once the row at 0 is taken off
+    assert ech.insert(vec((0, 1), (1, 2), (2, 1), (3, 5)))
+    assert ech.rows[2] == vec((2, 1), (3, 5))
+    kern = kernel_of_map(range(3), [vec(("a", 1)), vec(("a", 1), ("b", 1)),
+                                    vec(("b", 1))].__getitem__, level=1)
+    assert kern == [{0: Cyclo.one(1), 1: Cyclo.from_fraction(-1), 2: Cyclo.one(1)}]
