@@ -296,15 +296,6 @@ class Coaction:
             raise QuotientError("basis monomial is not lam-homogeneous")
         return next(iter(comps))
 
-    def bigrade(self, h: Lin) -> dict:
-        """Decompose into {(lam-degree, rho-degree): component}."""
-        out: dict = {}
-        for n, comp in self.rho(h).items():
-            for m, comp2 in self.lam(comp).items():
-                if not comp2.is_zero():
-                    out[(m, n)] = out.get((m, n), Lin({})) + comp2
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
     def coactions_compatible(self, h: Lin) -> bool:
         """Bicomodule axiom: rho-then-lam agrees with lam-then-rho on h.
 

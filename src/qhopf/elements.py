@@ -85,9 +85,6 @@ class Lin:
             return self
         return Lin({k: v * c for k, v in self.terms.items()})
 
-    def coeff(self, key: Index) -> Cyclo | None:
-        return self.terms.get(key)
-
     def support(self) -> list[Index]:
         return sorted(self.terms.keys())
 

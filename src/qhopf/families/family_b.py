@@ -29,9 +29,9 @@ inverts it: the canonical y-tuple of degree mu has d_i = mu m_i^-1 mod
 p_i for i >= 2 (every other m_j is 0 mod p_i, and m_i is a unit mod p_i
 since the p_i are pairwise coprime), and then d_1 = (mu - sum_(i >= 2)
 m_i d_i) / m_1.  This is the one canonical tuple of degree mu, which is
-what makes mu injective on canonical tuples; `canon` reads it too.  The
-tuple is memoized per degree, so the memory grows with the degrees
-met, not with the indices or their pairs.
+what makes mu injective on canonical tuples.  The tuple is memoized
+per degree, so the memory grows with the degrees met, not with the
+indices or their pairs.
 """
 
 from __future__ import annotations
@@ -59,12 +59,6 @@ class FamilyB(SkewPrimitiveProvider):
         # m_i^-1 mod p_i for i >= 2, and mu -> canonical y-tuple
         self._inverses = tuple(pow(m, -1, p) for m, p in zip(self.mm, self.pp))
         self._canon_d: dict[int, tuple[int, ...]] = {}
-
-    def canon(self, d) -> tuple[int, ...]:
-        """The canonical y-exponents of d's degree; entries past the s-th
-        (the x-exponent of an index) pass through."""
-        d = tuple(d)
-        return self.lattice_index(self.mu(d), 0)[:-1] + d[self.s :]
 
     def mu(self, d) -> int:
         """Total y-degree; an index's x-exponent is ignored."""

@@ -7,8 +7,8 @@ Two layers:
   counit).  `distinguish` compares these; a reported difference proves
   non-isomorphism, absence is inconclusive.
 
-* parameter-level: `canonicalize` / `isomorphic` decide equality of
-  canonical forms after folding the known family coincidences.  This
+* parameter-level: `isomorphic` decides equality of the canonical
+  keys (`iso_key`) after folding the known family coincidences.  This
   layer is authoritative for the classified families.
 
 Commutativity and cocommutativity are decided on the generators: the
@@ -19,10 +19,10 @@ holds every generator: a unit letter ranges over [-w, w] and every cap
 is at least 1.  A commutative H needs no grouplike pair products.
 
 Everything parameter-level is a lookup in the family table,
-`qhopf.families.builder.FAMILIES`: the fold behind `iso_key`,
-`canonicalize`, `family_tag` and the rules `isomorphic` cites, and the
-facts behind `gldim_class`, `abelianization_goldie_rank` and
-`ext1_dimension`.  Global dimension is metadata there, not computed.
+`qhopf.families.builder.FAMILIES`: the fold behind `iso_key` and the
+rules `isomorphic` cites, and the facts behind the table's invariant
+vector (`_param_invariants`) and `abelianization_goldie_rank`.  Global
+dimension is metadata there, not computed.
 
 One convention deserves a warning.  The classifier folds the degree-one
 Ore instance (zero derivation) onto the trivial skew-Laurent pair
@@ -54,13 +54,16 @@ from qhopf.verify import find_grouplikes
 # -- instance-level checks ---------------------------------------------
 
 
-def is_commutative(alg: HopfProvider) -> bool:
-    gens = [i for _, i in alg.generators()]
+def _pairwise_commute(alg: HopfProvider, elems: list) -> bool:
     return all(
         alg.multiply_basis(g, h) == alg.multiply_basis(h, g)
-        for pos, g in enumerate(gens)
-        for h in gens[pos + 1 :]
+        for pos, g in enumerate(elems)
+        for h in elems[pos + 1 :]
     )
+
+
+def is_commutative(alg: HopfProvider) -> bool:
+    return _pairwise_commute(alg, [i for _, i in alg.generators()])
 
 
 def is_cocommutative(alg: HopfProvider) -> bool:
@@ -87,12 +90,7 @@ def grouplike_profile(
         if vec:
             vectors.append(vec)
     rank = span_rank(vectors)
-    abelian = commutative or all(
-        alg.multiply_basis(g, h) == alg.multiply_basis(h, g)
-        for pos, g in enumerate(gls)
-        for h in gls[pos + 1 :]
-    )
-    return rank, abelian
+    return rank, commutative or _pairwise_commute(alg, gls)
 
 
 def _linearize_word(alg: HopfProvider, counit, word) -> tuple[Cyclo, dict]:
@@ -139,17 +137,6 @@ def ext1_from_instance(alg: HopfProvider) -> int:
 # -- parameter-level lookups in the family table ------------------------
 
 
-def ext1_dimension(params: FamilyParams) -> int:
-    """Tangent-space dimension read off the table (2 iff commutative);
-    `ext1_from_instance` computes it from the presentation."""
-    return _param_invariants(params, iso_key(params)).ext1_dim
-
-
-def gldim_class(params: FamilyParams) -> str:
-    """'infinite' for the carried-basis family, 'finite_2' otherwise."""
-    return facts(params).gldim
-
-
 def abelianization_goldie_rank(params: FamilyParams) -> tuple:
     """(rank, quotient label) for the commutator quotient; rank None
     marks a commutative instance."""
@@ -159,18 +146,6 @@ def abelianization_goldie_rank(params: FamilyParams) -> tuple:
 def iso_key(params: FamilyParams) -> FamilyParams:
     """Canonical parameters with the cross-family coincidences folded."""
     return fold(params)[0]
-
-
-def canonicalize(params: FamilyParams) -> FamilyParams:
-    """Canonical representative within the parameters' own family: the
-    iso key when the fold stays in the family, else the parameters."""
-    key = iso_key(params)
-    return key if type(key) is type(params) else params
-
-
-def family_tag(params: FamilyParams) -> str:
-    """Family label with the lift coincidences folded in."""
-    return iso_key(params).family
 
 
 def _param_invariants(params: FamilyParams, key: FamilyParams) -> InvariantVector:

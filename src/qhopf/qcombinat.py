@@ -43,13 +43,6 @@ def qp_trim(p) -> QPoly:
     return tuple(p)
 
 
-def qp_add(a: QPoly, b: QPoly) -> QPoly:
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return qp_trim(x + y for x, y in zip(a, b))
-
-
 def qp_mul(a: QPoly, b: QPoly) -> QPoly:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -73,13 +66,6 @@ def q_integer(n: int) -> QPoly:
     if n == 0:
         return (0,)
     return tuple([1] * n)
-
-
-def q_factorial(n: int) -> QPoly:
-    out: QPoly = (1,)
-    for i in range(1, n + 1):
-        out = qp_mul(out, q_integer(i))
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -5,10 +5,9 @@ cyclotomic polynomial Phi_n: an integer coefficient vector of length
 phi(n) = deg Phi_n over a single positive denominator, normalised so
 the gcd of all entries and the denominator is 1.  Level 1 is plain Q.
 
-Scalars of different levels never mix silently; callers lift to a
-common level first (`lift`, `common_level`).  Plain ints and
-Fractions coerce to the level of the other operand, since Q embeds
-in every cyclotomic field.
+Scalars of different levels never mix: an operation on two levels
+raises `ScalarError`.  Plain ints and Fractions coerce to the level of
+the other operand, since Q embeds in every cyclotomic field.
 
 Multiplication runs on integer vectors: sparse convolution followed
 by reduction with precomputed rows for x^e mod Phi_n.  Division only
@@ -18,8 +17,7 @@ the subgroup H_(i-1) of the earlier k's: a_(i-1), fixed by H_(i-1),
 times its conjugates zeta -> zeta^(k_i^j) for 0 < j < m_i is a_i,
 fixed by H_i.  With a_0 = a and b the product of those factors, a*b
 is the last a_i, a nonzero rational N, checked, and a^-1 = b / N: 13
-conjugates at level 105, not 47.  `lift` is the same substitution,
-zeta_n -> zeta_m^(m/n).
+conjugates at level 105, not 47.
 
 Roots of unity get a shortcut.  The roots of unity in Q(zeta_n) form
 a cyclic group of order N = lcm(2, n), generated by omega = zeta_n for
@@ -331,20 +329,10 @@ class Cyclo:
 
     # -- level handling ----------------------------------------------
 
-    def lift(self, level: int) -> Cyclo:
-        """Embed into Q(zeta_level); level must be a multiple of self.level."""
-        if level == self.level:
-            return self
-        if level % self.level != 0:
-            raise ScalarError(f"cannot lift level {self.level} to {level}")
-        return _substitute(level, self.num, self.den, level // self.level)
-
     def _coerce(self, other) -> Cyclo:
         if isinstance(other, Cyclo):
             if other.level != self.level:
-                raise ScalarError(
-                    f"level mismatch {self.level} vs {other.level}; lift explicitly"
-                )
+                raise ScalarError(f"level mismatch {self.level} vs {other.level}")
             return other
         if isinstance(other, (int, Fraction)):
             return Cyclo.from_fraction(other, self.level)
@@ -540,12 +528,6 @@ def _zero(level: int) -> Cyclo:
 @lru_cache(maxsize=None)
 def _rational_one(level: int) -> Cyclo:
     return Cyclo(level, [1], 1)
-
-
-def common_level(a: Cyclo, b: Cyclo) -> tuple[Cyclo, Cyclo]:
-    """Lift both scalars to the lcm of their levels."""
-    l = lcm(a.level, b.level)
-    return a.lift(l), b.lift(l)
 
 
 # -- exponent form ----------------------------------------------------

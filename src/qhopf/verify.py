@@ -46,7 +46,10 @@ once: (key, h(coefficient), L1 norm of its form) per term of
 Delta(e_i), and the sum of the L1 norms; or None, when some term's form
 has a non-integer rational at a level above 2, and the pass declines
 every pair that reads it.  A hit is one dict lookup and one identity
-test, so a form assigned to that FormLin later is read again.
+test, so a form assigned to that FormLin later is read again.  Each
+scan starts by dropping every view whose FormLin is no longer the
+provider's cached Delta(e_i), so an entry replaced between two scans is
+read again too.
 
 The bialgebra law's counit residual is the sum of the r omega^e whose
 e_k has counit 1, minus 1 when e_i and e_j both have counit 1, in
@@ -448,6 +451,9 @@ def _own_failures(alg: HopfProvider, axiom: str, idx) -> list[str]:
 
 
 def _bialgebra_scan(alg: HopfProvider, tagged_pairs, rows: dict) -> tuple[int, list]:
+    views, cached = _views_of(alg), alg._cop_cache
+    for i in [i for i, hit in views.items() if cached.get(i) is not hit[0]]:
+        del views[i]
     out = []
     count = 0
     zero = Cyclo.zero(alg.level)

@@ -60,8 +60,8 @@ def test_describe_is_deterministic():
 def test_support_and_coeff():
     a = lin_from_pairs([((3,), 4), ((1,), 1)])
     assert a.support() == [(1,), (3,)]
-    assert a.coeff((3,)) == Cyclo.from_fraction(4)
-    assert a.coeff((9,)) is None
+    assert a.terms[(3,)] == Cyclo.from_fraction(4)
+    assert (9,) not in a.terms
 
 
 pairs_strategy = st.lists(

@@ -1,4 +1,4 @@
-"""Invariant vector entries against their frozen values, canonical form
+"""Invariant vector entries against their frozen values, iso key
 properties, and the isomorphism decision."""
 
 import itertools
@@ -8,14 +8,12 @@ import pytest
 from conftest import VALID_CORPUS, build_instance, grid_params, grid_specs
 from qhopf.elements import Lin, flip2
 from qhopf.families import build
+from qhopf.families.builder import facts
 from qhopf.invariants import (
+    _param_invariants,
     abelianization_goldie_rank,
-    canonicalize,
     distinguish,
-    ext1_dimension,
     ext1_from_instance,
-    family_tag,
-    gldim_class,
     grouplike_profile,
     invariant_vector,
     is_cocommutative,
@@ -45,7 +43,8 @@ def expected_ext1(spec):
 def test_ext1_table(spec):
     params = P(spec)
     want = expected_ext1(spec)
-    assert ext1_dimension(params) == want
+    # the table's value, the field `isomorphic` cites
+    assert _param_invariants(params, iso_key(params)).ext1_dim == want
     # the tangent-space computation on the built instance must agree
     assert ext1_from_instance(build(params)) == want
 
@@ -94,14 +93,10 @@ def test_pi_degree_rejects_other_families():
 
 
 def test_gldim_class():
-    assert gldim_class(P({"family": "C", "n": 3})) == "finite_2"
-    assert gldim_class(P({"family": "GroupZ2"})) == "finite_2"
-    assert (
-        gldim_class(
-            P({"family": "B", "n": 1, "p": [1, 2, 3], "q": {"order": 6, "power": 1}})
-        )
-        == "infinite"
-    )
+    assert facts(P({"family": "C", "n": 3})).gldim == "finite_2"
+    assert facts(P({"family": "GroupZ2"})).gldim == "finite_2"
+    b = P({"family": "B", "n": 1, "p": [1, 2, 3], "q": {"order": 6, "power": 1}})
+    assert facts(b).gldim == "infinite"
 
 
 EXTRA_SPECS = [
@@ -121,19 +116,20 @@ def pool_params():
 
 def test_canonicalize_is_idempotent_and_sign_fixing():
     for params in pool_params():
-        canon = canonicalize(params)
-        assert canonicalize(canon) == canon
-        if isinstance(canon, AParams):
-            assert canon.n >= 0
-    flipped = canonicalize(P({"family": "A", "n": -2, "q": {"order": 3, "power": 1}}))
+        key = iso_key(params)
+        assert iso_key(key) == key
+        if isinstance(key, AParams):
+            assert key.n >= 0
+    flipped = iso_key(P({"family": "A", "n": -2, "q": {"order": 3, "power": 1}}))
     assert flipped == AParams(2, ScalarSpec.from_root(3, 2))
 
 
 def test_family_tag_folds_the_lift():
-    assert family_tag(P({"family": "CLift", "n": 3, "q": {"order": 4, "power": 1}})) == "A"
-    assert family_tag(P({"family": "CLift", "n": 2, "q": 1})) == "C"
-    assert family_tag(P({"family": "C", "n": 2})) == "C"
-    assert family_tag(P({"family": "C", "n": 1})) == "A"
+    # the family of the iso key is the vector's `family_tag`
+    assert iso_key(P({"family": "CLift", "n": 3, "q": {"order": 4, "power": 1}})).family == "A"
+    assert iso_key(P({"family": "CLift", "n": 2, "q": 1})).family == "C"
+    assert iso_key(P({"family": "C", "n": 2})).family == "C"
+    assert iso_key(P({"family": "C", "n": 1})).family == "A"
 
 
 ISO_PAIRS = [

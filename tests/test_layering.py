@@ -23,6 +23,13 @@ module names the move of an index or the compare of a moved entry
 `qhopf.comodule` reads that guard from the base and owns its reuse: it
 imports nothing from `qhopf.verify`, whose zero-only pass builds views
 it never reads.
+
+Every function, class and method defined under `qhopf` has a reader
+in `qhopf` itself: some import, attribute, name or string constant
+there names it, other than its own `def`.  A name that only tests or
+`bench/` read is in `UNREAD` with the reason it stays.  Readers are
+matched by name alone, so a same-named attribute or local counts: the
+check catches a helper nothing names, not every helper nothing calls.
 """
 
 import ast
@@ -33,11 +40,24 @@ FAMILIES = PACKAGE / "families"
 STATED = {"_multiply_raw", "_coproduct_raw", "_antipode_raw"}
 DERIVED = {"coproduct_basis", "antipode_basis"}
 MOVES = {"moved", "is_moved", "_moved", "_is_moved"}
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+UNREAD = {
+    "find_skew_primitives": "the window second route for the spectrum (ROADMAP item 10)",
+    "Cyclo.from_coeffs": "the scalar and linalg tests build Fraction vectors with it",
+    "distinguish": "the acceptance tests compare instance-level invariants with it",
+    "vanishing_criterion": "the acceptance tests check the q-binomial criterion with it",
+    "HopfProvider.tensor2": "the acceptance tests build tensors with it",
+    "HopfProvider.t2_pow": "the acceptance tests raise Delta(y) to powers with it",
+    "abelianization_goldie_rank": "the acceptance tests read it; its other reader is a field",
+    "agree_on_product": "the tests' rewriting second route",
+    "HopfProvider.coproduct": "bench/tracer.py wraps it by name",
+    "pi_degree_and_io": "bench/tracer.py wraps its qhopf.invariants re-export by name",
+}
 
 
-def _named(path, wanted):
-    # "file:line" of each import, attribute, name or def naming one of
-    # `wanted`
+def _names(path):
+    # ("file:line", names) of each import, attribute, name, string
+    # constant or def
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -46,12 +66,20 @@ def _named(path, wanted):
             names = [node.attr]
         elif isinstance(node, ast.Name):
             names = [node.id]
-        elif isinstance(node, ast.FunctionDef):
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        elif isinstance(node, DEFS):
             names = [node.name]
         else:
             continue
+        yield f"{path.relative_to(PACKAGE).as_posix()}:{node.lineno}", names
+
+
+def _named(path, wanted):
+    # "file:line" of each node of `_names` naming one of `wanted`
+    for where, names in _names(path):
         if wanted.intersection(names):
-            yield f"{path.name}:{node.lineno}"
+            yield where
 
 
 def test_no_family_module_reads_the_zero_map():
@@ -136,3 +164,39 @@ def test_the_comodule_module_imports_nothing_from_verify():
         if any(n == "qhopf.verify" or n.startswith("qhopf.verify.") for n in names):
             found.append(f"comodule.py:{node.lineno}")
     assert not found, found
+
+
+def _engine_defs(modules):
+    # (qualified name, bare name, "file:line") of every def and class,
+    # methods as Class.method; dunders are read by the language
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            owner = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+            body = getattr(node, "body", None)
+            for child in body if isinstance(body, list) else ():
+                name = getattr(child, "name", "")
+                if isinstance(child, DEFS) and not name.startswith("__"):
+                    where = f"{path.relative_to(PACKAGE).as_posix()}:{child.lineno}"
+                    yield owner + name, name, where
+
+
+def test_every_engine_name_has_a_product_reader():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    defs = list(_engine_defs(modules))
+    # every site naming each name, then less the defs of that name
+    readers: dict = {}
+    for path in modules:
+        for where, names in _names(path):
+            for name in names:
+                readers.setdefault(name, set()).add(where)
+    for _, name, where in defs:
+        readers[name].discard(where)
+    unread = sorted(
+        f"{where} {qualified}"
+        for qualified, name, where in defs
+        if qualified not in UNREAD and not readers[name]
+    )
+    assert not unread, unread
+    # every kept name still exists
+    assert set(UNREAD) <= {qualified for qualified, _, _ in defs}

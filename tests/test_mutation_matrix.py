@@ -17,12 +17,16 @@ The corruptions:
 - `_coproduct_raw`: one term of Delta(g) doubled, g the first non-unit
   generator;
 - `_antipode_raw`: S(g) scaled by 2, for the same g.
+
+One more case corrupts no hook: it replaces a cached coproduct between
+two scans of one provider, which the second scan must read.
 """
 
 import pytest
 
 from conftest import build_instance
 from qhopf.elements import Lin
+from qhopf.families.base import FormLin
 from qhopf.verify import verify_axioms
 
 
@@ -132,3 +136,32 @@ def test_every_stated_hook_corruption_fails_verify(name, hook, caught):
     report = verify_axioms(alg, window=2, max_failures=10**6)
     assert not report.passed
     assert {f.axiom for f in report.failures} == set(caught.split("+"))
+
+
+
+# (instance, the end letter, the failures at window 2 once Delta(y x)
+# is replaced)
+REPLACED = [("c_3", "lead", 30), ("a_2_z3", "tail", 27), ("env_abelian", None, 17)]
+
+
+@pytest.mark.parametrize(
+    "name,end,failures", REPLACED, ids=[f"{n}-{e}-{f}" for n, e, f in REPLACED]
+)
+def test_a_coproduct_replaced_between_two_scans_is_read_again(name, end, failures):
+    """After a passing window-2 scan, Delta(y x) replaced in the cache by
+    a copy with one rational of its form moved by 1: the next scan of
+    the same provider reads the copy, not the view kept from the first
+    scan, and reports what a fresh provider with that copy reports."""
+    alg = build_instance(name)
+    assert alg.moves_pairs() == end
+    assert verify_axioms(alg, window=2, axioms=("bialgebra",)).passed
+    cop = alg.coproduct_basis((1, 1))
+    (key, ((e, r), *more)), *rest = cop.form
+    drifted = FormLin(dict(cop.terms), ((key, ((e, r + 1), *more)), *rest))
+    alg._cop_cache[(1, 1)] = drifted
+    report = verify_axioms(alg, window=2, axioms=("bialgebra",), max_failures=10**6)
+    assert len(report.failures) == failures
+    fresh = build_instance(name)
+    fresh._cop_cache[(1, 1)] = drifted
+    again = verify_axioms(fresh, window=2, axioms=("bialgebra",), max_failures=10**6)
+    assert report.to_json() == again.to_json()
